@@ -13,8 +13,8 @@
 //
 //	\load twitter 0.01            load a paper-shaped dataset
 //	\loadfile g edges.txt         load a SNAP edge list
-//	\pagerank twitter 10          vertex-centric PageRank
-//	\pagerank-sql twitter 10      SQL PageRank
+//	\pagerank twitter 10          vertex-centric PageRank (= PAGERANK twitter 10)
+//	\pagerank-sql twitter 10      SQL PageRank (= PAGERANK_SQL twitter 10)
 //	\sssp twitter 0               shortest paths from vertex 0
 //	\triangles twitter            SQL triangle count
 //	\overlap twitter 3            strong overlap pairs
@@ -25,6 +25,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -33,8 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"context"
-
 	"repro/internal/client"
 	"repro/internal/dataset"
 	"repro/internal/giraph"
@@ -42,30 +41,52 @@ import (
 	vertexica "repro"
 )
 
+// result is what a statement returns on either side of the wire.
+type result interface {
+	Columns() []string
+	Len() int
+	Value(row, col int) vertexica.Value
+}
+
+// console is the prompt's statement executor: the embedded engine or a
+// remote vxserve connection. Everything typed at the prompt — SQL,
+// session control, graph statements — goes through run; the backslash
+// graph commands are sugar for the graph statement of the same name.
+type console struct {
+	run func(stmt string) (result, int, error)
+	vx  *vertexica.Engine // nil when driving a remote server
+}
+
 func main() {
 	dataDir := flag.String("data", "", "persistence directory (empty = in-memory)")
 	connect := flag.String("connect", "", "connect to a remote vxserve at host:port instead of running embedded")
 	flag.Parse()
 
+	var con console
 	if *connect != "" {
-		remoteRepl(*connect)
-		return
-	}
-
-	var vx *vertexica.Engine
-	var err error
-	if *dataDir != "" {
-		vx, err = vertexica.Open(*dataDir)
+		c, err := client.Dial(*connect)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "vertexica: connect:", err)
+			os.Exit(1)
+		}
+		defer c.Close()
+		con = remoteConsole(c)
+		fmt.Printf("Vertexica console — connected to %s (session %d)\n", *connect, c.SessionID())
+		fmt.Printf("server: %s\n", c.ServerInfo())
 	} else {
-		vx = vertexica.New()
+		vx := vertexica.New()
+		if *dataDir != "" {
+			var err error
+			if vx, err = vertexica.Open(*dataDir); err != nil {
+				fmt.Fprintln(os.Stderr, "vertexica:", err)
+				os.Exit(1)
+			}
+		}
+		defer vx.Close()
+		con = localConsole(vx)
+		fmt.Println("Vertexica console — \\help for commands, \\quit to exit")
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vertexica:", err)
-		os.Exit(1)
-	}
-	defer vx.Close()
 
-	fmt.Println("Vertexica console — \\help for commands, \\quit to exit")
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for {
@@ -78,25 +99,57 @@ func main() {
 		if line == "" {
 			continue
 		}
-		if strings.HasPrefix(line, "\\") {
-			if quit := command(vx, line); quit {
-				return
-			}
-			continue
+		if !strings.HasPrefix(line, "\\") {
+			con.statement(line)
+		} else if quit := con.command(line); quit {
+			return
 		}
-		runSQL(vx, line)
 	}
 }
 
-func runSQL(vx *vertexica.Engine, stmt string) {
+func localConsole(vx *vertexica.Engine) console {
+	return console{vx: vx, run: func(stmt string) (result, int, error) {
+		rows, n, err := vx.SQL(stmt)
+		if err != nil || rows == nil {
+			return nil, n, err
+		}
+		return rows, n, nil
+	}}
+}
+
+func remoteConsole(c *client.Conn) console {
+	return console{run: func(stmt string) (result, int, error) {
+		rows, n, err := c.RunSQL(context.Background(), stmt)
+		if err != nil || rows == nil {
+			return nil, n, err
+		}
+		return rows, n, nil
+	}}
+}
+
+// graphStatement turns a backslash graph command into the graph
+// statement it is sugar for: \pagerank-sql g 10 is PAGERANK_SQL g 10.
+func graphStatement(line string) string {
+	verb, rest, _ := strings.Cut(strings.TrimPrefix(line, "\\"), " ")
+	return strings.ToUpper(strings.ReplaceAll(verb, "-", "_")) + " " + rest
+}
+
+// statement runs one statement and prints its outcome: a per-algorithm
+// digest for the graph statements that have one, the first rows of
+// anything else.
+func (con console) statement(stmt string) {
 	start := time.Now()
-	rows, n, err := vx.SQL(stmt)
+	rows, n, err := con.run(stmt)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	if rows == nil {
 		fmt.Printf("OK, %d rows affected (%v)\n", n, time.Since(start).Round(time.Microsecond))
+		return
+	}
+	if summary, ok := digest(stmt, rows); ok {
+		fmt.Printf("%s(%v)\n", summary, time.Since(start).Round(time.Millisecond))
 		return
 	}
 	cols := rows.Columns()
@@ -118,9 +171,40 @@ func runSQL(vx *vertexica.Engine, stmt string) {
 	fmt.Printf("%d rows (%v)\n", rows.Len(), time.Since(start).Round(time.Microsecond))
 }
 
-func command(vx *vertexica.Engine, line string) (quit bool) {
+// digest summarizes a PAGERANK, SSSP or COMPONENTS result (vertex-centric
+// or _SQL; PageRank's top ten are printed, the others fit the returned
+// line) and reports whether stmt was one of those. The statement's verb
+// decides, never the result's column names: SQL that selects a column
+// called rank or dist prints as rows.
+func digest(stmt string, rows result) (summary string, ok bool) {
+	switch strings.TrimSuffix(strings.ToUpper(strings.Fields(stmt)[0]), "_SQL") {
+	case "PAGERANK":
+		ranks := make(map[int64]float64, rows.Len())
+		for i := 0; i < rows.Len(); i++ {
+			ranks[rows.Value(i, 0).I] = rows.Value(i, 1).F
+		}
+		printTop(ranks, 10)
+		return "", true
+	case "SSSP":
+		reach := 0
+		for i := 0; i < rows.Len(); i++ {
+			if rows.Value(i, 1).F < 1e17 {
+				reach++
+			}
+		}
+		return fmt.Sprintf("%d vertices reachable ", reach), true
+	case "COMPONENTS":
+		sizes := map[int64]int{}
+		for i := 0; i < rows.Len(); i++ {
+			sizes[rows.Value(i, 1).I]++
+		}
+		return fmt.Sprintf("%d components ", len(sizes)), true
+	}
+	return "", false
+}
+
+func (con console) command(line string) (quit bool) {
 	fields := strings.Fields(line)
-	cmd := fields[0]
 	arg := func(i int, def string) string {
 		if len(fields) > i {
 			return fields[i]
@@ -128,164 +212,86 @@ func command(vx *vertexica.Engine, line string) (quit bool) {
 		return def
 	}
 	argInt := func(i int, def int64) int64 {
-		if len(fields) > i {
-			if v, err := strconv.ParseInt(fields[i], 10, 64); err == nil {
-				return v
-			}
+		if v, err := strconv.ParseInt(arg(i, ""), 10, 64); err == nil {
+			return v
 		}
 		return def
 	}
-	ctx := context.Background()
 
-	switch cmd {
+	switch cmd := fields[0]; cmd {
 	case "\\quit", "\\q":
 		return true
 	case "\\help":
-		fmt.Println(`commands:
+		fmt.Println(`graph statements (also accepted without the backslash, as SQL: PAGERANK g 10):
   \load <twitter|gplus|livejournal> <scale>   generate + load a paper-shaped graph
-  \loadfile <name> <path>                     load a SNAP edge list
   \graphs                                     list loaded graphs
   \pagerank <graph> [iters]                   vertex-centric PageRank (top 10)
   \pagerank-sql <graph> [iters]               SQL PageRank (top 10)
-  \sssp <graph> <source>                      vertex-centric shortest paths
-  \sssp-sql <graph> <source>                  SQL shortest paths
+  \sssp <graph> [source] [unit]               vertex-centric shortest paths
+  \sssp-sql <graph> [source] [unit]           SQL shortest paths
   \components <graph>                         connected components
+  \components-sql <graph>                     SQL connected components
   \triangles <graph>                          SQL triangle count
+  EXPLAIN [ANALYZE] <statement>               plan (and run) SQL or a graph statement
+embedded console only:
+  \loadfile <name> <path>                     load a SNAP edge list
   \overlap <graph> [minCommon]                strong overlap pairs
   \weakties <graph> [minPairs]                weak ties (bridges)
   \compare <graph> [iters]                    Vertexica vs Giraph PageRank runtime
   \checkpoint                                 persist (when -data is set)
-  <any SQL statement>                         run against the engine`)
-	case "\\graphs":
-		for _, n := range vx.DB().Catalog().Names() {
-			if strings.HasSuffix(n, "_vertex") {
-				fmt.Println("  " + strings.TrimSuffix(n, "_vertex"))
-			}
+everything else:
+  SET statement_timeout = <ms> / SET parallelism = <n> / BEGIN / COMMIT / ROLLBACK
+  <any SQL statement>`)
+	case "\\loadfile", "\\overlap", "\\weakties", "\\compare", "\\checkpoint":
+		if con.vx == nil {
+			fmt.Println(cmd, "is not available on a remote connection")
+			return false
 		}
-	case "\\load":
-		kind := arg(1, "twitter")
-		scale, _ := strconv.ParseFloat(arg(2, "0.01"), 64)
-		var ds *vertexica.Dataset
-		switch kind {
-		case "twitter":
-			ds = vertexica.TwitterScale(scale)
-		case "gplus":
-			ds = vertexica.GPlusScale(scale)
-		case "livejournal":
-			ds = vertexica.LiveJournalScale(scale)
-		default:
-			fmt.Println("unknown dataset kind:", kind)
-			return
-		}
-		g, err := vx.LoadDatasetWithMetadata(ds, 42)
-		if err != nil {
+		if err := con.local(cmd, arg, argInt); err != nil {
 			fmt.Println("error:", err)
-			return
 		}
-		fmt.Println("loaded", g)
+	default:
+		con.statement(graphStatement(line))
+	}
+	return false
+}
+
+// local runs the commands that need the embedded engine's library API.
+func (con console) local(cmd string, arg func(int, string) string, argInt func(int, int64) int64) error {
+	vx := con.vx
+	switch cmd {
+	case "\\checkpoint":
+		if err := vx.Checkpoint(); err != nil {
+			return err
+		}
+		fmt.Println("checkpointed")
+		return nil
 	case "\\loadfile":
-		name, path := arg(1, "g"), arg(2, "")
-		f, err := os.Open(path)
+		f, err := os.Open(arg(2, ""))
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			return err
 		}
-		ds, err := dataset.ReadEdgeList(name, f, 42)
+		ds, err := dataset.ReadEdgeList(arg(1, "g"), f, 42)
 		f.Close()
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			return err
 		}
 		g, err := vx.LoadDataset(ds)
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			return err
 		}
 		fmt.Println("loaded", g)
-	case "\\pagerank", "\\pagerank-sql":
-		g, err := vx.OpenGraph(arg(1, ""))
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		iters := int(argInt(2, 10))
-		start := time.Now()
-		var ranks map[int64]float64
-		if cmd == "\\pagerank" {
-			ranks, _, err = g.PageRank(ctx, iters)
-		} else {
-			ranks, err = g.PageRankSQL(ctx, iters)
-		}
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		printTop(ranks, 10)
-		fmt.Printf("(%v)\n", time.Since(start).Round(time.Millisecond))
-	case "\\sssp", "\\sssp-sql":
-		g, err := vx.OpenGraph(arg(1, ""))
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		src := argInt(2, 0)
-		start := time.Now()
-		var dists map[int64]float64
-		if cmd == "\\sssp" {
-			dists, _, err = g.ShortestPaths(ctx, src, false)
-		} else {
-			dists, err = g.ShortestPathsSQL(ctx, src, false)
-		}
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		reach := 0
-		for _, d := range dists {
-			if d < 1e17 {
-				reach++
-			}
-		}
-		fmt.Printf("%d vertices reachable from %d (%v)\n", reach, src, time.Since(start).Round(time.Millisecond))
-	case "\\components":
-		g, err := vx.OpenGraph(arg(1, ""))
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		labels, _, err := g.ConnectedComponents(ctx)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		sizes := map[int64]int{}
-		for _, l := range labels {
-			sizes[l]++
-		}
-		fmt.Printf("%d components\n", len(sizes))
-	case "\\triangles":
-		g, err := vx.OpenGraph(arg(1, ""))
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		start := time.Now()
-		n, err := g.TriangleCount()
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		fmt.Printf("%d triangles (%v)\n", n, time.Since(start).Round(time.Millisecond))
+		return nil
+	}
+	g, err := vx.OpenGraph(arg(1, ""))
+	if err != nil {
+		return err
+	}
+	switch cmd {
 	case "\\overlap":
-		g, err := vx.OpenGraph(arg(1, ""))
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
 		pairs, err := g.StrongOverlap(argInt(2, 3))
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			return err
 		}
 		for i, p := range pairs {
 			if i >= 10 {
@@ -295,15 +301,9 @@ func command(vx *vertexica.Engine, line string) (quit bool) {
 			fmt.Printf("  (%d, %d): %d common neighbors\n", p.A, p.B, p.Common)
 		}
 	case "\\weakties":
-		g, err := vx.OpenGraph(arg(1, ""))
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
 		ties, err := g.WeakTies(argInt(2, 3))
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			return err
 		}
 		for i, t := range ties {
 			if i >= 10 {
@@ -313,38 +313,23 @@ func command(vx *vertexica.Engine, line string) (quit bool) {
 			fmt.Printf("  vertex %d bridges %d open pairs\n", t.ID, t.Pairs)
 		}
 	case "\\compare":
-		compare(vx, arg(1, ""), int(argInt(2, 10)))
-	case "\\checkpoint":
-		if err := vx.Checkpoint(); err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		fmt.Println("checkpointed")
-	default:
-		fmt.Println("unknown command; \\help lists commands")
+		return compare(vx, g, int(argInt(2, 10)))
 	}
-	return false
+	return nil
 }
 
 // compare reruns PageRank on Vertexica and the Giraph baseline — the
 // GUI's "Compare With Giraph" checkbox.
-func compare(vx *vertexica.Engine, name string, iters int) {
-	g, err := vx.OpenGraph(name)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+func compare(vx *vertexica.Engine, g *vertexica.Graph, iters int) error {
 	start := time.Now()
 	if _, _, err := g.PageRank(context.Background(), iters); err != nil {
-		fmt.Println("error:", err)
-		return
+		return err
 	}
 	vxTime := time.Since(start)
 
-	rows, _, err := vx.SQL(fmt.Sprintf("SELECT src, dst, weight FROM %s_edge", name))
+	rows, _, err := vx.SQL(fmt.Sprintf("SELECT src, dst, weight FROM %s_edge", g.Name()))
 	if err != nil {
-		fmt.Println("error:", err)
-		return
+		return err
 	}
 	ge := giraph.New(giraph.Config{})
 	for i := 0; i < rows.Len(); i++ {
@@ -352,11 +337,11 @@ func compare(vx *vertexica.Engine, name string, iters int) {
 	}
 	start = time.Now()
 	if _, _, err := giraph.PageRank(ge, iters); err != nil {
-		fmt.Println("error:", err)
-		return
+		return err
 	}
 	fmt.Printf("Vertexica: %v   Giraph (modeled cluster): %v\n",
 		vxTime.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 func printTop(scores map[int64]float64, k int) {
@@ -380,155 +365,4 @@ func printTop(scores map[int64]float64, k int) {
 	for _, e := range all {
 		fmt.Printf("  %8d  %.6f\n", e.id, e.v)
 	}
-}
-
-// --- remote mode (-connect): the same console over the wire protocol ---
-
-// remoteRepl drives a remote vxserve: SQL statements (including SET /
-// BEGIN / COMMIT / ROLLBACK session control) go through Query/Exec and
-// the graph commands become server-side verbs.
-func remoteRepl(addr string) {
-	c, err := client.Dial(addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vertexica: connect:", err)
-		os.Exit(1)
-	}
-	defer c.Close()
-	fmt.Printf("Vertexica console — connected to %s (session %d)\n", addr, c.SessionID())
-	fmt.Printf("server: %s\n", c.ServerInfo())
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for {
-		fmt.Print("vertexica> ")
-		if !sc.Scan() {
-			fmt.Println()
-			return
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "\\") {
-			if quit := remoteCommand(c, line); quit {
-				return
-			}
-			continue
-		}
-		runRemoteSQL(c, line)
-	}
-}
-
-func runRemoteSQL(c *client.Conn, stmt string) {
-	start := time.Now()
-	rows, n, err := c.RunSQL(context.Background(), stmt)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	if rows == nil {
-		fmt.Printf("OK, %d rows affected (%v)\n", n, time.Since(start).Round(time.Microsecond))
-		return
-	}
-	printRemoteRows(rows, start)
-}
-
-func printRemoteRows(rows *client.Rows, start time.Time) {
-	cols := rows.Columns()
-	fmt.Println(strings.Join(cols, " | "))
-	limit := rows.Len()
-	if limit > 25 {
-		limit = 25
-	}
-	for i := 0; i < limit; i++ {
-		parts := make([]string, len(cols))
-		for j := range cols {
-			parts[j] = rows.Value(i, j).String()
-		}
-		fmt.Println(strings.Join(parts, " | "))
-	}
-	if rows.Len() > limit {
-		fmt.Printf("... (%d rows total)\n", rows.Len())
-	}
-	fmt.Printf("%d rows (%v)\n", rows.Len(), time.Since(start).Round(time.Microsecond))
-}
-
-func remoteCommand(c *client.Conn, line string) (quit bool) {
-	fields := strings.Fields(line)
-	cmd := fields[0]
-	arg := func(i int, def string) string {
-		if len(fields) > i {
-			return fields[i]
-		}
-		return def
-	}
-	ctx := context.Background()
-
-	verb := ""
-	var args []string
-	switch cmd {
-	case "\\quit", "\\q":
-		return true
-	case "\\help":
-		fmt.Println(`remote commands (server-side verbs):
-  \load <twitter|gplus|livejournal> <scale>   load a paper-shaped graph on the server
-  \graphs                                     list server graphs
-  \pagerank <graph> [iters]                   vertex-centric PageRank (top 10)
-  \pagerank-sql <graph> [iters]               SQL PageRank (top 10)
-  \sssp <graph> <source>                      shortest paths
-  \sssp-sql <graph> <source>                  SQL shortest paths
-  \components <graph>                         connected components
-  \triangles <graph>                          triangle count
-  SET statement_timeout = <ms>                per-session statement timeout
-  SET parallelism = <n>                       per-session worker cap
-  BEGIN / COMMIT / ROLLBACK                   transaction control
-  <any SQL statement>                         run on the server`)
-		return false
-	case "\\load":
-		verb, args = "load", []string{arg(1, "twitter"), arg(2, "0.01")}
-	case "\\graphs":
-		verb = "graphs"
-	case "\\pagerank", "\\pagerank-sql":
-		verb, args = strings.TrimPrefix(cmd, "\\"), []string{arg(1, ""), arg(2, "10")}
-	case "\\sssp", "\\sssp-sql":
-		verb, args = strings.TrimPrefix(cmd, "\\"), []string{arg(1, ""), arg(2, "0")}
-	case "\\components":
-		verb, args = "components", []string{arg(1, "")}
-	case "\\triangles":
-		verb, args = "triangles", []string{arg(1, "")}
-	default:
-		fmt.Println("unknown remote command; \\help lists commands")
-		return false
-	}
-	start := time.Now()
-	rows, err := c.Graph(ctx, verb, args...)
-	if err != nil {
-		fmt.Println("error:", err)
-		return false
-	}
-	switch verb {
-	case "pagerank", "pagerank-sql":
-		ranks := make(map[int64]float64, rows.Len())
-		for i := 0; i < rows.Len(); i++ {
-			ranks[rows.Value(i, 0).I] = rows.Value(i, 1).F
-		}
-		printTop(ranks, 10)
-		fmt.Printf("(%v)\n", time.Since(start).Round(time.Millisecond))
-	case "sssp", "sssp-sql":
-		reach := 0
-		for i := 0; i < rows.Len(); i++ {
-			if rows.Value(i, 1).F < 1e17 {
-				reach++
-			}
-		}
-		fmt.Printf("%d vertices reachable from %s (%v)\n", reach, args[1], time.Since(start).Round(time.Millisecond))
-	case "components":
-		sizes := map[int64]int{}
-		for i := 0; i < rows.Len(); i++ {
-			sizes[rows.Value(i, 1).I]++
-		}
-		fmt.Printf("%d components\n", len(sizes))
-	default:
-		printRemoteRows(rows, start)
-	}
-	return false
 }

@@ -22,10 +22,8 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	mvccbench "repro/internal/bench/mvcc"
 	preparebench "repro/internal/bench/prepare"
 	"repro/internal/bench/serve"
-	shardbench "repro/internal/bench/shard"
 	spillbench "repro/internal/bench/spill"
 	"repro/internal/bench/stream"
 )
@@ -41,13 +39,6 @@ func main() {
 	serveBudget := flag.Int("serve-budget", runtime.NumCPU(), "study S: global worker budget")
 	streamStudy := flag.Bool("stream", false, "run study T: first-row latency + allocation, materialized vs streamed execution")
 	streamOut := flag.String("stream-out", "BENCH_stream.json", "study T: JSON trajectory file path (empty = don't write)")
-	mvccStudy := flag.Bool("mvcc", false, "run study C: mixed-workload throughput, latch-based vs snapshot-based reads")
-	mvccOut := flag.String("mvcc-out", "BENCH_mvcc.json", "study C: JSON trajectory file path (empty = don't write)")
-	mvccReaders := flag.Int("mvcc-readers", 4, "study C: concurrent streaming readers")
-	mvccWindow := flag.Duration("mvcc-window", 500*time.Millisecond, "study C: measured interval per variant")
-	shardStudy := flag.Bool("shard", false, "run study P: disjoint-shard multi-writer commit throughput, sharded vs global write gate")
-	shardOut := flag.String("shard-out", "BENCH_shard.json", "study P: JSON trajectory file path (empty = don't write)")
-	shardWindow := flag.Duration("shard-window", 300*time.Millisecond, "study P: measured interval per cell")
 	prepareStudy := flag.Bool("prepare", false, "run study Q: prepared-execution throughput, cached plans vs re-parse-per-exec substitution")
 	prepareOut := flag.String("prepare-out", "BENCH_prepare.json", "study Q: JSON trajectory file path (empty = don't write)")
 	prepareWindow := flag.Duration("prepare-window", 300*time.Millisecond, "study Q: measured interval per cell")
@@ -111,12 +102,6 @@ func main() {
 	if *streamStudy {
 		runStreamStudy(*scale, *streamOut)
 	}
-	if *mvccStudy {
-		runMvccStudy(*scale, *mvccReaders, *mvccWindow, *mvccOut)
-	}
-	if *shardStudy {
-		runShardStudy(*shardWindow, *shardOut)
-	}
 	if *prepareStudy {
 		runPrepareStudy(*prepareWindow, *prepareOut)
 	}
@@ -149,37 +134,6 @@ func runSpillStudy(scale float64, window time.Duration, out string) {
 func runPrepareStudy(window time.Duration, out string) {
 	fmt.Printf("\n=== study Q: prepared execution (%v/cell) ===\n", window)
 	rows, err := preparebench.Study(window, out)
-	if err != nil {
-		fatal(err)
-	}
-	bench.PrintAblation(os.Stdout, rows)
-	if out != "" {
-		fmt.Printf("trajectory written to %s\n", out)
-	}
-}
-
-// runShardStudy measures commits/s for 1, 2 and 4 writers committing
-// multi-row INSERTs to disjoint shards of one table, under the sharded
-// write path versus the forced global gate, recording the trajectory
-// in BENCH_shard.json.
-func runShardStudy(window time.Duration, out string) {
-	fmt.Printf("\n=== study P: disjoint-shard writers (%v/cell) ===\n", window)
-	rows, err := shardbench.Study(nil, window, out)
-	if err != nil {
-		fatal(err)
-	}
-	bench.PrintAblation(os.Stdout, rows)
-	if out != "" {
-		fmt.Printf("trajectory written to %s\n", out)
-	}
-}
-
-// runMvccStudy measures mixed-workload throughput — N streaming
-// readers plus one writer loop — with latch-coupled reads versus
-// MVCC snapshot reads, recording the trajectory in BENCH_mvcc.json.
-func runMvccStudy(scale float64, readers int, window time.Duration, out string) {
-	fmt.Printf("\n=== study C: mvcc mixed workload (scale=%.4f, %d readers, %v/variant) ===\n", scale, readers, window)
-	rows, err := mvccbench.Study(scale, readers, window, out)
 	if err != nil {
 		fatal(err)
 	}

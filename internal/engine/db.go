@@ -41,9 +41,7 @@ import (
 // ordering is the write gate's job — see AcquireWriteGate — which
 // Sessions hold for the duration of a transaction so concurrent
 // writers do not interleave undo scopes (per-table write locks are the
-// roadmap follow-up). SetSnapshotReads(false) restores the legacy
-// latch-coupled read path (the ablation baseline vxbench study C
-// measures against).
+// roadmap follow-up).
 type DB struct {
 	mu      sync.RWMutex // readers share; writes/txns serialize
 	cat     *catalog.Catalog
@@ -53,9 +51,6 @@ type DB struct {
 	budget  *sched.Budget    // global worker budget (shared with the vertex runtime)
 	memPool *sched.MemBudget // process-wide executor memory pool (0 = unlimited)
 	mvcc    *mvcc.Manager    // version store: reader snapshots + txn pre-images
-
-	snapshotReads bool // guarded by mu; false = legacy latch-coupled reads
-	noFastWrites  bool // guarded by mu; true forces every write through the exclusive gate
 
 	// The write gate is a two-channel reader/writer lock over the
 	// cross-session write path. Exclusive mode (transactions, DDL, any
@@ -94,11 +89,10 @@ type DB struct {
 	sessSeq  uint64
 	sessions map[uint64]*sessionInfo
 
-	// graphExplainer renders EXPLAIN <graph verb> plans. The engine
-	// cannot import the vertex runtime (the dependency points the other
-	// way), so the facade that wires both installs this hook. Guarded by
-	// mu.
-	graphExplainer func(ctx context.Context, analyze bool, verb string, args []string, workers int) ([]string, error)
+	// graphRunner executes graph statements. The engine cannot import
+	// the vertex runtime (the dependency points the other way), so the
+	// facade that wires both installs it. Guarded by mu.
+	graphRunner GraphRunner
 
 	// Slow-query log: statements slower than slowThreshold are reported
 	// to slowLog. Both fields are guarded by slowMu so the hot path pays
@@ -113,18 +107,17 @@ func New() *DB {
 	cat := catalog.New()
 	funcs := expr.NewRegistry()
 	db := &DB{
-		cat:           cat,
-		funcs:         funcs,
-		planner:       plan.New(cat, funcs),
-		budget:        sched.NewBudget(0),    // unlimited until SetWorkerBudget
-		memPool:       sched.NewMemBudget(0), // unlimited until SetMemoryBudget
-		mvcc:          mvcc.NewManager(cat),
-		snapshotReads: true,
-		gateExcl:      make(chan struct{}, 1),
-		gateSlots:     make(chan struct{}, gateSlotCount),
-		plans:         newPlanCache(preparedCacheSize),
-		tracer:        trace.New(),
-		sessions:      make(map[uint64]*sessionInfo),
+		cat:       cat,
+		funcs:     funcs,
+		planner:   plan.New(cat, funcs),
+		budget:    sched.NewBudget(0),    // unlimited until SetWorkerBudget
+		memPool:   sched.NewMemBudget(0), // unlimited until SetMemoryBudget
+		mvcc:      mvcc.NewManager(cat),
+		gateExcl:  make(chan struct{}, 1),
+		gateSlots: make(chan struct{}, gateSlotCount),
+		plans:     newPlanCache(preparedCacheSize),
+		tracer:    trace.New(),
+		sessions:  make(map[uint64]*sessionInfo),
 	}
 	db.gateExcl <- struct{}{}
 	for i := 0; i < gateSlotCount; i++ {
@@ -199,16 +192,23 @@ func (db *DB) registerGauges() {
 // the server's debug endpoint render its Snapshot.
 func (db *DB) Stats() *obs.Registry { return db.obs }
 
-// SetGraphExplainer installs the renderer EXPLAIN <graph verb> calls:
-// given the verb, its arguments and the effective worker count, it
-// returns the plan lines (superstep schedule, input-cache decision,
-// partition layout; with analyze it runs the verb and folds in the run
-// statistics). The graph runtime's facade installs it — the engine
-// cannot depend on the vertex layer directly.
-func (db *DB) SetGraphExplainer(fn func(ctx context.Context, analyze bool, verb string, args []string, workers int) ([]string, error)) {
+// GraphRunner executes one graph statement for a session: a plain run
+// (explain and analyze false) returns the result batch plus the run's
+// named statistics; explain returns the plan rendering as a one-column
+// batch, and with analyze it runs the statement and folds the real run
+// statistics in. workers is the session's effective per-statement
+// worker count. A run takes the cross-session write gate itself
+// (AcquireWriteGate + WithGateHeld), like a transaction; ctx carries
+// the statement's timeout and trace collector.
+type GraphRunner func(ctx context.Context, g *sql.GraphStmt, explain, analyze bool, workers int) (*storage.Batch, []obs.Stat, error)
+
+// SetGraphRunner installs the graph-statement runner. The graph
+// runtime's facade registers it once — the engine cannot depend on the
+// vertex layer directly.
+func (db *DB) SetGraphRunner(fn GraphRunner) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.graphExplainer = fn
+	db.graphRunner = fn
 }
 
 // SetParallelism sets how many worker goroutines one SQL statement may
@@ -389,36 +389,6 @@ func GateHeld(ctx context.Context) bool {
 // mixed-workload benchmark).
 func (db *DB) MVCC() *mvcc.Manager { return db.mvcc }
 
-// SetSnapshotReads toggles MVCC snapshot isolation for read
-// statements. It is on by default; off restores the legacy
-// latch-coupled path — readers hold the shared statement latch for the
-// lifetime of their result stream and see live (possibly uncommitted)
-// table state — which survives as the ablation baseline for vxbench
-// study C. Transaction undo always uses version swap regardless.
-func (db *DB) SetSnapshotReads(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.snapshotReads = on
-}
-
-// SetFastPathWrites toggles the sharded auto-commit write fast path
-// (on by default). Off forces every write statement through the
-// exclusive write gate — the fully serialized historical behavior,
-// kept as the ablation baseline the vxbench shard study measures
-// against.
-func (db *DB) SetFastPathWrites(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.noFastWrites = !on
-}
-
-// SnapshotReads reports whether reads run against pinned snapshots.
-func (db *DB) SnapshotReads() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.snapshotReads
-}
-
 // AcquireSnapshot pins a consistent committed snapshot of the named
 // tables and seals it: the caller reads the returned handle's tables
 // with no engine latch held, and must Release it when done. Subsystems
@@ -467,6 +437,11 @@ type Rows struct {
 
 	data *storage.Batch // result batch once materialized
 	pos  int            // Next cursor over data
+
+	// Stats are named statistics the statement reports alongside its
+	// rows (a graph statement's run statistics); the wire server ships
+	// them in the Done-frame trailer.
+	Stats []obs.Stat
 }
 
 // MaterializedRows wraps a finished batch as a result (session
@@ -498,9 +473,9 @@ func (r *Rows) Columns() []string { return r.schema.Names() }
 
 // Next returns the next result batch, or nil at end of stream. On a
 // streaming result the executor produces the batch on demand; the
-// latch and operator tree are released when the stream ends (nil or
-// error). On a materialized result the batch is a storage.BatchSize
-// slice of the data.
+// snapshot pin and operator tree are released when the stream ends
+// (nil or error). On a materialized result the batch is a
+// storage.BatchSize slice of the data.
 func (r *Rows) Next() (*storage.Batch, error) {
 	if r.op != nil {
 		b, err := r.op.Next()
@@ -525,9 +500,9 @@ func (r *Rows) Next() (*storage.Batch, error) {
 	return exec.NextChunk(r.data, &r.pos, r.data.Len()), nil
 }
 
-// Close releases a streaming result's latch and operators; it is a
-// no-op once the stream has finished (or on materialized rows). It is
-// safe to call multiple times.
+// Close releases a streaming result's snapshot pin and operators; it
+// is a no-op once the stream has finished (or on materialized rows).
+// It is safe to call multiple times.
 func (r *Rows) Close() error {
 	r.finish()
 	return nil
@@ -536,14 +511,18 @@ func (r *Rows) Close() error {
 // finish runs the cleanup chain exactly once, newest first.
 func (r *Rows) finish() {
 	r.op = nil
-	for i := len(r.cleanup) - 1; i >= 0; i-- {
-		r.cleanup[i]()
-	}
+	runReverse(r.cleanup)
 	r.cleanup = nil
 }
 
+func runReverse(fns []func()) {
+	for i := len(fns) - 1; i >= 0; i-- {
+		fns[i]()
+	}
+}
+
 // Materialize drains the remaining stream into a single batch and
-// returns it (releasing the latch), or returns the already-
+// returns it (releasing the snapshot pin), or returns the already-
 // materialized batch. This is the shim for callers that want the
 // whole result at once.
 func (r *Rows) Materialize() (*storage.Batch, error) {
@@ -610,26 +589,17 @@ func (db *DB) Query(text string) (*Rows, error) {
 
 // QueryContext is Query with cancellation: ctx is checked before every
 // result batch, so a cancelled context aborts mid-scan rather than
-// after the statement completes. Read statements share the latch, so
-// any number of QueryContext calls run concurrently.
+// after the statement completes. Reads pin snapshots, so any number of
+// QueryContext calls run concurrently.
 func (db *DB) QueryContext(ctx context.Context, text string) (*Rows, error) {
-	return db.QueryContextWorkers(ctx, text, 0)
-}
-
-// QueryContextWorkers is QueryContext with a per-statement worker
-// override: workers > 0 caps this one statement's parallelism below
-// the engine default (sessions use it for SET parallelism and the
-// server's per-statement cap). 0 means the engine default.
-func (db *DB) QueryContextWorkers(ctx context.Context, text string, workers int) (*Rows, error) {
-	st, err := sql.Parse(text)
+	rows, err := db.QueryStream(ctx, text)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("engine: Query requires a SELECT; use Exec for %T", st)
+	if _, err := rows.Materialize(); err != nil {
+		return nil, err
 	}
-	return db.queryMaterializedParsed(ctx, sel, workers, -1, readerDBLevel)
+	return rows, nil
 }
 
 // readerKind identifies who is asking for a read snapshot, which
@@ -649,71 +619,6 @@ const (
 	readerTxnOwner
 )
 
-// queryMaterializedParsed runs a parsed SELECT to a materialized
-// result. Under snapshot isolation the shared latch is held only while
-// planning pins the statement's snapshot; the drain runs latch-free.
-func (db *DB) queryMaterializedParsed(ctx context.Context, sel *sql.SelectStmt, workers int, workMem int64, kind readerKind) (*Rows, error) {
-	db.mu.RLock()
-	if !db.snapshotReads {
-		defer db.mu.RUnlock()
-		return db.querySelectLockedWorkers(ctx, sel, workers)
-	}
-	op, snap, err := db.planSnapshotLocked(sel, workers, workMem, kind)
-	db.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	defer snap.Release()
-	data, err := exec.Drain(exec.WithContext(ctx, op))
-	if err != nil {
-		return nil, err
-	}
-	return MaterializedRows(data), nil
-}
-
-// planSnapshotLocked pins a fresh MVCC snapshot and plans the SELECT
-// against it. Callers hold (at least) the shared latch; on success
-// they own the sealed snapshot and must Release it when the statement
-// finishes. The snapshot resolves staged (uncommitted) tables live
-// only for the transaction's owner: the Session that opened it, or a
-// DB-level read during a DB-level transaction. A session that does
-// not own the transaction always reads committed versions.
-func (db *DB) planSnapshotLocked(sel *sql.SelectStmt, workers int, workMem int64, kind readerKind) (exec.Operator, *mvcc.Snapshot, error) {
-	own := kind == readerTxnOwner ||
-		(kind == readerDBLevel && db.txn != nil && !db.txnSessionOwned)
-	acquire := db.mvcc.Acquire
-	if own {
-		acquire = db.mvcc.AcquireOwn
-	}
-	snap, err := acquire()
-	if err != nil {
-		return nil, nil, err
-	}
-	op, err := db.planner.PlanSelectMem(sel, workers, workMem, sysSource{db: db, base: snap}, nil)
-	snap.Seal()
-	if err != nil {
-		snap.Release()
-		return nil, nil, err
-	}
-	return op, snap, nil
-}
-
-func (db *DB) querySelectLocked(ctx context.Context, sel *sql.SelectStmt) (*Rows, error) {
-	return db.querySelectLockedWorkers(ctx, sel, 0)
-}
-
-func (db *DB) querySelectLockedWorkers(ctx context.Context, sel *sql.SelectStmt, workers int) (*Rows, error) {
-	op, err := db.planner.PlanSelectWorkers(sel, workers)
-	if err != nil {
-		return nil, err
-	}
-	data, err := exec.Drain(exec.WithContext(ctx, op))
-	if err != nil {
-		return nil, err
-	}
-	return MaterializedRows(data), nil
-}
-
 // QueryStream parses, plans and executes a SELECT, returning a
 // streaming result: batches are produced on demand from the
 // statement's pinned snapshot, with no engine latch held — a stalled
@@ -730,45 +635,102 @@ func (db *DB) QueryStream(ctx context.Context, text string) (*Rows, error) {
 	}
 	sel, ok := st.(*sql.SelectStmt)
 	if !ok {
-		return nil, fmt.Errorf("engine: QueryStream requires a SELECT; use Exec for %T", st)
+		return nil, fmt.Errorf("engine: Query requires a SELECT; use Exec for %T", st)
 	}
-	return db.queryStreamParsed(ctx, sel, 0, -1, readerDBLevel)
+	return db.openSelect(ctx, sel, "", nil, 0, -1, readerDBLevel)
 }
 
-// queryStreamParsed plans an already-parsed SELECT and returns
-// streaming rows. Under snapshot isolation the shared latch is
-// released as soon as planning has pinned the snapshot; the rows hold
-// only the snapshot pin (released when the stream finishes). With
-// SetSnapshotReads(false) the legacy behavior applies: the latch is
-// held until the stream is drained or closed.
-func (db *DB) queryStreamParsed(ctx context.Context, sel *sql.SelectStmt, workers int, workMem int64, kind readerKind) (*Rows, error) {
-	db.mu.RLock()
-	if !db.snapshotReads {
-		op, err := db.planner.PlanSelectWorkers(sel, workers)
-		if err != nil {
-			db.mu.RUnlock()
-			return nil, err
-		}
-		rows, err := OperatorRows(exec.WithContext(ctx, op), db.mu.RUnlock)
-		if err != nil {
-			return nil, err // OperatorRows already ran the cleanup chain
-		}
-		return rows, nil
-	}
+// planSelect is the one SELECT planning path: it pins an MVCC snapshot
+// under the shared latch, obtains a plan — checked out of the plan
+// cache under key, or planned fresh (and attached for the next
+// execution) on a miss — and binds it to this execution's context,
+// arguments and snapshot. key == "" (plain text) plans fresh and
+// leaves the cache and its counters alone, so unique-literal text
+// traffic cannot evict hot prepared plans. The snapshot resolves
+// staged (uncommitted) tables live only for the transaction's owner:
+// the Session that opened it, or a DB-level read during a DB-level
+// transaction. On success the caller owns the returned release chain
+// (snapshot pin, plan checkout) and must run it when the statement
+// finishes.
+func (db *DB) planSelect(ctx context.Context, sel *sql.SelectStmt, key string, args []storage.Value, workers int, workMem int64, kind readerKind) (*plan.Prepared, []func(), error) {
 	tc := trace.FromContext(ctx)
-	endPlan := tc.Begin("plan")
-	op, snap, err := db.planSnapshotLocked(sel, workers, workMem, kind)
-	db.mu.RUnlock()
-	endPlan(fmt.Sprintf("workers=%d", workers))
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	acquire := db.mvcc.Acquire
+	if kind == readerTxnOwner || (kind == readerDBLevel && db.txn != nil && !db.txnSessionOwned) {
+		acquire = db.mvcc.AcquireOwn
+	}
+	snap, err := acquire()
+	if err != nil {
+		return nil, nil, err
+	}
+	release := []func(){snap.Release}
+
+	catVer := db.cat.Version()
+	var entry *cacheEntry
+	if key != "" {
+		probe := time.Now()
+		outcome := "miss"
+		if entry = db.plans.checkoutPlan(key, catVer, workers, workMem); entry != nil {
+			outcome = "hit"
+		}
+		tc.Add("plan_cache", probe, time.Since(probe), outcome)
+	}
+	var prep *plan.Prepared
+	if entry != nil {
+		prep = entry.prep
+		// Repoint the cached scans at this snapshot's table versions.
+		// Snapshot resolution needs the engine latch, so Bind must run
+		// before Seal (a sealed snapshot serves only what it has pinned).
+		// System tables (vx$…) resolve through the wrapper so a cached
+		// plan re-materializes them fresh on every execution.
+		endBind := tc.Begin("bind")
+		err = prep.Bind(ctx, args, db.sysLookup(snap))
+		endBind("rebind cached plan")
+	} else {
+		endPlan := tc.Begin("plan")
+		prep, err = db.planner.PrepareSelectMem(sel, workers, workMem, sysSource{db: db, base: snap}, plan.NewParams(args))
+		endPlan(fmt.Sprintf("workers=%d", workers))
+		// Tables are already resolved (planned against snap); bind the
+		// context, the arguments and the parameter-keyed scan routes.
+		if err == nil && key == "" {
+			err = prep.Bind(ctx, args, nil)
+		} else if err == nil {
+			db.plans.plans.Add(1)
+			endBind := tc.Begin("bind")
+			err = prep.Bind(ctx, args, nil)
+			endBind("bind fresh plan")
+			if err == nil && exec.Cacheable(prep.Root) {
+				entry = db.plans.attach(key, prep, catVer, workers, workMem)
+			}
+		}
+	}
+	if entry != nil {
+		release = append(release, func() { db.plans.release(entry) })
+	}
+	if err != nil {
+		runReverse(release)
+		return nil, nil, err
+	}
+	snap.Seal()
+	return prep, release, nil
+}
+
+// openSelect plans a SELECT (planSelect) and opens its operator tree,
+// returning streaming rows that hold only the snapshot pin and the
+// plan checkout — both released when the stream finishes.
+func (db *DB) openSelect(ctx context.Context, sel *sql.SelectStmt, key string, args []storage.Value, workers int, workMem int64, kind readerKind) (*Rows, error) {
+	prep, release, err := db.planSelect(ctx, sel, key, args, workers, workMem, kind)
 	if err != nil {
 		return nil, err
 	}
+	tc := trace.FromContext(ctx)
 	tc.Add("grant", time.Now(), 0, fmt.Sprintf("work_mem=%d pool %s", workMem, db.memPool.Describe()))
 	// Open is where pipeline-breaking operators (sort, aggregate) do
 	// their work — it gets its own lifecycle span so the trace covers
 	// eager execution, not just the drain.
 	endOpen := tc.Begin("open")
-	rows, err := OperatorRows(exec.WithContext(ctx, op), snap.Release)
+	rows, err := OperatorRows(prep.Root, release...)
 	if err != nil {
 		endOpen("failed")
 		return nil, err // OperatorRows already ran the cleanup chain
@@ -806,9 +768,9 @@ func (db *DB) Exec(text string) (Result, error) {
 // write gate exactly like a Session's BEGIN does, so it cannot
 // interleave with (or be clobbered by the rollback of) a concurrent
 // session's work. These statements are not WAL-logged (the WAL
-// records only committed data statements). SET/SHOW are
-// session-scoped and rejected at the DB layer; run them through a
-// Session.
+// records only committed data statements). SET/SHOW and graph
+// statements are session-scoped and rejected at the DB layer, before
+// admission; run them through a Session.
 func (db *DB) ExecContext(ctx context.Context, text string) (Result, error) {
 	st, err := sql.Parse(text)
 	if err != nil {
@@ -831,36 +793,59 @@ func (db *DB) ExecContext(ctx context.Context, text string) (Result, error) {
 		return Result{}, db.endExecTxn(db.Commit)
 	case *sql.RollbackStmt:
 		return Result{}, db.endExecTxn(db.Rollback)
-	case *sql.SetStmt, *sql.ShowStmt:
+	case *sql.SetStmt, *sql.ShowStmt, *sql.GraphStmt:
 		return Result{}, fmt.Errorf("engine: %s is a session statement; run it through a Session", st)
-	}
-	// A DB-level auto-commit write takes the gate for the statement —
-	// like a Session's — so another session's rollback cannot clobber
-	// it. Skipped when a DB-level ExecContext("BEGIN") transaction or
-	// a gate-holding caller chain (WithGateHeld) already owns the
-	// gate, and for plain SELECTs (reads never take the gate).
-	// execGateHeld is DB-global, so the DB-level transaction API
-	// assumes a single DB-level caller, exactly like db.Begin always
-	// has — concurrent writers must each use their own Session, whose
-	// gate ownership is per-session.
-	if _, isSelect := st.(*sql.SelectStmt); !isSelect && !GateHeld(ctx) {
-		db.execGateMu.Lock()
-		held := db.execGateHeld
-		db.execGateMu.Unlock()
-		if !held {
-			// Eligible auto-commit DML takes the sharded fast path:
-			// shared gate + per-shard statement locks instead of the
-			// exclusive gate + exclusive latch.
-			if res, handled, err := db.tryFastWrite(ctx, st, text, nil); handled {
-				return res, err
-			}
-			if err := db.AcquireWriteGate(ctx); err != nil {
-				return Result{}, err
-			}
-			defer db.ReleaseWriteGate()
+	case *sql.SelectStmt:
+		// A read never takes the gate or reaches the WAL; Exec reports
+		// the row count (WAL files written by older versions may replay
+		// a SELECT through here).
+		rows, err := db.QueryContext(ctx, text)
+		if err != nil {
+			return Result{}, err
 		}
+		return Result{RowsAffected: rows.Len()}, nil
 	}
-	return db.execParsed(ctx, st, text, nil)
+	// A DB-level auto-commit write is admitted like a Session's, so
+	// another session's rollback cannot clobber it. The gate counts as
+	// already held inside a DB-level ExecContext("BEGIN") transaction
+	// or a gate-holding caller chain (WithGateHeld). execGateHeld is
+	// DB-global, so the DB-level transaction API assumes a single
+	// DB-level caller, exactly like db.Begin always has — concurrent
+	// writers must each use their own Session, whose gate ownership is
+	// per-session.
+	db.execGateMu.Lock()
+	held := db.execGateHeld
+	db.execGateMu.Unlock()
+	res, _, err := db.admitWrite(ctx, st, text, nil, held || GateHeld(ctx))
+	return res, err
+}
+
+// admitWrite is the one write-admission sequence. Unless the caller
+// already holds the exclusive gate (its own open transaction, or a
+// gate-holding caller chain), eligible auto-commit DML takes the
+// sharded fast path — shared gate + per-shard statement locks, so
+// sessions writing disjoint shards commit in parallel — and everything
+// else takes the exclusive gate for just this statement. Execution
+// WAL-logs the statement on success. fast reports which route ran it.
+// Lifecycle spans (gate, exec, wal) go to the collector on ctx, if any.
+func (db *DB) admitWrite(ctx context.Context, st sql.Statement, text string, ps *plan.Params, gateHeld bool) (res Result, fast bool, err error) {
+	tc := trace.FromContext(ctx)
+	if !gateHeld {
+		if res, handled, err := db.tryFastWrite(ctx, st, text, ps); handled {
+			return res, true, err
+		}
+		endGate := tc.Begin("gate")
+		if err := db.AcquireWriteGate(ctx); err != nil {
+			endGate("not acquired: " + err.Error())
+			return Result{}, false, err
+		}
+		endGate("exclusive write gate")
+		defer db.ReleaseWriteGate()
+	}
+	endExec := tc.Begin("exec")
+	res, err = db.execParsed(ctx, st, text, ps)
+	endExec(fmt.Sprintf("rows=%d", res.RowsAffected))
+	return res, false, err
 }
 
 // endExecTxn finishes a transaction opened by ExecContext("BEGIN"),
@@ -907,12 +892,6 @@ func (db *DB) execLocked(ctx context.Context, st sql.Statement, ps *plan.Params)
 		return Result{}, err
 	}
 	switch s := st.(type) {
-	case *sql.SelectStmt:
-		rows, err := db.querySelectLocked(ctx, s)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{RowsAffected: rows.Len()}, nil
 	case *sql.CreateTableStmt:
 		return db.execCreate(s)
 	case *sql.DropTableStmt:

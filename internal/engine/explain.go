@@ -34,7 +34,7 @@ func (s *Session) runExplain(ctx context.Context, ex *sql.ExplainStmt, text stri
 		*sql.CreateTableStmt, *sql.DropTableStmt, *sql.TruncateStmt:
 		lines, err = s.explainWrite(ctx, ex)
 	case *sql.GraphStmt:
-		lines, err = s.explainGraph(ctx, inner, ex.Analyze)
+		return s.runGraph(ctx, inner, true, ex.Analyze)
 	default:
 		return nil, fmt.Errorf("engine: EXPLAIN does not support %T", ex.Stmt)
 	}
@@ -54,73 +54,39 @@ func (s *Session) runExplain(ctx context.Context, ex *sql.ExplainStmt, text stri
 // its plan tree. The header line reports the planning context EXPLAIN
 // exists to surface: the worker count the plan was built for, the read
 // mode, and whether the plan cache holds a usable plan for this
-// statement's fingerprint.
+// statement's fingerprint. EXPLAIN itself always plans fresh and
+// leaves the cache exactly as it found it.
 func (s *Session) explainSelect(ctx context.Context, sel *sql.SelectStmt, key string, analyze bool) ([]string, error) {
 	db := s.db
-	workers := s.effectiveWorkers()
-	kind := readerSession
-	if s.ownsGate {
-		kind = readerTxnOwner
-	}
+	workers, workMem := s.effectiveWorkers(), s.effectiveWorkMem()
 
 	db.mu.RLock()
-	mode := "snapshot"
 	cache := "miss"
-	if db.plans.peek(key, db.cat.Version(), workers, s.effectiveWorkMem()) {
+	if db.plans.peek(key, db.cat.Version(), workers, workMem) {
 		cache = "hit"
 	}
-	if !db.snapshotReads {
-		// Legacy latch-coupled mode: plans resolve live catalog tables
-		// under the latch and are never cached.
-		mode, cache = "legacy", "bypass"
-		op, err := db.planner.PlanSelectWorkers(sel, workers)
-		if err != nil {
-			db.mu.RUnlock()
-			return nil, err
-		}
-		if !analyze {
-			lines := explainHeader(workers, mode, cache)
-			lines = append(lines, exec.Explain(op, false)...)
-			db.mu.RUnlock()
-			return lines, nil
-		}
-		start := time.Now()
-		wrapped := exec.WithContext(ctx, op)
-		release := exec.MarkTimed(wrapped)
-		data, err := exec.Drain(wrapped)
-		release()
-		db.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		lines := explainHeader(workers, mode, cache)
-		lines = append(lines, execedLine(data.Len(), time.Since(start)))
-		return append(lines, exec.Explain(wrapped, true)...), nil
-	}
-
-	op, snap, err := db.planSnapshotLocked(sel, workers, s.effectiveWorkMem(), kind)
 	db.mu.RUnlock()
+	prep, release, err := db.planSelect(ctx, sel, "", nil, workers, workMem, s.readerKind())
 	if err != nil {
 		return nil, err
 	}
-	defer snap.Release()
+	defer runReverse(release)
 
-	lines := explainHeader(workers, mode, cache)
+	lines := []string{fmt.Sprintf("plan (workers=%d, mode=snapshot, plan-cache=%s)", workers, cache)}
 	if !analyze {
 		// The tree was never opened, so there is nothing to close: the
 		// plan holds only the snapshot pin released above.
-		return append(lines, exec.Explain(op, false)...), nil
+		return append(lines, exec.Explain(prep.Root, false)...), nil
 	}
 	start := time.Now()
-	wrapped := exec.WithContext(ctx, op)
-	release := exec.MarkTimed(wrapped)
-	data, err := exec.Drain(wrapped)
-	release()
+	stopTiming := exec.MarkTimed(prep.Root)
+	data, err := exec.Drain(prep.Root)
+	stopTiming()
 	if err != nil {
 		return nil, err
 	}
-	lines = append(lines, execedLine(data.Len(), time.Since(start)))
-	return append(lines, exec.Explain(wrapped, true)...), nil
+	lines = append(lines, fmt.Sprintf("executed: rows=%d time=%s", data.Len(), time.Since(start).Round(time.Microsecond)))
+	return append(lines, exec.Explain(prep.Root, true)...), nil
 }
 
 // innerStatementKey fingerprints the statement EXPLAIN wraps: the full
@@ -132,17 +98,9 @@ func innerStatementKey(text string) string {
 	return strings.TrimPrefix(norm, "ANALYZE ")
 }
 
-func explainHeader(workers int, mode, cache string) []string {
-	return []string{fmt.Sprintf("plan (workers=%d, mode=%s, plan-cache=%s)", workers, mode, cache)}
-}
-
-func execedLine(rows int, d time.Duration) string {
-	return fmt.Sprintf("executed: rows=%d time=%s", rows, d.Round(time.Microsecond))
-}
-
 // explainWrite describes how a write statement would be admitted —
 // sharded fast path versus the serialized exclusive gate — and under
-// ANALYZE actually runs it through the session's normal write path (the
+// ANALYZE actually runs it through the normal write admission (the
 // statement commits; ANALYZE of a write is a real write, as in
 // PostgreSQL).
 func (s *Session) explainWrite(ctx context.Context, ex *sql.ExplainStmt) ([]string, error) {
@@ -151,11 +109,8 @@ func (s *Session) explainWrite(ctx context.Context, ex *sql.ExplainStmt) ([]stri
 
 	route := "serialized (exclusive write gate)"
 	if fastWriteShapeEligible(st) {
-		db.mu.RLock()
-		blocked := !db.snapshotReads || db.noFastWrites || db.txn != nil
-		db.mu.RUnlock()
-		if s.ownsGate || blocked {
-			route = "fast-path shape, but serialized (transaction open or fast path disabled)"
+		if s.ownsGate || db.InTransaction() {
+			route = "fast-path shape, but serialized (transaction open)"
 		} else {
 			route = "sharded fast path (shared gate + per-shard statement locks)"
 		}
@@ -165,59 +120,15 @@ func (s *Session) explainWrite(ctx context.Context, ex *sql.ExplainStmt) ([]stri
 		return lines, nil
 	}
 
-	text := st.String()
 	start := time.Now()
-	if !s.ownsGate {
-		if res, handled, err := db.tryFastWrite(ctx, st, text, nil); handled {
-			if err != nil {
-				return nil, err
-			}
-			return append(lines, fmt.Sprintf("executed via fast path: rows=%d time=%s",
-				res.RowsAffected, time.Since(start).Round(time.Microsecond))), nil
-		}
-		if err := db.AcquireWriteGate(ctx); err != nil {
-			return nil, err
-		}
-		defer db.ReleaseWriteGate()
-	}
-	res, err := db.execParsed(ctx, st, text, nil)
+	res, fast, err := db.admitWrite(ctx, st, st.String(), nil, s.ownsGate)
 	if err != nil {
 		return nil, err
 	}
-	return append(lines, fmt.Sprintf("executed serialized: rows=%d time=%s",
-		res.RowsAffected, time.Since(start).Round(time.Microsecond))), nil
-}
-
-// explainGraph renders EXPLAIN for a graph verb (PAGERANK, SSSP, …)
-// through the hook the graph runtime installed with SetGraphExplainer:
-// superstep schedule, input-cache decision, and partition layout; with
-// ANALYZE the verb actually runs and the real run statistics fold in.
-func (s *Session) explainGraph(ctx context.Context, g *sql.GraphStmt, analyze bool) ([]string, error) {
-	s.db.mu.RLock()
-	fn := s.db.graphExplainer
-	s.db.mu.RUnlock()
-	if fn == nil {
-		return nil, fmt.Errorf("engine: EXPLAIN %s: no graph runtime attached", strings.ToUpper(g.Verb))
+	how := "serialized"
+	if fast {
+		how = "via fast path"
 	}
-	// ANALYZE runs the verb under the cross-session write gate; a
-	// session that already owns the gate (open transaction) would
-	// deadlock against itself, exactly like the wire server's graph
-	// verbs — refuse the same way.
-	if analyze && s.ownsGate {
-		return nil, fmt.Errorf("engine: cannot EXPLAIN ANALYZE %s inside a transaction", strings.ToUpper(g.Verb))
-	}
-	return fn(ctx, analyze, g.Verb, g.Args, s.EffectiveWorkers())
-}
-
-// fastWriteShapeEligible mirrors tryFastWrite's statement-shape check:
-// INSERT ... VALUES, UPDATE and DELETE qualify; INSERT ... SELECT and
-// DDL never do.
-func fastWriteShapeEligible(st sql.Statement) bool {
-	switch s := st.(type) {
-	case *sql.InsertStmt:
-		return s.Select == nil
-	case *sql.UpdateStmt, *sql.DeleteStmt:
-		return true
-	}
-	return false
+	return append(lines, fmt.Sprintf("executed %s: rows=%d time=%s",
+		how, res.RowsAffected, time.Since(start).Round(time.Microsecond))), nil
 }

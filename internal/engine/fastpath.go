@@ -20,9 +20,9 @@ import (
 // gate survives for transactions, DDL, and every statement shape the
 // fast path declines.
 //
-// Eligibility: snapshot reads are on, no transaction is open, and the
-// statement is a single-table INSERT ... VALUES (locks just the shards
-// its rows hash to), UPDATE, or DELETE. An UPDATE or DELETE whose
+// Eligibility: no transaction is open, and the statement is a
+// single-table INSERT ... VALUES (locks just the shards its rows hash
+// to), UPDATE, or DELETE. An UPDATE or DELETE whose
 // WHERE pins the partition key to a constant (or bound parameter)
 // locks only that key's shard — point writes on disjoint keys commit
 // in parallel; any other WHERE locks every shard of the table (its
@@ -50,16 +50,12 @@ import (
 // prepared execution ps carries the bound arguments and text must be
 // the substituted rendering (the WAL replays text alone).
 func (db *DB) tryFastWrite(ctx context.Context, st sql.Statement, text string, ps *plan.Params) (Result, bool, error) {
-	switch s := st.(type) {
-	case *sql.InsertStmt:
-		if s.Select != nil {
+	if !fastWriteShapeEligible(st) {
+		if _, isInsert := st.(*sql.InsertStmt); isInsert {
 			// INSERT ... SELECT may read the target table; keep it on
 			// the serialized path.
 			db.obs.Counter("engine.fastpath.declined").Inc()
-			return Result{}, false, nil
 		}
-	case *sql.UpdateStmt, *sql.DeleteStmt:
-	default:
 		return Result{}, false, nil
 	}
 	// An already-cancelled statement must not commit. The gate select
@@ -68,13 +64,15 @@ func (db *DB) tryFastWrite(ctx context.Context, st sql.Statement, text string, p
 	if err := ctx.Err(); err != nil {
 		return Result{}, true, err
 	}
+	// Failing to get a shared slot (timeout, cancel) is final: falling
+	// back would only queue the dead statement on the exclusive gate.
 	if err := db.acquireSharedGate(ctx); err != nil {
-		return Result{}, false, err
+		return Result{}, true, err
 	}
 	db.mu.RLock()
-	if !db.snapshotReads || db.noFastWrites || db.txn != nil {
-		// Legacy read mode wants the exclusive latch; an open DB-level
-		// transaction must stage pre-images under db.mu. Fall back.
+	if db.txn != nil {
+		// An open DB-level transaction must stage pre-images under
+		// db.mu. Fall back.
 		db.mu.RUnlock()
 		db.releaseSharedGate()
 		db.obs.Counter("engine.fastpath.declined").Inc()
@@ -419,4 +417,17 @@ func (db *DB) execDeleteShard(s *sql.DeleteStmt, ps *plan.Params, t *storage.Tab
 	db.noteWrite(t)
 	t.DeleteShardWhere(shard, idx)
 	return Result{RowsAffected: len(idx)}, nil
+}
+
+// fastWriteShapeEligible is the fast path's statement-shape check:
+// INSERT ... VALUES, UPDATE and DELETE qualify; INSERT ... SELECT and
+// everything else never do.
+func fastWriteShapeEligible(st sql.Statement) bool {
+	switch s := st.(type) {
+	case *sql.InsertStmt:
+		return s.Select == nil
+	case *sql.UpdateStmt, *sql.DeleteStmt:
+		return true
+	}
+	return false
 }

@@ -349,36 +349,3 @@ func TestRollbackRestoresSnapshots(t *testing.T) {
 		t.Fatalf("%d snapshot pins leaked", db.MVCC().LiveReaders())
 	}
 }
-
-// TestLegacyLatchModeStillWorks pins the ablation baseline: with
-// snapshot reads off, results are identical (the differential harness
-// asserts this at scale; here just a smoke check) and streams couple
-// readers to writers again.
-func TestLegacyLatchModeStillWorks(t *testing.T) {
-	db := New()
-	if _, err := db.Exec("CREATE TABLE iso (id INTEGER NOT NULL)"); err != nil {
-		t.Fatal(err)
-	}
-	seedBatches(t, db, 2, 50)
-
-	want, err := db.Query("SELECT id FROM iso ORDER BY id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetSnapshotReads(false)
-	if db.SnapshotReads() {
-		t.Fatal("SnapshotReads still true")
-	}
-	got, err := db.Query("SELECT id FROM iso ORDER BY id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != want.Len() {
-		t.Fatalf("legacy mode returned %d rows, want %d", got.Len(), want.Len())
-	}
-	for i := 0; i < got.Len(); i++ {
-		if got.Value(i, 0).I != want.Value(i, 0).I {
-			t.Fatalf("row %d differs between modes", i)
-		}
-	}
-}

@@ -1,0 +1,167 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/storage"
+)
+
+// TestGateTimeoutIsObserved: a statement whose statement_timeout
+// expires while another session holds the write gate fails with a clean
+// timeout error — it does not fall from the fast path's shared gate
+// onto the exclusive gate — and is observed like any finished
+// statement: one latency observation, and (for the statement shape
+// that queues on the exclusive gate) a closed gate span in its trace.
+func TestGateTimeoutIsObserved(t *testing.T) {
+	db := observeDB(t)
+	ctx := context.Background()
+	holder := db.NewSession()
+	defer holder.Close()
+	mustSet(t, holder, "BEGIN")
+
+	waiter := db.NewSession()
+	defer waiter.Close()
+	mustSet(t, waiter, "SET statement_timeout = 20")
+
+	for _, tc := range []struct {
+		stmt     string
+		gateSpan bool
+	}{
+		{"INSERT INTO nv VALUES (8, 'h')", false}, // fast-path shape: waits on the shared gate
+		{"CREATE TABLE late (x INTEGER)", true},   // serialized: waits on the exclusive gate
+	} {
+		latency := db.Stats().Histogram("engine.statement_latency")
+		before := latency.Count()
+		_, _, err := waiter.RunStream(ctx, tc.stmt)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want context.DeadlineExceeded", tc.stmt, err)
+		}
+		if got := latency.Count() - before; got != 1 {
+			t.Errorf("%s: %d latency observations, want 1", tc.stmt, got)
+		}
+		tr := traceByID(db, waiter.LastTraceID())
+		if tr == nil {
+			t.Fatalf("%s: trace not retained", tc.stmt)
+		}
+		closed := false
+		for _, sp := range tr.Spans() {
+			if sp.Stage == "gate" {
+				closed = strings.HasPrefix(sp.Detail, "not acquired") && sp.DurNs > 0
+			}
+		}
+		if closed != tc.gateSpan {
+			t.Errorf("%s: closed gate span = %v, want %v (spans %+v)", tc.stmt, closed, tc.gateSpan, tr.Spans())
+		}
+	}
+
+	mustSet(t, holder, "ROLLBACK")
+	if v, err := db.QueryScalar("SELECT COUNT(*) FROM nv WHERE id = 8"); err != nil || v.I != 0 {
+		t.Errorf("timed-out INSERT left a row: %v %v", v, err)
+	}
+	if db.Catalog().Has("late") {
+		t.Error("timed-out CREATE TABLE left a table")
+	}
+}
+
+// TestPlainTextSelectTraceShape: a plain-text SELECT plans fresh through
+// the same function as a bound one but keeps the trace shape it always
+// had — no plan_cache probe and no bind stage; those belong to bound
+// executions.
+func TestPlainTextSelectTraceShape(t *testing.T) {
+	db := observeDB(t)
+	sess := observeSession(t, db, 1)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		run   func() (*Rows, Result, error)
+		bound bool
+	}{
+		{"text", func() (*Rows, Result, error) { return sess.RunStream(ctx, "SELECT label FROM nv WHERE id = 2") }, false},
+		{"bound", func() (*Rows, Result, error) {
+			return sess.RunStreamBound(ctx, "SELECT label FROM nv WHERE id = $1", []storage.Value{storage.Int64(2)})
+		}, true},
+	} {
+		rows, _, err := tc.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rows.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+		tr := traceByID(db, sess.LastTraceID())
+		if tr == nil {
+			t.Fatalf("%s: trace not retained", tc.name)
+		}
+		stages, _, _, _ := stagesOf(tr.Spans())
+		for _, st := range []string{"parse", "plan", "grant", "open", "drain"} {
+			if !stages[st] {
+				t.Errorf("%s: no %s span in %v", tc.name, st, stages)
+			}
+		}
+		if stages["plan_cache"] != tc.bound || stages["bind"] != tc.bound {
+			t.Errorf("%s: plan_cache=%v bind=%v, want both %v", tc.name, stages["plan_cache"], stages["bind"], tc.bound)
+		}
+	}
+}
+
+// TestDBExecRefusesGraphStatement: any identifier in statement position
+// parses as a graph statement, so a typo (SELCT 1) reaches DB.Exec as
+// one. It is refused up front like the other session statements, not
+// queued on the write gate first.
+func TestDBExecRefusesGraphStatement(t *testing.T) {
+	db := observeDB(t)
+	holder := db.NewSession()
+	defer holder.Close()
+	mustSet(t, holder, "BEGIN") // holds the exclusive gate
+	defer mustSet(t, holder, "ROLLBACK")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	for _, stmt := range []string{"SELCT 1", "PAGERANK g 3"} {
+		_, err := db.ExecContext(ctx, stmt)
+		if err == nil || !strings.Contains(err.Error(), "is a session statement") {
+			t.Errorf("%s: err = %v, want a session-statement refusal", stmt, err)
+		}
+	}
+}
+
+// TestDeletedForksStayDeleted fails if an identifier of the statement
+// paths and ablation switches this engine used to fork on reappears in
+// non-test source anywhere in the module.
+func TestDeletedForksStayDeleted(t *testing.T) {
+	gone := regexp.MustCompile(`\b(legacySubstitution|SetSnapshotReads|SetFastPathWrites|QueryContextWorkers|SetGraphExplainer)\b`)
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if m := gone.Find(src); m != nil {
+			t.Errorf("%s: identifier %s is back", path, m)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

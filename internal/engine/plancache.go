@@ -2,18 +2,13 @@ package engine
 
 import (
 	"container/list"
-	"context"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // preparedCacheSize bounds the prepared-plan cache. Entries are small
@@ -310,96 +305,4 @@ func (db *DB) PreparedStats() PreparedStats {
 		Misses:   db.plans.misses.Load(),
 		Bypasses: db.plans.bypasses.Load(),
 	}
-}
-
-// queryStreamBound streams a parameterized SELECT bind-and-run: under
-// snapshot reads a cached prepared plan is bound to this execution's
-// snapshot and arguments (zero parse/plan work on a hit); on a miss the
-// fresh plan is attached to the cache for the next execution. The
-// legacy latch-coupled mode plans fresh every time — its plans resolve
-// live catalog tables under the database latch and cannot be rebound.
-func (db *DB) queryStreamBound(ctx context.Context, sel *sql.SelectStmt, key string, args []storage.Value, workers int, workMem int64, kind readerKind) (*Rows, error) {
-	db.mu.RLock()
-	if !db.snapshotReads {
-		op, err := db.planner.PlanSelectMem(sel, workers, workMem, nil, plan.NewParams(args))
-		if err != nil {
-			db.mu.RUnlock()
-			return nil, err
-		}
-		db.plans.plans.Add(1)
-		return OperatorRows(exec.WithContext(ctx, op), db.mu.RUnlock)
-	}
-
-	own := kind == readerTxnOwner || (kind == readerDBLevel && db.txn != nil && !db.txnSessionOwned)
-	acquire := db.mvcc.Acquire
-	if own {
-		acquire = db.mvcc.AcquireOwn
-	}
-	snap, err := acquire()
-	if err != nil {
-		db.mu.RUnlock()
-		return nil, err
-	}
-	fail := func(err error) (*Rows, error) {
-		snap.Release()
-		db.mu.RUnlock()
-		return nil, err
-	}
-
-	tc := trace.FromContext(ctx)
-	catVer := db.cat.Version()
-	probe := time.Now()
-	entry := db.plans.checkoutPlan(key, catVer, workers, workMem)
-	var prep *plan.Prepared
-	if entry != nil {
-		tc.Add("plan_cache", probe, time.Since(probe), "hit")
-		prep = entry.prep
-		// Repoint the cached scans at this snapshot's table versions.
-		// Snapshot resolution needs the engine latch, so Bind must run
-		// before Seal (a sealed snapshot serves only what it has pinned).
-		// System tables (vx$…) resolve through the wrapper so a cached
-		// plan re-materializes them fresh on every execution.
-		endBind := tc.Begin("bind")
-		if err := prep.Bind(ctx, args, db.sysLookup(snap)); err != nil {
-			db.plans.release(entry)
-			return fail(err)
-		}
-		endBind("rebind cached plan")
-	} else {
-		tc.Add("plan_cache", probe, time.Since(probe), "miss")
-		endPlan := tc.Begin("plan")
-		prep, err = db.planner.PrepareSelectMem(sel, workers, workMem, sysSource{db: db, base: snap}, plan.NewParams(args))
-		endPlan(fmt.Sprintf("workers=%d", workers))
-		if err != nil {
-			return fail(err)
-		}
-		db.plans.plans.Add(1)
-		// Tables are already resolved (planned against snap); bind the
-		// context, the arguments and the parameter-keyed scan routes.
-		endBind := tc.Begin("bind")
-		if err := prep.Bind(ctx, args, nil); err != nil {
-			return fail(err)
-		}
-		endBind("bind fresh plan")
-		if prep.Cacheable {
-			entry = db.plans.attach(key, prep, catVer, workers, workMem)
-		}
-	}
-	snap.Seal()
-	db.mu.RUnlock()
-	tc.Add("grant", time.Now(), 0, fmt.Sprintf("work_mem=%d pool %s", workMem, db.memPool.Describe()))
-
-	cleanup := []func(){snap.Release}
-	if entry != nil {
-		e := entry
-		cleanup = append(cleanup, func() { db.plans.release(e) })
-	}
-	endOpen := tc.Begin("open")
-	rows, err := OperatorRows(prep.Root, cleanup...)
-	if err != nil {
-		endOpen("failed")
-		return nil, err
-	}
-	endOpen("operator tree opened")
-	return rows, nil
 }

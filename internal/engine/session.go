@@ -63,19 +63,6 @@ func (db *DB) NewSessionMaxWorkers(max int) *Session {
 // disabled).
 func (s *Session) StatementTimeout() time.Duration { return s.timeout }
 
-// StatementContext applies the session's statement_timeout to a
-// statement context — the server's graph verbs run under it too, so
-// SET statement_timeout governs every statement type, not just SQL.
-func (s *Session) StatementContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	return s.stmtCtx(ctx)
-}
-
-// EffectiveWorkers resolves the per-statement worker count (session
-// override, engine default, admission cap) — what SHOW parallelism
-// reports. The server passes it into graph-verb runs so the
-// per-statement cap holds for the heaviest statements as well.
-func (s *Session) EffectiveWorkers() int { return s.effectiveWorkers() }
-
 // InTransaction reports whether this session holds an open
 // transaction.
 func (s *Session) InTransaction() bool { return s.ownsGate }
@@ -127,11 +114,22 @@ func (s *Session) effectiveWorkers() int {
 	return w
 }
 
-// Run executes one statement of any kind. SELECT and SHOW return
-// materialized rows (and a Result whose RowsAffected is the row
-// count); everything else returns nil rows. Embedded callers and the
-// REPL dispatch through it; the wire server uses RunStream to avoid
-// materializing results it is about to serialize.
+// readerKind reports whose snapshot this session's reads pin: inside
+// its own transaction it sees its staged writes; otherwise it reads
+// committed versions.
+func (s *Session) readerKind() readerKind {
+	if s.ownsGate {
+		return readerTxnOwner
+	}
+	return readerSession
+}
+
+// Run executes one statement of any kind. SELECT, SHOW, EXPLAIN and
+// graph statements return materialized rows (and a Result whose
+// RowsAffected is the row count); everything else returns nil rows.
+// Embedded callers and the REPL dispatch through it; the wire server
+// uses RunStream to avoid materializing results it is about to
+// serialize.
 func (s *Session) Run(ctx context.Context, text string) (*Rows, Result, error) {
 	rows, res, err := s.RunStream(ctx, text)
 	if err != nil || rows == nil {
@@ -146,37 +144,60 @@ func (s *Session) Run(ctx context.Context, text string) (*Rows, Result, error) {
 
 // RunStream executes one statement of any kind without materializing
 // its result: a SELECT returns streaming rows whose batches are
-// produced as the caller pulls them (the read latch, operator tree
+// produced as the caller pulls them (the snapshot pin, operator tree
 // and statement timeout live until the rows are drained or closed), so
 // the first batch is available in O(first batch) time, not O(result).
-// SHOW returns (small) materialized rows; everything else returns nil
-// rows and runs to completion before returning. The returned Result's
-// RowsAffected is meaningful only for non-SELECT statements.
+// SHOW, EXPLAIN and graph statements return (small) materialized rows;
+// everything else returns nil rows and runs to completion before
+// returning. The returned Result's RowsAffected is meaningful only for
+// non-SELECT statements.
 func (s *Session) RunStream(ctx context.Context, text string) (*Rows, Result, error) {
+	return s.execute(ctx, text, "", nil)
+}
+
+// RunStreamBound is RunStream for a prepared execution: text contains
+// $1..$n placeholders and args carries their values, which bind real
+// Param nodes instead of being substituted into the text. A statement
+// is parsed — and, for a cacheable SELECT, planned — at most once per
+// (text, argument-type signature) pair across the whole DB; repeated
+// executions just bind the arguments and run. Extra arguments beyond
+// the statement's highest $n are permitted (and ignored).
+func (s *Session) RunStreamBound(ctx context.Context, text string, args []storage.Value) (*Rows, Result, error) {
+	return s.execute(ctx, text, cacheKey(text, args), args)
+}
+
+// execute is the one statement lifecycle: parse → count → (session
+// control returns here) → trace start → statement_timeout → run →
+// observe → trace finish. key names the statement's plan-cache entry;
+// "" is plain text, which parses and plans fresh and leaves the cache
+// alone — unbound text is otherwise just the zero-argument case.
+func (s *Session) execute(ctx context.Context, text, key string, args []storage.Value) (*Rows, Result, error) {
 	enter := time.Now()
-	st, err := sql.Parse(text)
+	var (
+		st      sql.Statement
+		nParams int
+		err     error
+	)
+	if key == "" {
+		st, err = sql.Parse(text)
+	} else {
+		st, nParams, err = s.db.plans.parse(text, key)
+	}
 	parseDur := time.Since(enter)
 	if err != nil {
 		return nil, Result{}, err
 	}
+	if nParams > len(args) {
+		return nil, Result{}, fmt.Errorf("engine: statement wants %d arguments, got %d", nParams, len(args))
+	}
 	s.db.countStmt(st)
+
+	// Session control and EXPLAIN take no parameters and are not traced.
 	switch t := st.(type) {
-	case *sql.ExplainStmt:
-		sctx, cancel := s.stmtCtx(ctx)
-		defer cancel()
-		rows, err := s.runExplain(sctx, t, text)
-		if err != nil {
-			return nil, Result{}, err
-		}
-		return rows, Result{RowsAffected: rows.Len()}, nil
 	case *sql.SetStmt:
 		return nil, Result{}, s.applySet(t)
 	case *sql.ShowStmt:
-		rows, err := s.show(t.Name)
-		if err != nil {
-			return nil, Result{}, err
-		}
-		return rows, Result{RowsAffected: rows.Len()}, nil
+		return materialized(s.show(t.Name))
 	case *sql.BeginStmt:
 		// BEGIN can block on the write gate, so statement_timeout
 		// governs it like any other statement.
@@ -187,147 +208,97 @@ func (s *Session) RunStream(ctx context.Context, text string) (*Rows, Result, er
 		return nil, Result{}, s.endTxn(true)
 	case *sql.RollbackStmt:
 		return nil, Result{}, s.endTxn(false)
+	case *sql.ExplainStmt:
+		ectx, cancel := s.stmtCtx(ctx)
+		defer cancel()
+		return materialized(s.runExplain(ectx, t, text))
 	}
 
-	if sel, ok := st.(*sql.SelectStmt); ok {
-		// The timeout context must outlive this call: it governs the
-		// whole stream, so its cancel runs when the rows finish. A
-		// session reading inside its own transaction sees its staged
-		// writes; everyone else reads committed snapshots.
-		kind := readerSession
-		if s.ownsGate {
-			kind = readerTxnOwner
+	// Parameterized DML executes with bound Param nodes but is traced
+	// and WAL-logged as the substituted rendering: replay reads text
+	// alone, with no argument stream alongside it.
+	sel, isSelect := st.(*sql.SelectStmt)
+	stmtText := text
+	if !isSelect && len(args) > 0 {
+		if stmtText, err = sql.SubstituteParams(text, args); err != nil {
+			return nil, Result{}, err
 		}
-		start := time.Now()
-		tc := s.startTrace(text, enter, parseDur)
-		sctx, cancel := s.stmtCtx(ctx)
-		sctx = trace.WithCollector(sctx, tc)
-		rows, err := s.db.queryStreamParsed(sctx, sel, s.effectiveWorkers(), s.effectiveWorkMem(), kind)
+	}
+	start := time.Now()
+	tc := s.startTrace(stmtText, enter, parseDur)
+	sctx, cancel := s.stmtCtx(ctx)
+	sctx = trace.WithCollector(sctx, tc)
+
+	if isSelect {
+		rows, err := s.db.openSelect(sctx, sel, key, args, s.effectiveWorkers(), s.effectiveWorkMem(), s.readerKind())
 		if err != nil {
 			cancel()
 			s.db.finishTrace(tc)
 			return nil, Result{}, err
 		}
+		// The timeout context governs the whole stream, so its cancel
+		// runs when the rows finish — as does the statement's
+		// observation and trace publication.
 		rows.cleanup = append(rows.cleanup, cancel)
 		s.db.hookSlowQuery(rows, text, start, tc)
 		return rows, Result{}, nil
 	}
 
-	start := time.Now()
-	tc := s.startTrace(text, enter, parseDur)
 	defer s.db.finishTrace(tc)
-	sctx, cancel := s.stmtCtx(ctx)
 	defer cancel()
-	sctx = trace.WithCollector(sctx, tc)
-	// Write statement. Outside a transaction it is an auto-commit
-	// write: hold the cross-session gate for just this statement so it
-	// cannot interleave with (and be undone by the rollback of)
-	// another session's transaction.
-	if !s.ownsGate {
-		// Eligible auto-commit DML takes the sharded fast path: shared
-		// gate + per-shard statement locks, so sessions writing disjoint
-		// shards commit in parallel.
-		if res, handled, err := s.db.tryFastWrite(sctx, st, text, nil); handled {
-			s.db.observeStatement(text, time.Since(start), int64(res.RowsAffected), stmtKind(st), tc.ID())
-			return nil, res, err
+	var (
+		rows *Rows
+		res  Result
+	)
+	if g, ok := st.(*sql.GraphStmt); ok {
+		if rows, err = s.runGraph(sctx, g, false, false); err == nil {
+			res.RowsAffected = rows.Len()
 		}
-		endGate := tc.Begin("gate")
-		if err := s.db.AcquireWriteGate(sctx); err != nil {
-			return nil, Result{}, err
-		}
-		endGate("exclusive write gate")
-		defer s.db.ReleaseWriteGate()
+	} else {
+		// Outside a transaction this is an auto-commit write: admission
+		// holds the cross-session gate for just this statement so it
+		// cannot interleave with (and be undone by the rollback of)
+		// another session's transaction.
+		res, _, err = s.db.admitWrite(sctx, st, stmtText, plan.NewParams(args), s.ownsGate)
 	}
-	endExec := tc.Begin("exec")
-	res, err := s.db.execParsed(sctx, st, text, nil)
-	endExec(fmt.Sprintf("rows=%d", res.RowsAffected))
-	s.db.observeStatement(text, time.Since(start), int64(res.RowsAffected), stmtKind(st), tc.ID())
-	return nil, res, err
+	s.db.observeStatement(stmtText, time.Since(start), int64(res.RowsAffected), stmtKind(st), tc.ID())
+	return rows, res, err
 }
 
-// RunStreamBound is RunStream for a prepared execution: text contains
-// $1..$n placeholders and args carries their values, which bind real
-// Param nodes instead of being substituted into the text. A statement
-// is parsed — and, for a cacheable SELECT, planned — at most once per
-// (text, argument-type signature) pair across the whole DB; repeated
-// executions just bind the arguments and run. Extra arguments beyond
-// the statement's highest $n are permitted (and ignored), matching the
-// substitution path.
-func (s *Session) RunStreamBound(ctx context.Context, text string, args []storage.Value) (*Rows, Result, error) {
-	enter := time.Now()
-	key := cacheKey(text, args)
-	st, nParams, err := s.db.plans.parse(text, key)
-	parseDur := time.Since(enter)
+// materialized shapes a small materialized result (SHOW, EXPLAIN) as a
+// statement outcome.
+func materialized(rows *Rows, err error) (*Rows, Result, error) {
 	if err != nil {
 		return nil, Result{}, err
 	}
-	if nParams > len(args) {
-		return nil, Result{}, fmt.Errorf("engine: statement wants %d arguments, got %d", nParams, len(args))
-	}
+	return rows, Result{RowsAffected: rows.Len()}, nil
+}
 
-	switch st.(type) {
-	case *sql.SetStmt, *sql.ShowStmt, *sql.BeginStmt, *sql.CommitStmt, *sql.RollbackStmt, *sql.ExplainStmt:
-		// Session-control statements take no parameters and are cheap,
-		// and EXPLAIN plans from scratch anyway; run them through the
-		// plain-text path (which also counts them).
-		return s.RunStream(ctx, text)
+// runGraph dispatches a graph statement — or its EXPLAIN [ANALYZE]
+// form — to the runner the graph runtime registered. A run mutates the
+// graph's tables under the cross-session write gate, which the runner
+// takes itself; a session that already owns the gate (open
+// transaction) would deadlock against its own run (and bypass the
+// transaction's undo scope anyway), so it is refused here. Plain
+// EXPLAIN only reads and stays allowed.
+func (s *Session) runGraph(ctx context.Context, g *sql.GraphStmt, explain, analyze bool) (*Rows, error) {
+	s.db.mu.RLock()
+	run := s.db.graphRunner
+	s.db.mu.RUnlock()
+	verb := strings.ToUpper(g.Verb)
+	if run == nil {
+		return nil, fmt.Errorf("engine: %s: no graph runtime attached", verb)
 	}
-	s.db.countStmt(st)
-
-	if sel, ok := st.(*sql.SelectStmt); ok {
-		kind := readerSession
-		if s.ownsGate {
-			kind = readerTxnOwner
-		}
-		start := time.Now()
-		tc := s.startTrace(text, enter, parseDur)
-		sctx, cancel := s.stmtCtx(ctx)
-		sctx = trace.WithCollector(sctx, tc)
-		rows, err := s.db.queryStreamBound(sctx, sel, key, args, s.effectiveWorkers(), s.effectiveWorkMem(), kind)
-		if err != nil {
-			cancel()
-			s.db.finishTrace(tc)
-			return nil, Result{}, err
-		}
-		rows.cleanup = append(rows.cleanup, cancel)
-		s.db.hookSlowQuery(rows, text, start, tc)
-		return rows, Result{}, nil
+	if s.ownsGate && (analyze || !explain) {
+		return nil, fmt.Errorf("engine: cannot run %s inside a transaction", verb)
 	}
-
-	// Parameterized DML executes with bound Param nodes but WAL-logs the
-	// substituted rendering: replay reads text alone, with no argument
-	// stream alongside it.
-	ps := plan.NewParams(args)
-	walText := text
-	if nParams > 0 {
-		walText, err = sql.SubstituteParams(text, args)
-		if err != nil {
-			return nil, Result{}, err
-		}
+	b, stats, err := run(ctx, g, explain, analyze, s.effectiveWorkers())
+	if err != nil {
+		return nil, err
 	}
-	start := time.Now()
-	tc := s.startTrace(walText, enter, parseDur)
-	defer s.db.finishTrace(tc)
-	sctx, cancel := s.stmtCtx(ctx)
-	defer cancel()
-	sctx = trace.WithCollector(sctx, tc)
-	if !s.ownsGate {
-		if res, handled, err := s.db.tryFastWrite(sctx, st, walText, ps); handled {
-			s.db.observeStatement(walText, time.Since(start), int64(res.RowsAffected), stmtKind(st), tc.ID())
-			return nil, res, err
-		}
-		endGate := tc.Begin("gate")
-		if err := s.db.AcquireWriteGate(sctx); err != nil {
-			return nil, Result{}, err
-		}
-		endGate("exclusive write gate")
-		defer s.db.ReleaseWriteGate()
-	}
-	endExec := tc.Begin("exec")
-	res, err := s.db.execParsed(sctx, st, walText, ps)
-	endExec(fmt.Sprintf("rows=%d", res.RowsAffected))
-	s.db.observeStatement(walText, time.Since(start), int64(res.RowsAffected), stmtKind(st), tc.ID())
-	return nil, res, err
+	rows := MaterializedRows(b)
+	rows.Stats = stats
+	return rows, nil
 }
 
 // QueryContext runs a SELECT (or SHOW) through the session.

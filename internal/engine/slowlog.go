@@ -149,6 +149,8 @@ func stmtKind(st sql.Statement) string {
 		return "txn"
 	case *sql.ExplainStmt:
 		return "explain"
+	case *sql.GraphStmt:
+		return "graph"
 	}
 	return "other"
 }

@@ -113,7 +113,7 @@ func (db *DB) sysTraces() (*storage.Batch, error) {
 			storage.Str(tc.Text()),
 			storage.Int64(tc.StartTime().UnixMicro()),
 			storage.Int64(tc.TotalNs()),
-			storage.Int64(int64(len(tc.Spans()))),
+			storage.Int64(int64(tc.SpanCount())),
 			storage.Int64(tc.DroppedSpans()),
 			storage.Bool(tc.Slow()),
 		); err != nil {
@@ -168,7 +168,7 @@ func (db *DB) sysActiveStatements() (*storage.Batch, error) {
 			storage.Int64(int64(tc.Session())),
 			storage.Str(tc.Text()),
 			storage.Int64(tc.ElapsedNs()/1e3),
-			storage.Int64(int64(len(tc.Spans()))),
+			storage.Int64(int64(tc.SpanCount())),
 		); err != nil {
 			return nil, err
 		}

@@ -51,51 +51,31 @@ func New(cat *catalog.Catalog, funcs *expr.Registry) *Planner {
 var SerialLimitMax = int64(8 * 1024)
 
 // TableSource resolves the column set a statement reads for each table
-// name — the MVCC seam. nil means live catalog tables (the writer-side
-// and legacy-latch paths); the engine passes a pinned mvcc snapshot so
-// every scan in the plan reads one immutable version set.
+// name — the MVCC seam. nil means live catalog tables (the writer
+// side, under the exclusive latch); the engine passes a pinned mvcc
+// snapshot so every scan in the plan reads one immutable version set.
 type TableSource interface {
 	Table(name string) (storage.TableData, error)
 }
 
-// PlanSelect lowers a SELECT statement to an operator tree.
+// PlanSelect lowers a SELECT statement to an operator tree over the
+// live catalog with the planner's defaults.
 func (p *Planner) PlanSelect(st *sql.SelectStmt) (exec.Operator, error) {
-	return p.PlanSelectWorkers(st, 0)
+	return p.PlanSelectParams(st, 0, nil, nil)
 }
 
-// PlanSelectWorkers is PlanSelect with a per-statement worker
-// override: workers > 0 replaces the planner's Parallelism for this
-// one statement (sessions use it for SET parallelism and the server's
-// per-statement cap). 0 means the planner default.
-func (p *Planner) PlanSelectWorkers(st *sql.SelectStmt, workers int) (exec.Operator, error) {
-	return p.PlanSelectSource(st, workers, nil)
-}
-
-// PlanSelectSource is PlanSelectWorkers with an explicit table source:
-// every base-table scan in the plan reads through src instead of the
-// live catalog, so the whole statement sees one consistent version set
-// (src == nil restores live-catalog resolution).
-func (p *Planner) PlanSelectSource(st *sql.SelectStmt, workers int, src TableSource) (exec.Operator, error) {
-	return p.PlanSelectParams(st, workers, src, nil)
-}
-
-// PlanSelectParams is PlanSelectSource with positional parameters in
-// scope — a one-shot parameterized plan (PrepareSelect builds the
-// reusable kind). ps, when non-nil, must already have its argument
-// values bound; parameter-keyed point scans are routed immediately.
+// PlanSelectParams builds a one-shot plan (PrepareSelectMem builds the
+// reusable kind). workers > 0 replaces the planner's Parallelism for
+// this one statement; every base-table scan reads through src, so the
+// whole statement sees one consistent version set (nil = live catalog
+// tables); ps, when non-nil, puts positional parameters in scope and
+// must already have its argument values bound — parameter-keyed point
+// scans are routed immediately.
 func (p *Planner) PlanSelectParams(st *sql.SelectStmt, workers int, src TableSource, ps *Params) (exec.Operator, error) {
-	return p.PlanSelectMem(st, workers, -1, src, ps)
-}
-
-// PlanSelectMem is PlanSelectParams with a per-statement work_mem
-// override: workMem >= 0 replaces the planner's WorkMem for this one
-// statement (0 = unlimited); a negative value means the planner
-// default. Sessions use it for SET work_mem.
-func (p *Planner) PlanSelectMem(st *sql.SelectStmt, workers int, workMem int64, src TableSource, ps *Params) (exec.Operator, error) {
 	if workers <= 0 {
 		workers = p.Parallelism
 	}
-	ctx := &planCtx{p: p, workers: workers, fullWorkers: workers, mem: p.statementMem(workMem), ctes: make(map[string]*storage.Batch), src: src, params: ps}
+	ctx := &planCtx{p: p, workers: workers, fullWorkers: workers, mem: p.statementMem(-1), ctes: make(map[string]*storage.Batch), src: src, params: ps}
 	root, err := ctx.planSelect(st)
 	if err != nil {
 		return nil, err

@@ -32,25 +32,17 @@ type Prepared struct {
 	// Workers is the parallelism the plan was built for; a session
 	// whose effective worker count differs must not reuse it.
 	Workers int
-	// Cacheable reports whether Root survives re-execution (every
-	// operator re-opens cleanly and holds no plan-time data). A
-	// non-cacheable plan is still good for exactly one run.
-	Cacheable bool
 }
 
-// PrepareSelect plans st once for repeated execution. ps carries the
+// PrepareSelectMem plans st once for repeated execution. ps carries the
 // parameter types (from the first execution's arguments) and must
 // already have those arguments bound — parameterized CTEs are drained
 // at plan time and read them. src resolves the tables of this first
-// execution; later executions repoint the scans via Bind.
-func (p *Planner) PrepareSelect(st *sql.SelectStmt, workers int, src TableSource, ps *Params) (*Prepared, error) {
-	return p.PrepareSelectMem(st, workers, -1, src, ps)
-}
-
-// PrepareSelectMem is PrepareSelect with a per-statement work_mem
-// override (see PlanSelectMem). The statement's memory grant is built
-// into the plan, so a cached plan must only be reused by executions
-// with the same work_mem — the plan cache keys on it.
+// execution; later executions repoint the scans via Bind. workMem >= 0
+// replaces the planner's WorkMem for this statement (0 = unlimited); a
+// negative value means the planner default. The statement's memory
+// grant is built into the plan, so a cached plan must only be reused by
+// executions with the same work_mem — the plan cache keys on it.
 func (p *Planner) PrepareSelectMem(st *sql.SelectStmt, workers int, workMem int64, src TableSource, ps *Params) (*Prepared, error) {
 	if workers <= 0 {
 		workers = p.Parallelism
@@ -60,12 +52,10 @@ func (p *Planner) PrepareSelectMem(st *sql.SelectStmt, workers int, workMem int6
 	if err != nil {
 		return nil, err
 	}
-	cacheable := exec.Cacheable(root)
 	ref := exec.NewCtxRef()
-	root = exec.WithContextRef(ref, root)
 	return &Prepared{
-		Root: root, Slot: ps.Slot, Types: ps.Types, Routes: c.routes,
-		CtxRef: ref, Workers: workers, Cacheable: cacheable,
+		Root: exec.WithContextRef(ref, root), Slot: ps.Slot, Types: ps.Types,
+		Routes: c.routes, CtxRef: ref, Workers: workers,
 	}, nil
 }
 

@@ -142,24 +142,6 @@ func TestServerPreparedStatements(t *testing.T) {
 	}
 }
 
-func TestSubstituteParams(t *testing.T) {
-	args := []storage.Value{storage.Int64(7), storage.Str("it's"), storage.Float64(1e-7), storage.Bool(true)}
-	got, err := SubstituteParams("SELECT $1, $2, $3, $4, '$1 stays'", args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "SELECT 7, 'it''s', 1e-07, TRUE, '$1 stays'"
-	if got != want {
-		t.Fatalf("got %q want %q", got, want)
-	}
-	if _, err := SubstituteParams("SELECT $5", args); err == nil {
-		t.Fatal("out-of-range parameter accepted")
-	}
-	if _, err := SubstituteParams("SELECT $1", nil); err == nil {
-		t.Fatal("no-args parameter accepted")
-	}
-}
-
 func TestServerSessionVariables(t *testing.T) {
 	eng := vertexica.New()
 	if err := eng.RegisterUDF(&vertexica.ScalarFunc{
@@ -682,7 +664,16 @@ func TestServerGraphVerbStatsTrailer(t *testing.T) {
 		t.Fatalf("duration_us missing (stats: %v)", rows.Stats)
 	}
 
-	// SQL-flavored verbs compute via joins, not supersteps: no trailer.
+	// Graph statements go through the ordinary result path, so the
+	// trailer also carries what every statement's does.
+	if _, ok := stats["server_us"]; !ok {
+		t.Fatalf("server_us missing (stats: %v)", rows.Stats)
+	}
+	if stats["trace_id"] == 0 {
+		t.Fatalf("trace_id missing (stats: %v)", rows.Stats)
+	}
+
+	// SQL-flavored verbs compute via joins, not supersteps: no run stats.
 	rows, err = c.Graph(ctx, "components-sql", "g")
 	if err != nil {
 		t.Fatal(err)
@@ -690,8 +681,10 @@ func TestServerGraphVerbStatsTrailer(t *testing.T) {
 	if _, err := rows.Materialize(); err != nil {
 		t.Fatal(err)
 	}
-	if rows.Stats != nil {
-		t.Fatalf("components-sql shipped a stats trailer: %v", rows.Stats)
+	for _, s := range rows.Stats {
+		if s.Name == "supersteps" {
+			t.Fatalf("components-sql shipped run stats: %v", rows.Stats)
+		}
 	}
 }
 

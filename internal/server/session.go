@@ -5,10 +5,12 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -24,7 +26,6 @@ type stmtKind uint8
 const (
 	stmtSQL stmtKind = iota
 	stmtBindExec
-	stmtGraph
 )
 
 // stmtReq is one statement handed from the reader to the executor.
@@ -35,8 +36,6 @@ type stmtReq struct {
 	sql  string          // stmtSQL
 	prep uint32          // stmtBindExec
 	args []storage.Value // stmtBindExec
-	verb string          // stmtGraph
-	argv []string        // stmtGraph
 }
 
 // session is one client connection's server-side state.
@@ -186,7 +185,18 @@ func (ss *session) readLoop() {
 			if r.Err != nil {
 				return
 			}
-			ss.enqueue(stmtReq{kind: stmtGraph, id: id, verb: verb, argv: argv})
+			// A Graph frame is sugar for the graph statement of the same
+			// name: the wire's historical dashed verbs (pagerank-sql) map
+			// to the SQL spelling (PAGERANK_SQL), and the statement runs
+			// through the ordinary lifecycle. The verb is rendered bare, so
+			// anything but one identifier (a SQL keyword, several words)
+			// would re-parse as some other statement: refuse it here.
+			g := sql.GraphStmt{Verb: strings.ReplaceAll(verb, "-", "_"), Args: argv}
+			if toks, err := sql.Tokenize(g.Verb); err != nil || len(toks) != 2 || toks[0].Kind != sql.TokIdent {
+				ss.writeError(id, fmt.Sprintf("unknown graph verb %q", verb))
+				continue
+			}
+			ss.enqueue(stmtReq{kind: stmtSQL, id: id, sql: g.String()})
 		case wire.FrameCancel:
 			ss.cancelStmt(r.U32())
 		case wire.FrameGoodbye:
@@ -293,28 +303,7 @@ func (ss *session) runStmt(req stmtReq) {
 			ss.writeError(req.id, fmt.Sprintf("unknown prepared statement %d", req.prep))
 			return
 		}
-		if legacySubstitution {
-			bound, err := SubstituteParams(text, req.args)
-			if err != nil {
-				ss.writeError(req.id, err.Error())
-				return
-			}
-			ss.runSQL(ctx, req.id, bound)
-			return
-		}
 		ss.runBound(ctx, req.id, text, req.args)
-	case stmtGraph:
-		// Graph verbs honor the session's statement_timeout like any
-		// SQL statement (the parallelism cap is applied inside the
-		// verb via EffectiveWorkers).
-		gctx, gcancel := ss.es.StatementContext(ctx)
-		batch, stats, err := ss.runGraphVerb(gctx, req.verb, req.argv)
-		gcancel()
-		if err != nil {
-			ss.writeError(req.id, err.Error())
-			return
-		}
-		ss.writeRowsStats(req.id, engine.MaterializedRows(batch), stats)
 	}
 }
 
@@ -336,13 +325,20 @@ func (ss *session) runBound(ctx context.Context, id uint32, text string, args []
 	ss.writeResult(id, rows, res, err, start)
 }
 
-// stmtStats builds the Done-frame trailer for a SQL statement: the
+// stmtStats builds the Done-frame trailer: the statistics the statement
+// reported with its rows (a graph statement's run statistics), the
 // server-side elapsed time and — when the statement was traced — its
 // trace id, so a client can join its own latency observation against
 // vx$traces without a second round trip. Evaluated after the stream has
 // drained (the trace is finished by then).
-func (ss *session) stmtStats(start time.Time) []wire.Stat {
-	stats := []wire.Stat{{Name: "server_us", Value: time.Since(start).Microseconds()}}
+func (ss *session) stmtStats(rows *engine.Rows, start time.Time) []wire.Stat {
+	var stats []wire.Stat
+	if rows != nil {
+		for _, s := range rows.Stats {
+			stats = append(stats, wire.Stat(s))
+		}
+	}
+	stats = append(stats, wire.Stat{Name: "server_us", Value: time.Since(start).Microseconds()})
 	if tid := ss.es.LastTraceID(); tid != 0 {
 		stats = append(stats, wire.Stat{Name: "trace_id", Value: int64(tid)})
 	}
@@ -358,14 +354,14 @@ func (ss *session) writeResult(id uint32, rows *engine.Rows, res engine.Result, 
 		return
 	}
 	if rows != nil {
-		ss.writeRowsTrailer(id, rows, func() []wire.Stat { return ss.stmtStats(start) })
+		ss.writeRows(id, rows, start)
 		return
 	}
 	var b wire.Buffer
 	b.PutU32(id)
 	b.PutUvarint(uint64(res.RowsAffected))
 	ss.writeFrame(wire.FrameExecOK, b.B)
-	ss.writeDoneStats(id, ss.stmtStats(start))
+	ss.writeDone(id, ss.stmtStats(nil, start))
 }
 
 // writeRows streams a result: header, then column-wise batches of at
@@ -374,22 +370,11 @@ func (ss *session) writeResult(id uint32, rows *engine.Rows, res engine.Result, 
 // first-row latency for a big scan is O(first batch), not O(result).
 // A mid-stream failure (executor error, encoder error) terminates the
 // statement with a FrameError and nothing after it: the client
-// discards any rows already received and surfaces only the error.
-func (ss *session) writeRows(id uint32, rows *engine.Rows) {
-	ss.writeRowsTrailer(id, rows, nil)
-}
-
-// writeRowsStats is writeRows with a fixed stats trailer on the
-// terminal Done frame (graph verbs ship their RunStats this way).
-func (ss *session) writeRowsStats(id uint32, rows *engine.Rows, stats []wire.Stat) {
-	ss.writeRowsTrailer(id, rows, func() []wire.Stat { return stats })
-}
-
-// writeRowsTrailer streams a result and writes the Done frame with the
-// trailer fn produces. fn runs after the stream has fully drained —
+// discards any rows already received and surfaces only the error. The
+// Done trailer is built after the stream has fully drained —
 // statement-lifecycle cleanup (trace publication, slow-query logging)
-// has already run, so a trailer may read the statement's trace id.
-func (ss *session) writeRowsTrailer(id uint32, rows *engine.Rows, fn func() []wire.Stat) {
+// has already run, so it may read the statement's trace id.
+func (ss *session) writeRows(id uint32, rows *engine.Rows, start time.Time) {
 	defer rows.Close()
 	var hdr wire.Buffer
 	hdr.PutU32(id)
@@ -427,11 +412,7 @@ func (ss *session) writeRowsTrailer(id uint32, rows *engine.Rows, fn func() []wi
 			}
 		}
 	}
-	var stats []wire.Stat
-	if fn != nil {
-		stats = fn()
-	}
-	ss.writeDoneStats(id, stats)
+	ss.writeDone(id, ss.stmtStats(rows, start))
 }
 
 func (ss *session) writeFrame(typ byte, payload []byte) error {
@@ -464,9 +445,7 @@ func (ss *session) writeError(id uint32, msg string) {
 	ss.writeFrame(wire.FrameError, b.B)
 }
 
-func (ss *session) writeDone(id uint32) { ss.writeDoneStats(id, nil) }
-
-func (ss *session) writeDoneStats(id uint32, stats []wire.Stat) {
+func (ss *session) writeDone(id uint32, stats []wire.Stat) {
 	var b wire.Buffer
 	b.PutU32(id)
 	b.PutStats(stats)

@@ -60,7 +60,9 @@ func pipeSession(t *testing.T) (*session, *bufio.Reader, net.Conn) {
 	t.Helper()
 	serverEnd, clientEnd := net.Pipe()
 	t.Cleanup(func() { serverEnd.Close(); clientEnd.Close() })
-	ss := &session{conn: serverEnd, bw: bufio.NewWriter(serverEnd)}
+	es := engine.New().NewSession()
+	t.Cleanup(func() { es.Close() })
+	ss := &session{conn: serverEnd, bw: bufio.NewWriter(serverEnd), es: es}
 	return ss, bufio.NewReader(clientEnd), clientEnd
 }
 
@@ -90,7 +92,7 @@ func TestWriteRowsStreamsBeforeCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss, br, clientEnd := pipeSession(t)
-	go ss.writeRows(7, rows)
+	go ss.writeRows(7, rows, time.Now())
 
 	typ, _ := readFrameTimeout(t, clientEnd, br)
 	if typ != wire.FrameRowsHeader {
@@ -141,10 +143,10 @@ func TestMidStreamEncodeErrorTerminatesStatement(t *testing.T) {
 	}
 	ss, br, clientEnd := pipeSession(t)
 	go func() {
-		ss.writeRows(5, engine.MaterializedRows(batch))
+		ss.writeRows(5, engine.MaterializedRows(batch), time.Now())
 		// Sentinel after writeRows returns: if the protocol were
 		// violated, a Done for statement 5 would precede this.
-		ss.writeDone(99)
+		ss.writeDone(99, nil)
 	}()
 
 	typ, _ := readFrameTimeout(t, clientEnd, br)

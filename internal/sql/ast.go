@@ -666,11 +666,11 @@ func (*ShowStmt) stmt() {}
 // String implements Statement.
 func (s *ShowStmt) String() string { return "SHOW " + s.Name }
 
-// GraphStmt is a graph-verb reference inside EXPLAIN (EXPLAIN
-// PAGERANK g 10): the verb name plus its space-separated arguments,
-// the same argv shape the server's graph RPC takes. It only parses as
-// the inner statement of EXPLAIN — graph verbs execute through the
-// wire protocol's Graph frames, not as SQL.
+// GraphStmt is a graph statement (PAGERANK g 10, SSSP g 0 1,
+// COMPONENTS_SQL g, LOAD twitter 0.01, GRAPHS): the lower-cased verb
+// plus its space-separated arguments. It parses at top level and as
+// the inner statement of EXPLAIN; the wire protocol's Graph frames and
+// the console's backslash commands build the same statement.
 type GraphStmt struct {
 	Verb string
 	Args []string
@@ -678,10 +678,16 @@ type GraphStmt struct {
 
 func (*GraphStmt) stmt() {}
 
-// String implements Statement.
+// String implements Statement. The rendering parses back to the same
+// statement: an argument that would not lex as one identifier or
+// number token is written as a string literal.
 func (s *GraphStmt) String() string {
 	out := strings.ToUpper(s.Verb)
 	for _, a := range s.Args {
+		if toks, err := Tokenize(a); err != nil || len(toks) != 2 ||
+			(toks[0].Kind != TokIdent && toks[0].Kind != TokNumber) || toks[0].Text != a {
+			a = "'" + strings.ReplaceAll(a, "'", "''") + "'"
+		}
 		out += " " + a
 	}
 	return out

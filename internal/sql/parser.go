@@ -112,6 +112,9 @@ func (p *Parser) expectIdent() (string, error) {
 
 func (p *Parser) parseStatement() (Statement, error) {
 	t := p.peek()
+	if t.Kind == TokIdent {
+		return p.parseGraphStmt()
+	}
 	if t.Kind != TokKeyword {
 		return nil, p.errf("expected a statement, found %s", t)
 	}
@@ -150,20 +153,15 @@ func (p *Parser) parseStatement() (Statement, error) {
 	}
 }
 
-// parseExplain parses EXPLAIN [ANALYZE] <statement>, where the inner
-// statement may also be a graph verb (EXPLAIN PAGERANK g 10): graph
-// verbs are bare identifiers followed by space-separated arguments, so
-// an identifier in statement position after EXPLAIN is taken as a
-// verb. Nesting EXPLAIN inside EXPLAIN is rejected (the inner parse
+// parseExplain parses EXPLAIN [ANALYZE] <statement>; the inner
+// statement is anything parseStatement accepts, graph statements
+// included. Nesting EXPLAIN inside EXPLAIN is rejected (the inner parse
 // would accept it, but no engine behavior is defined for it).
 func (p *Parser) parseExplain() (Statement, error) {
 	if err := p.expectKeyword("EXPLAIN"); err != nil {
 		return nil, err
 	}
 	analyze := p.matchKeyword("ANALYZE")
-	if p.peek().Kind == TokIdent {
-		return p.parseExplainGraphVerb(analyze)
-	}
 	inner, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -174,35 +172,29 @@ func (p *Parser) parseExplain() (Statement, error) {
 	return &ExplainStmt{Analyze: analyze, Stmt: inner}, nil
 }
 
-// parseExplainGraphVerb parses the graph-verb form of EXPLAIN: a bare
-// verb identifier (pagerank, sssp, components, ...) followed by
+// parseGraphStmt parses a graph statement: a bare verb identifier
+// (PAGERANK, SSSP, COMPONENTS_SQL, LOAD, ...) followed by
 // space-separated arguments — identifiers, numbers, or string
-// literals, exactly the argv shape the server's graph-verb RPC takes.
-func (p *Parser) parseExplainGraphVerb(analyze bool) (Statement, error) {
-	verb := p.next().Text
-	st := &GraphStmt{Verb: strings.ToLower(verb)}
+// literals. An identifier in statement position cannot start any SQL
+// statement (those all begin with a keyword), so it is taken as a verb;
+// which verbs exist and what arguments they take is the graph
+// runtime's business, not the grammar's.
+func (p *Parser) parseGraphStmt() (Statement, error) {
+	st := &GraphStmt{Verb: strings.ToLower(p.next().Text)}
 	for {
 		t := p.peek()
-		switch t.Kind {
-		case TokIdent, TokString:
+		switch {
+		case t.Kind == TokIdent || t.Kind == TokString || t.Kind == TokNumber:
 			p.next()
 			st.Args = append(st.Args, t.Text)
 			continue
-		case TokNumber:
+		case t.Kind == TokSymbol && t.Text == "-" && p.peekAt(1).Kind == TokNumber:
 			p.next()
-			st.Args = append(st.Args, t.Text)
+			st.Args = append(st.Args, "-"+p.next().Text)
 			continue
-		case TokSymbol:
-			if t.Text == "-" && p.peekAt(1).Kind == TokNumber {
-				p.next()
-				n := p.next()
-				st.Args = append(st.Args, "-"+n.Text)
-				continue
-			}
 		}
-		break
+		return st, nil
 	}
-	return &ExplainStmt{Analyze: analyze, Stmt: st}, nil
 }
 
 // parseSet parses SET <var> = <expr> and the SQL-flavored form without

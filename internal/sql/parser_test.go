@@ -325,3 +325,42 @@ func TestParseSessionControl(t *testing.T) {
 		t.Error("SET without a variable name should fail")
 	}
 }
+
+// TestParseGraphStmt: a graph statement parses at top level and under
+// EXPLAIN through the same rule, and its rendering — which the wire's
+// Graph frames are turned into — parses back to the same argument list
+// whatever the arguments contain.
+func TestParseGraphStmt(t *testing.T) {
+	g := roundTrip(t, "PageRank_SQL g 10").(*GraphStmt)
+	if g.Verb != "pagerank_sql" || len(g.Args) != 2 || g.Args[0] != "g" || g.Args[1] != "10" {
+		t.Errorf("parsed %+v", g)
+	}
+	ex := roundTrip(t, "EXPLAIN ANALYZE sssp g -3 'x y'").(*ExplainStmt)
+	inner, ok := ex.Stmt.(*GraphStmt)
+	if !ok || !ex.Analyze || inner.Verb != "sssp" || len(inner.Args) != 3 || inner.Args[1] != "-3" || inner.Args[2] != "x y" {
+		t.Errorf("parsed %+v / %+v", ex, ex.Stmt)
+	}
+	if _, ok := roundTrip(t, "GRAPHS;").(*GraphStmt); !ok {
+		t.Error("GRAPHS not parsed as a graph statement")
+	}
+
+	args := []string{"", "it's", "select", "1e", "a b", "0.01", "-7", "twitter_s", `"q"`}
+	back, err := Parse((&GraphStmt{Verb: "load", Args: args}).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := back.(*GraphStmt).Args
+	if len(got) != len(args) {
+		t.Fatalf("args %q came back as %q", args, got)
+	}
+	for i := range args {
+		if got[i] != args[i] {
+			t.Errorf("arg %d: %q came back as %q", i, args[i], got[i])
+		}
+	}
+	for _, bad := range []string{"PAGERANK g, 10", "PAGERANK g FROM t", "EXPLAIN EXPLAIN PAGERANK g"} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) should fail", bad)
+		}
+	}
+}

@@ -163,17 +163,24 @@ func (c *Collector) Begin(stage string) func(detail string) {
 	}
 }
 
-// Spans returns a copy of the recorded spans in append order.
+// SpanCount returns how many spans have been recorded. Unlike Spans it
+// is safe on a statement that is still running (a slot is claimed
+// before it is written, so only finished traces may be copied).
+func (c *Collector) SpanCount() int {
+	if c == nil {
+		return 0
+	}
+	return min(int(c.n.Load()), MaxSpans)
+}
+
+// Spans returns a copy of the recorded spans in append order. Call it
+// only once the statement has finished recording.
 func (c *Collector) Spans() []Span {
 	if c == nil {
 		return nil
 	}
-	n := int(c.n.Load())
-	if n > MaxSpans {
-		n = MaxSpans
-	}
-	out := make([]Span, n)
-	copy(out, c.spans[:n])
+	out := make([]Span, c.SpanCount())
+	copy(out, c.spans[:len(out)])
 	return out
 }
 
@@ -336,8 +343,10 @@ type ctxKey struct{}
 
 // WithCollector attaches a collector to ctx so deep engine layers (WAL
 // append, group-commit wait) can stamp spans without signature churn.
+// A nil collector masks one inherited from ctx: statements issued under
+// the returned context are untraced.
 func WithCollector(ctx context.Context, c *Collector) context.Context {
-	if c == nil {
+	if c == nil && FromContext(ctx) == nil {
 		return ctx
 	}
 	return context.WithValue(ctx, ctxKey{}, c)

@@ -114,12 +114,7 @@ type Engine struct {
 }
 
 // New returns an in-memory Vertexica engine.
-func New() *Engine {
-	db := engine.New()
-	e := &Engine{db: db, session: db.NewSession()}
-	db.SetGraphExplainer(e.explainGraphVerb)
-	return e
-}
+func New() *Engine { return newEngine(engine.New()) }
 
 // Open returns a persistent engine rooted at dir (snapshot + WAL
 // recovery happen here if files exist).
@@ -128,9 +123,15 @@ func Open(dir string) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newEngine(db), nil
+}
+
+// newEngine wraps a database and registers the facade as its
+// graph-statement runner.
+func newEngine(db *engine.DB) *Engine {
 	e := &Engine{db: db, session: db.NewSession()}
-	db.SetGraphExplainer(e.explainGraphVerb)
-	return e, nil
+	db.SetGraphRunner(e.runGraphStmt)
+	return e
 }
 
 // Close flushes and closes the engine.
@@ -287,17 +288,20 @@ func (e *Engine) loadDataset(ds *Dataset) (*Graph, error) {
 // metadata table (<name>_vertex_meta).
 func (e *Engine) LoadDatasetWithMetadata(ds *Dataset, seed int64) (g *Graph, err error) {
 	err = e.runGated(context.Background(), func(context.Context) error {
-		g, err = e.loadDataset(ds)
-		if err != nil {
+		if g, err = e.loadDataset(ds); err != nil {
 			return err
 		}
-		ids := make([]int64, 0, ds.Nodes)
-		for v := int64(0); v < ds.Nodes; v++ {
-			ids = append(ids, v)
-		}
-		return dataset.ApplyMetadata(e.db, ds.Name, ids, seed)
+		return e.applyMetadata(ds, seed)
 	})
 	return g, err
+}
+
+func (e *Engine) applyMetadata(ds *Dataset, seed int64) error {
+	ids := make([]int64, 0, ds.Nodes)
+	for v := int64(0); v < ds.Nodes; v++ {
+		ids = append(ids, v)
+	}
+	return dataset.ApplyMetadata(e.db, ds.Name, ids, seed)
 }
 
 // AddVertex inserts one vertex. Like an auto-commit write statement it
@@ -340,28 +344,24 @@ func (g *Graph) NumEdges() (int64, error) { return g.g.NumEdges() }
 func (g *Graph) VertexValues() (map[int64]string, error) { return g.g.VertexValues() }
 
 // runGated executes a whole graph-algorithm run under the engine's
-// cross-session write gate: the run mutates graph tables across many
-// statements and supersteps, so it must serialize with other writers
-// the way a transaction does — otherwise a concurrent session's write
-// could shift vertex rows under the coordinator (or a rollback could
-// clobber the run's write-back). The gate is marked on the context so
-// nested write statements (a SQL driver's scratch-table DDL) skip the
-// per-statement acquisition instead of deadlocking.
+// cross-session write gate (see gated): the run mutates graph tables
+// across many statements and supersteps, so it must serialize with
+// other writers the way a transaction does — otherwise a concurrent
+// session's write could shift vertex rows under the coordinator (or a
+// rollback could clobber the run's write-back). A caller that is not
+// already under the gate is the embedded library API, which shares the
+// default session: if that session holds an open transaction it owns
+// the gate, and the run would deadlock against it.
 func (e *Engine) runGated(ctx context.Context, fn func(ctx context.Context) error) error {
-	if engine.GateHeld(ctx) {
-		return fn(ctx)
+	if !engine.GateHeld(ctx) {
+		e.sessionMu.Lock()
+		inTxn := e.session.InTransaction()
+		e.sessionMu.Unlock()
+		if inTxn {
+			return fmt.Errorf("vertexica: cannot run a graph algorithm while the default session has an open transaction")
+		}
 	}
-	e.sessionMu.Lock()
-	inTxn := e.session.InTransaction()
-	e.sessionMu.Unlock()
-	if inTxn {
-		return fmt.Errorf("vertexica: cannot run a graph algorithm while the default session has an open transaction")
-	}
-	if err := e.db.AcquireWriteGate(ctx); err != nil {
-		return err
-	}
-	defer e.db.ReleaseWriteGate()
-	return fn(engine.WithGateHeld(ctx))
+	return e.gated(ctx, fn)
 }
 
 // RunProgram executes an arbitrary vertex program. initial (if non-nil)
