@@ -9,6 +9,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/algorithms"
@@ -35,6 +37,13 @@ type Row struct {
 	System  string
 	Seconds float64
 	Note    string // "DNF" etc.
+	// Values is the computed result: rank or distance per vertex (nil
+	// when the system did not run). SSSP maps may omit unreachable
+	// vertices.
+	Values map[int64]float64
+	// Supersteps is the superstep count of a BSP system (0 for the
+	// graph database and the SQL drivers, which have none).
+	Supersteps int
 }
 
 // Fig2Config tunes a Figure 2 reproduction run.
@@ -146,66 +155,72 @@ func RunFig2(ctx context.Context, panel string, cfg Fig2Config) ([]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			secs, err := timeIt(func() error {
+			var vals map[int64]float64
+			secs, err := timeIt(func() (err error) {
 				if panel == "pagerank" {
-					_, err := graphdb.PageRank(store, cfg.PageRankIters, 0.85)
+					vals, err = graphdb.PageRank(store, cfg.PageRankIters, 0.85)
 					return err
 				}
-				_, err := graphdb.ShortestPaths(store, source, false)
+				vals, err = graphdb.ShortestPaths(store, source, false)
 				return err
 			})
 			if err != nil {
 				return nil, fmt.Errorf("bench: graphdb on %s: %w", ds.Name, err)
 			}
-			rows = append(rows, Row{Figure: fig, Dataset: ds.Name, System: SysGraphDB, Seconds: secs})
+			rows = append(rows, Row{Figure: fig, Dataset: ds.Name, System: SysGraphDB, Seconds: secs, Values: vals})
 		}
 
 		// Giraph baseline.
 		ge := loadGiraph(ds, cfg.GiraphOverhead)
-		secs, err := timeIt(func() error {
+		var (
+			vals   map[int64]float64
+			gstats *giraph.Stats
+		)
+		secs, err := timeIt(func() (err error) {
 			if panel == "pagerank" {
-				_, _, err := giraph.PageRank(ge, cfg.PageRankIters)
+				vals, gstats, err = giraph.PageRank(ge, cfg.PageRankIters)
 				return err
 			}
-			_, _, err := giraph.SSSP(ge, source, false)
+			vals, gstats, err = giraph.SSSP(ge, source, false)
 			return err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: giraph on %s: %w", ds.Name, err)
 		}
-		rows = append(rows, Row{Figure: fig, Dataset: ds.Name, System: SysGiraph, Seconds: secs})
+		rows = append(rows, Row{Figure: fig, Dataset: ds.Name, System: SysGiraph, Seconds: secs, Values: vals, Supersteps: gstats.Supersteps})
 
 		// Vertexica vertex-centric.
 		vg, err := loadVertexica(ds)
 		if err != nil {
 			return nil, err
 		}
-		secs, err = timeIt(func() error {
+		var vstats *core.RunStats
+		secs, err = timeIt(func() (err error) {
 			if panel == "pagerank" {
-				_, _, err := algorithms.RunPageRank(ctx, vg, cfg.PageRankIters, core.Options{})
+				vals, vstats, err = algorithms.RunPageRank(ctx, vg, cfg.PageRankIters, core.Options{})
 				return err
 			}
-			_, _, err := algorithms.RunSSSP(ctx, vg, source, false, core.Options{})
+			vals, vstats, err = algorithms.RunSSSP(ctx, vg, source, false, core.Options{})
 			return err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: vertexica on %s: %w", ds.Name, err)
 		}
-		rows = append(rows, Row{Figure: fig, Dataset: ds.Name, System: SysVertexica, Seconds: secs})
+		rows = append(rows, Row{Figure: fig, Dataset: ds.Name, System: SysVertexica, Seconds: secs, Values: vals, Supersteps: vstats.Supersteps})
 
 		// Vertexica SQL.
-		secs, err = timeIt(func() error {
+		secs, err = timeIt(func() (err error) {
 			if panel == "pagerank" {
-				_, err := sqlgraph.PageRank(ctx, vg, cfg.PageRankIters, 0.85)
+				vals, err = sqlgraph.PageRank(ctx, vg, cfg.PageRankIters, 0.85)
 				return err
 			}
-			_, err := sqlgraph.ShortestPaths(ctx, vg, source, false)
+			vals, err = sqlgraph.ShortestPaths(ctx, vg, source, false)
 			return err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: vertexica-sql on %s: %w", ds.Name, err)
 		}
-		rows = append(rows, Row{Figure: fig, Dataset: ds.Name, System: SysVertexicaSQL, Seconds: secs})
+		rows = append(rows, Row{Figure: fig, Dataset: ds.Name, System: SysVertexicaSQL, Seconds: secs, Values: vals})
 	}
 	return rows, nil
 }
@@ -260,4 +275,67 @@ func CheckFig2Shape(rows []Row) []string {
 		}
 	}
 	return violations
+}
+
+// CheckFig2Agreement validates what one run can assert exactly: on each
+// dataset every system that ran computed the same result as the
+// vertex-centric Vertexica run (within 1e-9, relative for large values;
+// a vertex absent from an SSSP map is unreachable, i.e. +Inf), and the
+// BSP systems took the same number of supersteps. Wall-clock orderings
+// need repeated runs and live in the benchmark, not here. It returns
+// the disagreements (empty = the four systems agree).
+func CheckFig2Agreement(rows []Row) []string {
+	refs := make(map[string]Row)
+	for _, r := range rows {
+		if r.System == SysVertexica {
+			refs[r.Dataset] = r
+		}
+	}
+	var bad []string
+	for _, r := range rows {
+		ref, ok := refs[r.Dataset]
+		if r.System == SysVertexica || r.Values == nil {
+			continue
+		}
+		if !ok {
+			bad = append(bad, fmt.Sprintf("%s: no %s run to compare %s against", r.Dataset, SysVertexica, r.System))
+			continue
+		}
+		if r.Supersteps != 0 && r.Supersteps != ref.Supersteps {
+			bad = append(bad, fmt.Sprintf("%s: %s took %d supersteps, %s %d", r.Dataset, r.System, r.Supersteps, ref.System, ref.Supersteps))
+		}
+		if id, want, got, ok := firstDisagreement(ref.Values, r.Values); !ok {
+			bad = append(bad, fmt.Sprintf("%s: %s gives vertex %d %v, %s %v", r.Dataset, r.System, id, got, ref.System, want))
+		}
+	}
+	return bad
+}
+
+// firstDisagreement compares two per-vertex results over the union of
+// their vertices, in ascending id order.
+func firstDisagreement(want, got map[int64]float64) (id int64, w, g float64, ok bool) {
+	ids := make([]int64, 0, len(want)+len(got))
+	for v := range want {
+		ids = append(ids, v)
+	}
+	for v := range got {
+		if _, dup := want[v]; !dup {
+			ids = append(ids, v)
+		}
+	}
+	slices.Sort(ids)
+	value := func(m map[int64]float64, v int64) float64 {
+		if x, ok := m[v]; ok {
+			return x
+		}
+		return math.Inf(1)
+	}
+	for _, v := range ids {
+		w, g := value(want, v), value(got, v)
+		if w == g || (!math.IsInf(w, 0) && math.Abs(w-g) <= 1e-9*math.Max(1, math.Abs(w))) {
+			continue
+		}
+		return v, w, g, false
+	}
+	return 0, 0, 0, true
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +76,28 @@ func TestCheckFig2Shape(t *testing.T) {
 	}
 	if v := CheckFig2Shape(dnf); len(v) != 0 {
 		t.Errorf("DNF rows must not trigger violations: %v", v)
+	}
+}
+
+func TestCheckFig2Agreement(t *testing.T) {
+	rows := func(sqlVals map[int64]float64, giraphSteps int) []Row {
+		return []Row{
+			{Dataset: "d1", System: SysGraphDB, Note: "DNF"},
+			{Dataset: "d1", System: SysGiraph, Values: map[int64]float64{1: 0.5, 2: math.Inf(1)}, Supersteps: giraphSteps},
+			{Dataset: "d1", System: SysVertexica, Values: map[int64]float64{1: 0.5, 2: math.Inf(1)}, Supersteps: 6},
+			{Dataset: "d1", System: SysVertexicaSQL, Values: sqlVals},
+		}
+	}
+	// An SSSP map may omit an unreachable vertex; a rounding-level
+	// difference is agreement.
+	if v := CheckFig2Agreement(rows(map[int64]float64{1: 0.5 + 1e-12}, 6)); len(v) != 0 {
+		t.Errorf("agreeing systems flagged: %v", v)
+	}
+	if v := CheckFig2Agreement(rows(map[int64]float64{1: 0.5, 2: 3}, 6)); len(v) != 1 {
+		t.Errorf("want 1 value disagreement, got %v", v)
+	}
+	if v := CheckFig2Agreement(rows(map[int64]float64{1: 0.5}, 7)); len(v) != 1 {
+		t.Errorf("want 1 superstep disagreement, got %v", v)
 	}
 }
 

@@ -1073,23 +1073,28 @@ func (db *DB) buildInsertInput(ctx context.Context, s *sql.InsertStmt, t *storag
 	return colIdx, input, nil
 }
 
-// appendInsertRows assembles full-width rows from the evaluated input
-// batch (unspecified columns become NULL) and appends them to the
-// table, which routes each row to its shard. Returns the row count.
+// appendInsertRows assembles the full-width batch from the evaluated
+// input (unspecified columns become NULL) and appends it to the table,
+// which validates every row before any shard changes and routes each
+// row to its shard. Returns the row count.
 func appendInsertRows(t *storage.Table, colIdx []int, input *storage.Batch) (int, error) {
 	schema := t.Schema()
 	n := input.Len()
-	for i := 0; i < n; i++ {
-		row := make([]storage.Value, schema.Len())
-		for j := range row {
-			row[j] = storage.Null(schema.Cols[j].Type)
+	full := &storage.Batch{Schema: schema, Cols: make([]storage.Column, schema.Len())}
+	for k, j := range colIdx {
+		full.Cols[j] = input.Cols[k]
+	}
+	for j, c := range full.Cols {
+		if c == nil {
+			c = storage.NewColumn(schema.Cols[j].Type, n)
+			for i := 0; i < n; i++ {
+				c.AppendNull()
+			}
+			full.Cols[j] = c
 		}
-		for k, j := range colIdx {
-			row[j] = input.Cols[k].Value(i)
-		}
-		if err := t.AppendRow(row...); err != nil {
-			return 0, err
-		}
+	}
+	if err := t.AppendBatch(full); err != nil {
+		return 0, err
 	}
 	return n, nil
 }

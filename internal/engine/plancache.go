@@ -29,6 +29,8 @@ type planCache struct {
 	max   int
 	lru   *list.List // of *cacheEntry, front = most recently used
 	items map[string]*list.Element
+	// parsing holds the parse in flight for each key not yet cached.
+	parsing map[string]*parseCall
 
 	parses   atomic.Uint64 // statements actually parsed
 	plans    atomic.Uint64 // SELECT plans actually built
@@ -50,8 +52,17 @@ type cacheEntry struct {
 	busy    bool   // prep checked out by a running execution
 }
 
+// parseCall is one in-flight parse; its fields are set before done
+// closes and read only after.
+type parseCall struct {
+	done      chan struct{}
+	st        sql.Statement
+	numParams int
+	err       error
+}
+
 func newPlanCache(max int) *planCache {
-	return &planCache{max: max, lru: list.New(), items: make(map[string]*list.Element)}
+	return &planCache{max: max, lru: list.New(), items: make(map[string]*list.Element), parsing: make(map[string]*parseCall)}
 }
 
 // cacheKey derives the cache key for one execution: the normalized
@@ -166,7 +177,9 @@ func normalizeStatement(text string) string {
 }
 
 // parse returns the cached AST for key, parsing and caching text on a
-// miss. The AST is read-only and shared freely across executions.
+// miss. The AST is read-only and shared freely across executions. The
+// parse is single-flight per key: concurrent first executions of one
+// statement wait for a single parse instead of each parsing it.
 func (pc *planCache) parse(text, key string) (sql.Statement, int, error) {
 	pc.mu.Lock()
 	if el, ok := pc.items[key]; ok {
@@ -176,25 +189,30 @@ func (pc *planCache) parse(text, key string) (sql.Statement, int, error) {
 		pc.mu.Unlock()
 		return st, n, nil
 	}
+	if c, ok := pc.parsing[key]; ok {
+		pc.mu.Unlock()
+		<-c.done
+		return c.st, c.numParams, c.err
+	}
+	c := &parseCall{done: make(chan struct{})}
+	pc.parsing[key] = c
 	pc.mu.Unlock()
 
-	st, err := sql.Parse(text)
-	if err != nil {
-		return nil, 0, err
+	c.st, c.err = sql.Parse(text)
+	if c.err == nil {
+		pc.parses.Add(1)
+		c.numParams = sql.NumParams(c.st)
 	}
-	pc.parses.Add(1)
-	n := sql.NumParams(st)
 
 	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.items[key]; ok { // a concurrent execution parsed first
-		e := el.Value.(*cacheEntry)
-		pc.lru.MoveToFront(el)
-		return e.st, e.numParams, nil
+	delete(pc.parsing, key)
+	if c.err == nil {
+		pc.items[key] = pc.lru.PushFront(&cacheEntry{key: key, st: c.st, numParams: c.numParams})
+		pc.evictLocked()
 	}
-	pc.items[key] = pc.lru.PushFront(&cacheEntry{key: key, st: st, numParams: n})
-	pc.evictLocked()
-	return st, n, nil
+	pc.mu.Unlock()
+	close(c.done)
+	return c.st, c.numParams, c.err
 }
 
 // checkoutPlan claims the cached prepared plan under key for exclusive

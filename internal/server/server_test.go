@@ -720,3 +720,37 @@ func TestServerShowStats(t *testing.T) {
 		t.Fatalf("engine.statements.select=%d, want >=1", got["engine.statements.select"])
 	}
 }
+
+// TestServerSurvivesFailedInsertSelect: an INSERT ... SELECT whose cast
+// fails on a later column leaves no partial row behind, so the server
+// keeps serving every session and the table's row count is unchanged.
+func TestServerSurvivesFailedInsertSelect(t *testing.T) {
+	eng := vertexica.New()
+	_, addr := startServer(t, eng, Config{})
+	c := dialT(t, addr)
+	ctx := context.Background()
+
+	for _, s := range []string{
+		"CREATE TABLE t (a INTEGER, b INTEGER)",
+		"CREATE TABLE s (a INTEGER, b VARCHAR)",
+		"INSERT INTO t VALUES (1, 2)",
+		"INSERT INTO s VALUES (3, 'x')",
+	} {
+		if _, err := c.Exec(ctx, s); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+	}
+	_, err := c.Exec(ctx, "INSERT INTO t SELECT a, b FROM s")
+	if err == nil || !strings.Contains(err.Error(), `cannot cast "x" to INTEGER`) {
+		t.Fatalf("INSERT ... SELECT error = %v, want the failed cast", err)
+	}
+	for _, conn := range []*client.Conn{c, dialT(t, addr)} {
+		rows, err := conn.Query(ctx, "SELECT COUNT(*), SUM(b) FROM t")
+		if err != nil {
+			t.Fatalf("server stopped serving after the failed INSERT: %v", err)
+		}
+		if n, sum := rows.Value(0, 0).I, rows.Value(0, 1).I; n != 1 || sum != 2 {
+			t.Fatalf("after the failed INSERT: COUNT = %d, SUM(b) = %d, want 1, 2", n, sum)
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BatchSize is the default number of rows in a record batch produced by
@@ -81,40 +82,200 @@ type SortKey struct {
 }
 
 // SortBatch returns a new batch with rows reordered by the sort keys
-// (stable). NULLs sort first, matching Compare.
+// (stable). NULLs sort first, matching Compare. The permutation is
+// sorted under the typed row comparator with the row index as the last
+// tiebreak, which is a total order whose result equals the stable sort.
 func SortBatch(b *Batch, keys []SortKey) *Batch {
-	n := b.Len()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		for _, k := range keys {
-			c := Compare(b.Cols[k.Col].Value(idx[x]), b.Cols[k.Col].Value(idx[y]))
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
+	rows := rowComparator(b, b, keys)
+	idx := identity(b.Len())
+	slices.SortFunc(idx, func(x, y int) int {
+		if c := rows(x, y); c != 0 {
+			return c
 		}
-		return false
+		return cmp.Compare(x, y)
 	})
 	return b.Gather(idx)
 }
 
+// rowComparator returns a function comparing row i of a with row j of b
+// under the sort keys, in exactly the order Compare gives the boxed
+// values: NULLs first, NaN below every number, and Desc reversing the
+// whole key (NULLs then sort last). It reads the typed value slices
+// directly; a key whose two columns differ in type falls back to Compare.
+func rowComparator(a, b *Batch, keys []SortKey) func(i, j int) int {
+	cmps := make([]func(i, j int) int, len(keys))
+	for k, key := range keys {
+		cmps[k] = keyComparator(a.Cols[key.Col], b.Cols[key.Col], key.Desc)
+	}
+	if len(cmps) == 1 {
+		return cmps[0]
+	}
+	return func(i, j int) int {
+		for _, c := range cmps {
+			if r := c(i, j); r != 0 {
+				return r
+			}
+		}
+		return 0
+	}
+}
+
+func keyComparator(a, b Column, desc bool) func(i, j int) int {
+	switch ac := a.(type) {
+	case *Int64Column:
+		if bc, ok := b.(*Int64Column); ok {
+			return orderedComparator(ac.vals, bc.vals, ac.nulls, bc.nulls, desc)
+		}
+	case *Float64Column:
+		if bc, ok := b.(*Float64Column); ok {
+			return orderedComparator(ac.vals, bc.vals, ac.nulls, bc.nulls, desc)
+		}
+	case *StringColumn:
+		if bc, ok := b.(*StringColumn); ok {
+			return orderedComparator(ac.vals, bc.vals, ac.nulls, bc.nulls, desc)
+		}
+	case *BoolColumn:
+		if bc, ok := b.(*BoolColumn); ok {
+			return orderedComparator(boolBytes(ac.vals), boolBytes(bc.vals), ac.nulls, bc.nulls, desc)
+		}
+	}
+	return func(i, j int) int {
+		if desc {
+			return Compare(b.Value(j), a.Value(i))
+		}
+		return Compare(a.Value(i), b.Value(j))
+	}
+}
+
+// orderedComparator compares a[i] with b[j]. cmp.Compare already orders
+// floats the way Compare does (NaN lowest, NaN equal to NaN, -0 equal
+// to +0); the null bitmaps are consulted only when either side has one.
+func orderedComparator[T cmp.Ordered](a, b []T, an, bn *Bitmap, desc bool) func(i, j int) int {
+	if !an.Any() && !bn.Any() {
+		if desc {
+			return func(i, j int) int { return cmp.Compare(b[j], a[i]) }
+		}
+		return func(i, j int) int { return cmp.Compare(a[i], b[j]) }
+	}
+	sign := 1
+	if desc {
+		sign = -1
+	}
+	return func(i, j int) int {
+		x, y := an.Get(i), bn.Get(j)
+		switch {
+		case x && y:
+			return 0
+		case x:
+			return -sign
+		case y:
+			return sign
+		}
+		return sign * cmp.Compare(a[i], b[j])
+	}
+}
+
+// boolBytes widens bools to 0/1 so they order like Compare's I field.
+func boolBytes(v []bool) []uint8 {
+	out := make([]uint8, len(v))
+	for i, x := range v {
+		if x {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
 // Concat appends the rows of src to dst (schemas must be compatible).
+// Columns of the same type append their value slices and null bitmaps
+// whole; a column that needs coercion is first converted in full, so a
+// failed cast leaves dst unchanged.
 func Concat(dst, src *Batch) error {
 	if len(dst.Cols) != len(src.Cols) {
 		return fmt.Errorf("storage: concat arity mismatch %d vs %d", len(dst.Cols), len(src.Cols))
 	}
-	for j := range dst.Cols {
-		for i := 0; i < src.Cols[j].Len(); i++ {
-			if err := dst.Cols[j].Append(src.Cols[j].Value(i)); err != nil {
-				return err
+	cols := make([]Column, len(src.Cols))
+	for j, c := range src.Cols {
+		cc, err := coerceColumn(c, dst.Cols[j].Type())
+		if err != nil {
+			return err
+		}
+		cols[j] = cc
+	}
+	for j, c := range cols {
+		appendColumn(dst.Cols[j], c)
+	}
+	return nil
+}
+
+// coerceColumn returns c converted to type t: c itself when it already
+// has that type, otherwise a new column built by coercing every value.
+func coerceColumn(c Column, t Type) (Column, error) {
+	if c.Type() == t {
+		return c, nil
+	}
+	out := NewColumn(t, c.Len())
+	for i := 0; i < c.Len(); i++ {
+		if err := out.Append(c.Value(i)); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// appendColumn appends the rows of src, which has dst's type, to dst.
+// The four column types copy their value slice and null bitmap whole;
+// any other implementation appends value by value.
+func appendColumn(dst, src Column) {
+	switch d := dst.(type) {
+	case *Int64Column:
+		if s, ok := src.(*Int64Column); ok {
+			d.nulls = appendNulls(d.nulls, len(d.vals), s.nulls, len(s.vals))
+			d.vals = append(d.vals, s.vals...)
+			return
+		}
+	case *Float64Column:
+		if s, ok := src.(*Float64Column); ok {
+			d.nulls = appendNulls(d.nulls, len(d.vals), s.nulls, len(s.vals))
+			d.vals = append(d.vals, s.vals...)
+			return
+		}
+	case *StringColumn:
+		if s, ok := src.(*StringColumn); ok {
+			d.nulls = appendNulls(d.nulls, len(d.vals), s.nulls, len(s.vals))
+			d.vals = append(d.vals, s.vals...)
+			return
+		}
+	case *BoolColumn:
+		if s, ok := src.(*BoolColumn); ok {
+			d.nulls = appendNulls(d.nulls, len(d.vals), s.nulls, len(s.vals))
+			d.vals = append(d.vals, s.vals...)
+			return
+		}
+	}
+	for i := 0; i < src.Len(); i++ {
+		_ = dst.Append(src.Value(i)) // same type: Append cannot fail
+	}
+}
+
+// appendNulls extends dst, the null bitmap of an n-row column, by the m
+// rows whose bitmap is src. Like appending row by row, it leaves a nil
+// bitmap nil while no appended row is NULL.
+func appendNulls(dst *Bitmap, n int, src *Bitmap, m int) *Bitmap {
+	srcNulls := src.Any()
+	if dst == nil {
+		if !srcNulls {
+			return nil
+		}
+		dst = NewBitmap(n)
+	}
+	dst.Resize(n + m)
+	if srcNulls {
+		for i := 0; i < m; i++ {
+			if src.Get(i) {
+				dst.Set(n + i)
 			}
 		}
 	}
-	return nil
+	return dst
 }

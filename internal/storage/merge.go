@@ -25,9 +25,10 @@ func MergeSortedBatches(a, b *Batch, keys []SortKey) *Batch {
 
 	// order[k] < na selects row k of a; otherwise row order[k]-na of b.
 	order := make([]int, 0, na+nb)
+	rows := rowComparator(a, b, keys)
 	i, j := 0, 0
 	for i < na && j < nb {
-		if compareRows(a, i, b, j, keys) <= 0 {
+		if rows(i, j) <= 0 {
 			order = append(order, i)
 			i++
 		} else {
@@ -55,22 +56,6 @@ func identity(n int) []int {
 		idx[i] = i
 	}
 	return idx
-}
-
-// compareRows compares row i of a against row j of b under the sort
-// keys, returning <0, 0, >0.
-func compareRows(a *Batch, i int, b *Batch, j int, keys []SortKey) int {
-	for _, k := range keys {
-		c := Compare(a.Cols[k.Col].Value(i), b.Cols[k.Col].Value(j))
-		if c == 0 {
-			continue
-		}
-		if k.Desc {
-			return -c
-		}
-		return c
-	}
-	return 0
 }
 
 // gatherTwo builds one column from two source columns of the same type

@@ -611,14 +611,15 @@ func mergeSpillRuns(w *RunWriter, a, b *SpillRun, keys []SortKey) (*SpillRun, er
 			continue
 		}
 		lastA, lastB := pa.Len()-1, pb.Len()-1
-		if compareRows(pa, lastA, pb, lastB, keys) <= 0 {
+		rows := rowComparator(pa, pb, keys)
+		if rows(lastA, lastB) <= 0 {
 			// a's frame ends lowest: every future b-row is at or above
 			// b's frame last, hence above a's last, so the whole a-frame
 			// finalizes now. Only the b-prefix strictly below a's last
 			// row joins it — a future a-row equal to a withheld b-row
 			// must still precede it.
-			cut := searchBatch(pb, func(i int) bool {
-				return compareRows(pb, i, pa, lastA, keys) >= 0
+			cut := searchBatch(pb, func(j int) bool {
+				return rows(lastA, j) <= 0
 			})
 			if err := ch.add(MergeSortedBatches(pa, pb.Slice(0, cut), keys)); err != nil {
 				return nil, err
@@ -632,7 +633,7 @@ func mergeSpillRuns(w *RunWriter, a, b *SpillRun, keys []SortKey) (*SpillRun, er
 			// or below its last row along (equal a-rows go now — a wins
 			// ties, so they cannot trail the b-rows they tie with).
 			cut := searchBatch(pa, func(i int) bool {
-				return compareRows(pa, i, pb, lastB, keys) > 0
+				return rows(i, lastB) > 0
 			})
 			if err := ch.add(MergeSortedBatches(pa.Slice(0, cut), pb, keys)); err != nil {
 				return nil, err

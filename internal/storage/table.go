@@ -252,13 +252,21 @@ func (t *ShardedTable) checkRow(vals []Value) error {
 }
 
 // appendRowLocked appends one validated row to the shard. Callers hold
-// sh.mu. Appends need no copy-on-write: frozen views clamp their value
-// slices to the pre-append length and own their null bitmaps.
+// sh.mu. Every value is coerced before any column grows, so a failed
+// cast leaves the shard untouched. Appends need no copy-on-write:
+// frozen views clamp their value slices to the pre-append length and
+// own their null bitmaps.
 func (t *ShardedTable) appendRowLocked(sh *shard, vals []Value) error {
+	coerced := make([]Value, len(vals))
 	for j, v := range vals {
-		if err := sh.cols[j].Append(v); err != nil {
+		cv, err := Coerce(v, t.schema.Cols[j].Type)
+		if err != nil {
 			return fmt.Errorf("storage: %s.%s: %w", t.name, t.schema.Cols[j].Name, err)
 		}
+		coerced[j] = cv
+	}
+	for j, v := range coerced {
+		_ = sh.cols[j].Append(v) // coerced above: Append cannot fail
 	}
 	sh.version++
 	sh.frozen = nil
@@ -278,18 +286,76 @@ func (t *ShardedTable) AppendRow(vals ...Value) error {
 }
 
 // AppendBatch appends all rows of the batch, routing each row to its
-// shard. Rows land in their shards in batch order.
+// shard. Rows land in their shards in batch order, with the same
+// placement as AppendRow. The whole batch is NOT NULL-checked and
+// coerced before any shard changes, so a failed append leaves the
+// table untouched; each shard then takes its rows as whole columns.
 func (t *ShardedTable) AppendBatch(b *Batch) error {
 	if len(b.Cols) != t.schema.Len() {
 		return fmt.Errorf("storage: table %s has %d columns, batch has %d", t.name, t.schema.Len(), len(b.Cols))
 	}
+	for j, c := range b.Cols {
+		def := t.schema.Cols[j]
+		if def.NotNull && anyNull(c) {
+			return fmt.Errorf("storage: NOT NULL constraint violated on %s.%s", t.name, def.Name)
+		}
+	}
+	cols := make([]Column, len(b.Cols))
+	for j, c := range b.Cols {
+		cc, err := coerceColumn(c, t.schema.Cols[j].Type)
+		if err != nil {
+			return fmt.Errorf("storage: %s.%s: %w", t.name, t.schema.Cols[j].Name, err)
+		}
+		cols[j] = cc
+	}
 	n := b.Len()
-	for i := 0; i < n; i++ {
-		if err := t.AppendRow(b.Row(i)...); err != nil {
-			return err
+	if n == 0 {
+		return nil
+	}
+	if len(t.shards) == 1 {
+		t.appendShard(t.shards[0], cols)
+		return nil
+	}
+	for s, rows := range t.shardAssignment(cols[t.keyCol]) {
+		switch len(rows) {
+		case 0:
+		case n:
+			t.appendShard(t.shards[s], cols)
+		default:
+			part := make([]Column, len(cols))
+			for j, c := range cols {
+				part[j] = c.Gather(rows)
+			}
+			t.appendShard(t.shards[s], part)
 		}
 	}
 	return nil
+}
+
+// appendShard appends conformed columns (schema-typed, constraints
+// checked) to one shard.
+func (t *ShardedTable) appendShard(sh *shard, cols []Column) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for j, c := range cols {
+		appendColumn(sh.cols[j], c)
+	}
+	sh.version++
+	sh.frozen = nil
+}
+
+// anyNull reports whether any row of c is NULL.
+func anyNull(c Column) bool {
+	switch c.(type) {
+	case *Int64Column, *Float64Column, *StringColumn, *BoolColumn:
+		return NullsOf(c).Any()
+	}
+	for i := 0; i < c.Len(); i++ {
+		if c.IsNull(i) {
+			return true
+		}
+	}
+	return false
 }
 
 // Data returns the table contents as one batch in shard-major row
@@ -355,59 +421,11 @@ func concatColumns(parts []Column) Column {
 	for _, p := range parts {
 		total += p.Len()
 	}
-	var nulls *Bitmap
-	markNulls := func(p Column, off int) {
-		pn := NullsOf(p)
-		if pn == nil || !pn.Any() {
-			return
-		}
-		if nulls == nil {
-			nulls = NewBitmap(total)
-		}
-		for i := 0; i < p.Len(); i++ {
-			if pn.Get(i) {
-				nulls.Set(off + i)
-			}
-		}
+	out := NewColumn(parts[0].Type(), total)
+	for _, p := range parts {
+		appendColumn(out, p)
 	}
-	switch parts[0].(type) {
-	case *Int64Column:
-		vals := make([]int64, 0, total)
-		for _, p := range parts {
-			markNulls(p, len(vals))
-			vals = append(vals, p.(*Int64Column).vals...)
-		}
-		return &Int64Column{vals: vals, nulls: nulls}
-	case *Float64Column:
-		vals := make([]float64, 0, total)
-		for _, p := range parts {
-			markNulls(p, len(vals))
-			vals = append(vals, p.(*Float64Column).vals...)
-		}
-		return &Float64Column{vals: vals, nulls: nulls}
-	case *StringColumn:
-		vals := make([]string, 0, total)
-		for _, p := range parts {
-			markNulls(p, len(vals))
-			vals = append(vals, p.(*StringColumn).vals...)
-		}
-		return &StringColumn{vals: vals, nulls: nulls}
-	case *BoolColumn:
-		vals := make([]bool, 0, total)
-		for _, p := range parts {
-			markNulls(p, len(vals))
-			vals = append(vals, p.(*BoolColumn).vals...)
-		}
-		return &BoolColumn{vals: vals, nulls: nulls}
-	default:
-		out := parts[0].Slice(0, parts[0].Len())
-		for _, p := range parts[1:] {
-			for i := 0; i < p.Len(); i++ {
-				_ = out.Append(p.Value(i))
-			}
-		}
-		return out
-	}
+	return out
 }
 
 // SnapshotShard freezes shard i's current contents as an immutable
@@ -559,7 +577,7 @@ func (t *ShardedTable) Replace(b *Batch) error {
 		sh.frozen = nil
 		return nil
 	}
-	for s, rows := range t.shardAssignment(b) {
+	for s, rows := range t.shardAssignment(b.Cols[t.keyCol]) {
 		sh := t.shards[s]
 		sh.mu.Lock()
 		for j, c := range b.Cols {
@@ -573,12 +591,11 @@ func (t *ShardedTable) Replace(b *Batch) error {
 	return nil
 }
 
-// shardAssignment returns, per shard, the batch row indexes routed to
-// it, using the same hash as AppendRow.
-func (t *ShardedTable) shardAssignment(b *Batch) [][]int {
+// shardAssignment returns, per shard, the row indexes of the partition
+// key column routed to it, using the same hash as AppendRow.
+func (t *ShardedTable) shardAssignment(key Column) [][]int {
 	n := len(t.shards)
 	out := make([][]int, n)
-	key := b.Cols[t.keyCol]
 	if ic, ok := key.(*Int64Column); ok && (ic.nulls == nil || !ic.nulls.Any()) {
 		return PartitionInt64(ic.vals, n)
 	}

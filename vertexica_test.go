@@ -275,16 +275,32 @@ func TestFig2ShapeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape check runs all four systems")
 	}
+	// Wall-clock orderings need repeated runs (the benchmark's graph_sql
+	// and graph_vertex workloads); one run can assert that the four
+	// systems compute the same ranks in the same number of supersteps.
 	rows, err := bench.RunFig2(context.Background(), "pagerank", bench.Fig2Config{
 		Scale:            0.004,
 		PageRankIters:    5,
 		GraphDBEdgeLimit: 20000,
+		GiraphOverhead:   -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range bench.CheckFig2Shape(rows) {
-		t.Errorf("figure-2 shape violated: %s", v)
+	ran := 0
+	for _, r := range rows {
+		if r.Note == "" && len(r.Values) == 0 {
+			t.Errorf("%s/%s ran but reported no ranks", r.Dataset, r.System)
+		}
+		if r.Supersteps > 0 {
+			ran++
+		}
+	}
+	if ran != 6 { // Giraph and vertex-centric Vertexica on three datasets
+		t.Errorf("%d rows report supersteps, want 6", ran)
+	}
+	for _, v := range bench.CheckFig2Agreement(rows) {
+		t.Errorf("figure-2 systems disagree: %s", v)
 	}
 }
 
