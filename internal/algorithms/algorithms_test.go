@@ -86,23 +86,6 @@ func TestPageRankMatchesReference(t *testing.T) {
 	}
 }
 
-func TestPageRankCombinerOnOffAgree(t *testing.T) {
-	var ranks [2]map[int64]float64
-	for i, disable := range []bool{false, true} {
-		g := testGraph(t)
-		r, _, err := RunPageRank(context.Background(), g, 5, core.Options{DisableCombiner: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ranks[i] = r
-	}
-	for id, v := range ranks[0] {
-		if math.Abs(ranks[1][id]-v) > 1e-12 {
-			t.Errorf("combiner changes results at vertex %d: %v vs %v", id, v, ranks[1][id])
-		}
-	}
-}
-
 func TestPageRankEpsilonStopsEarly(t *testing.T) {
 	g := testGraph(t)
 	if err := g.ResetForRun(func(int64) string { return "" }); err != nil {

@@ -12,9 +12,8 @@ import (
 // community and repeatedly adopts the most frequent label among its
 // neighbors (ties break to the smallest label, making runs
 // deterministic). It is one of the "other message passing algorithms"
-// the paper's introduction claims Vertexica expresses naturally, and a
-// useful workload for the batching ablation (heavier per-vertex compute
-// than PageRank).
+// the paper's introduction claims Vertexica expresses naturally, with
+// heavier per-vertex compute than PageRank.
 type LabelPropagation struct {
 	// MaxRounds bounds the number of adoption rounds (default 20;
 	// label propagation is not guaranteed to converge).

@@ -62,7 +62,7 @@ func TestDisableInputCacheKeepsCountersZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.CacheBuilds != 0 || stats.CacheHits != 0 || stats.SkippedParts != 0 {
-		t.Errorf("ablation run should not touch the cache: %+v", stats)
+		t.Errorf("uncached run should not touch the cache: %+v", stats)
 	}
 }
 
@@ -186,7 +186,7 @@ func TestCachedInputAssemblyUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFixtureUnits(t, collectUnits(t, in.parts, false), "cached-union")
+	checkFixtureUnits(t, collectUnits(t, in.parts), "cached-union")
 }
 
 // TestCachedSkipAccounting builds a fully-halted graph with no messages

@@ -12,8 +12,8 @@ import (
 )
 
 // Options configures a vertex-centric run. The zero value selects the
-// paper's defaults (union input, one worker per core, batching on,
-// update-vs-replace threshold 10%).
+// paper's defaults (one worker per core, batching on, the superstep
+// input cache on).
 type Options struct {
 	// Workers is the number of parallel worker "UDF instances"
 	// (§2.3 Parallel Workers). 0 means runtime.NumCPU().
@@ -24,22 +24,19 @@ type Options struct {
 	Partitions int
 	// MaxSupersteps bounds the run. 0 means 500.
 	MaxSupersteps int
-	// UseJoinInput switches input assembly from the paper's table
-	// union to the naive 3-way join (the ablation baseline).
-	UseJoinInput bool
-	// UpdateThreshold is the changed-tuple fraction below which vertex
-	// values are updated in place instead of rebuilding the table
-	// (§2.3 Update Vs Replace). Negative forces replace always;
-	// >=1 forces update always. 0 means the paper's default 0.10.
-	UpdateThreshold float64
-	// DisableCombiner ignores the program's message combiner (ablation).
-	DisableCombiner bool
 	// DisableInputCache re-assembles the full three-table union every
-	// superstep instead of caching the immutable edge side once per run
-	// (ablation baseline for the superstep input cache). It also turns
-	// off active-partition skipping, which rides on the cached path.
+	// superstep instead of caching the immutable edge side once per run.
+	// The uncached union is the reference the input cache is tested
+	// against byte for byte. It also turns off active-partition
+	// skipping, which rides on the cached path.
 	DisableInputCache bool
 }
+
+// updateThreshold is the changed-tuple fraction below which vertex
+// values are updated in place instead of rebuilding the table (§2.3
+// Update Vs Replace). Each superstep picks its path from the fraction
+// it actually changed.
+const updateThreshold = 0.10
 
 func (o Options) withDefaults() Options { return o.withDefaultsSharded(1) }
 
@@ -63,9 +60,6 @@ func (o Options) withDefaultsSharded(shards int) Options {
 	}
 	if o.MaxSupersteps <= 0 {
 		o.MaxSupersteps = 500
-	}
-	if o.UpdateThreshold == 0 {
-		o.UpdateThreshold = 0.10
 	}
 	return o
 }
@@ -151,7 +145,7 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 	}
 
 	var combiner Combiner
-	if hc, ok := c.Program.(HasCombiner); ok && !opts.DisableCombiner {
+	if hc, ok := c.Program.(HasCombiner); ok {
 		combiner = hc.Combiner()
 	}
 	aggKinds := make(map[string]AggregatorKind)
@@ -166,7 +160,6 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 	// a run, so it is partitioned and sorted once here and each
 	// superstep merges only the fresh vertex+message rows into it.
 	var cache *inputCache
-	useCache := !opts.UseJoinInput && !opts.DisableInputCache
 
 	for step := 0; step < opts.MaxSupersteps; step++ {
 		if err := ctxErr(ctx); err != nil {
@@ -174,17 +167,14 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		}
 		stepStart := time.Now()
 
-		// 1. Assemble the superstep input: cached union (default),
-		// full union re-sort (ablation), or 3-way join (ablation).
+		// 1. Assemble the superstep input: the cached union, or the
+		// full union re-sorted every superstep.
 		var parts []*storage.Batch
 		cacheHit := false
 		skippedParts, skippedVerts := 0, 0
-		switch {
-		case opts.UseJoinInput:
-			parts, err = buildJoinInput(g, opts.Partitions, opts.Workers)
-		case !useCache:
+		if opts.DisableInputCache {
 			parts, err = buildUnionInput(g, opts.Partitions, opts.Workers)
-		default:
+		} else {
 			edgeVersion, verr := g.EdgeVersion()
 			if verr != nil {
 				return stats, verr
@@ -237,7 +227,7 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		}
 
 		// 4. Write back vertex state via Update-vs-Replace.
-		updated, usedReplace, err := c.writeVertices(vt, rowOf, res.updates, opts.UpdateThreshold)
+		updated, usedReplace, err := c.writeVertices(vt, rowOf, res.updates)
 		if err != nil {
 			return stats, err
 		}
@@ -366,7 +356,7 @@ func (c *Coordinator) runWorkers(ctx context.Context, parts []*storage.Batch, st
 					return
 				}
 				aggs := make(map[string]float64)
-				if err := c.runPartition(ctx, pw.part, step, numVerts, opts, aggPrev, aggKinds, res, aggs); err != nil {
+				if err := c.runPartition(ctx, pw.part, step, numVerts, aggPrev, aggKinds, res, aggs); err != nil {
 					errs[w] = err
 					return
 				}
@@ -430,15 +420,9 @@ const cancelCheckEvery = 64
 // aggs (the partition's own map, merged across partitions in
 // deterministic partition order by the caller).
 func (c *Coordinator) runPartition(ctx context.Context, part *storage.Batch, step int, numVerts int64,
-	opts Options, aggPrev map[string]float64, aggKinds map[string]AggregatorKind, res *workerResult, aggs map[string]float64) error {
+	aggPrev map[string]float64, aggKinds map[string]AggregatorKind, res *workerResult, aggs map[string]float64) error {
 
-	var units []workUnit
-	var dangling int
-	if opts.UseJoinInput {
-		units, dangling = parseJoinPartition(part)
-	} else {
-		units, dangling = parseUnionPartition(part)
-	}
+	units, dangling := parseUnionPartition(part)
 	res.dangling += dangling
 
 	for i := range units {
@@ -547,11 +531,11 @@ func combineMessages(msgs []Message, combine Combiner) []Message {
 }
 
 // writeVertices applies the superstep's vertex updates using the
-// Update-vs-Replace policy: below the threshold fraction of changed
+// Update-vs-Replace policy: below updateThreshold's fraction of changed
 // tuples the table is updated in place; above it a fresh column set is
 // built (the "left join with the new values" of §2.3) and swapped in.
 func (c *Coordinator) writeVertices(vt *storage.Table, rowOf map[int64]int,
-	updates []vertexUpdate, threshold float64) (changedCount int, usedReplace bool, err error) {
+	updates []vertexUpdate) (changedCount int, usedReplace bool, err error) {
 
 	// Direct table mutation: hold the engine's exclusive latch so no
 	// concurrent SQL reader observes a half-applied superstep.
@@ -568,7 +552,7 @@ func (c *Coordinator) writeVertices(vt *storage.Table, rowOf map[int64]int,
 		return 0, false, nil
 	}
 	n := vt.NumRows()
-	useReplace := float64(len(changed)) > threshold*float64(n)
+	useReplace := float64(len(changed)) > updateThreshold*float64(n)
 
 	if !useReplace {
 		idx := make([]int, len(changed))

@@ -115,39 +115,40 @@ func TestPropagationAcrossSupersteps(t *testing.T) {
 	}
 }
 
-func TestUnionAndJoinInputsAgree(t *testing.T) {
-	for _, join := range []bool{false, true} {
-		g := chainGraph(t, 6)
-		_, err := Run(context.Background(), g, propagate{}, Options{
-			Workers: 2, Partitions: 4, UseJoinInput: join,
-		})
-		if err != nil {
-			t.Fatalf("join=%v: %v", join, err)
-		}
-		vals, _ := g.VertexValues()
-		for i := 0; i < 6; i++ {
-			if vals[int64(i)] != strconv.Itoa(i) {
-				t.Errorf("join=%v vertex %d = %q", join, i, vals[int64(i)])
-			}
-		}
-	}
-}
-
+// TestUpdateVsReplacePathsAgree reaches both write-back paths from the
+// data: superstep 0 flips every vertex's halted flag (replace), and each
+// later superstep changes only the one vertex the counter reached
+// (update in place). The chain must end holding 0..n-1 either way.
 func TestUpdateVsReplacePathsAgree(t *testing.T) {
-	results := make([]map[int64]string, 2)
-	for i, threshold := range []float64{-1 /* always replace */, 2 /* always update */} {
-		g := chainGraph(t, 8)
-		_, err := Run(context.Background(), g, propagate{}, Options{
-			Workers: 2, Partitions: 4, UpdateThreshold: threshold,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[i], _ = g.VertexValues()
+	const n = 24
+	g := chainGraph(t, n)
+	stats, err := Run(context.Background(), g, propagate{}, Options{Workers: 2, Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id, v := range results[0] {
-		if results[1][id] != v {
-			t.Errorf("vertex %d: replace=%q update=%q", id, v, results[1][id])
+	replaced, updated := 0, 0
+	for _, st := range stats.Steps {
+		switch {
+		case st.Updated == 0:
+		case st.UsedReplace:
+			replaced++
+		default:
+			updated++
+		}
+	}
+	if first := stats.Steps[0]; !first.UsedReplace || first.Updated != n {
+		t.Errorf("superstep 0: updated=%d replace=%v, want %d tuples replaced", first.Updated, first.UsedReplace, n)
+	}
+	if replaced == 0 || updated == 0 {
+		t.Errorf("write-back paths: %d replace, %d update supersteps; want both", replaced, updated)
+	}
+	vals, err := g.VertexValues()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if want := strconv.Itoa(i); vals[int64(i)] != want {
+			t.Errorf("vertex %d = %q, want %q", i, vals[int64(i)], want)
 		}
 	}
 }

@@ -54,37 +54,16 @@ func ExplainRun(g *Graph, program string, opts Options) ([]string, error) {
 	} else if shards > 1 {
 		layout += fmt.Sprintf("; partitions not a multiple of %d shards, gathers cross shard boundaries", shards)
 	}
-	lines = append(lines, layout)
-
-	input := "  input: table union of vertex+message+edge (paper default)"
-	if o.UseJoinInput {
-		input = "  input: naive 3-way join of vertex x edge x message (ablation baseline)"
-	}
-	lines = append(lines, input)
+	lines = append(lines, layout, "  input: table union of vertex+message+edge (paper default)")
 
 	cache := "  input cache: edge side built once, reused every superstep; quiescent partitions skipped"
 	if o.DisableInputCache {
 		cache = "  input cache: disabled — full union re-assembled every superstep, no partition skipping"
 	}
-	lines = append(lines, cache)
-
-	combiner := "  combiner: enabled (messages merged per destination before delivery)"
-	if o.DisableCombiner {
-		combiner = "  combiner: disabled (every message delivered individually)"
-	}
-	lines = append(lines, combiner)
-
-	switch {
-	case o.UpdateThreshold < 0:
-		lines = append(lines, "  write-back: always replace the vertex table")
-	case o.UpdateThreshold >= 1:
-		lines = append(lines, "  write-back: always update tuples in place")
-	default:
-		lines = append(lines, fmt.Sprintf("  write-back: update in place when <%d%% of tuples changed, else replace the table",
-			int(o.UpdateThreshold*100)))
-	}
-
-	lines = append(lines,
+	lines = append(lines, cache,
+		"  combiner: enabled (messages merged per destination before delivery)",
+		fmt.Sprintf("  write-back: update in place when <%d%% of tuples changed, else replace the table",
+			int(updateThreshold*100)),
 		fmt.Sprintf("  schedule: up to %d supersteps; each superstep:", o.MaxSupersteps),
 		"    1. assemble partition inputs (cached edge side + fresh vertex/message rows)",
 		fmt.Sprintf("    2. dispatch active partitions to %d workers; Compute runs per vertex", o.Workers),

@@ -3,23 +3,17 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/sched"
 	"repro/internal/storage"
 )
 
-// Input assembly for one superstep, implementing both sides of the
-// paper's Table-Unions optimization (§2.3):
-//
-//   - Union path (the paper's choice): the vertex, edge and message
-//     tables are renamed to a common schema, concatenated with
-//     UNION ALL, hash partitioned on the vertex id, and each partition
-//     is sorted on (id, kind). Workers parse the tuple kinds apart.
-//
-//   - Join path (the ablation baseline): vertex LEFT JOIN message LEFT
-//     JOIN edge. For a vertex with m messages and e out-edges the join
-//     product holds m×e rows — the blowup the paper's optimization
-//     avoids. Workers deduplicate via ordinal columns.
+// Input assembly for one superstep, the paper's Table-Unions
+// optimization (§2.3): the vertex, edge and message tables are renamed
+// to a common schema, concatenated with UNION ALL, hash partitioned on
+// the vertex id, and each partition is sorted on (id, kind). Workers
+// parse the tuple kinds apart. A vertex with m messages and e out-edges
+// contributes m+e+1 rows, where a vertex ⟕ message ⟕ edge join would
+// produce m×e.
 
 // Tuple kinds inside the union's common schema.
 const (
@@ -192,60 +186,16 @@ func buildUnionInput(g *Graph, partitions, workers int) ([]*storage.Batch, error
 	if err != nil {
 		return nil, fmt.Errorf("core: union input: %w", err)
 	}
-	return partitionAndSort(data, 0, partitions, workers, g.DB.WorkerBudget(), []storage.SortKey{{Col: 0}, {Col: 1}}), nil
+	return partitionAndSort(data, partitions, workers, g.DB.WorkerBudget()), nil
 }
 
-// buildJoinInput assembles the superstep input via the 3-way-join path.
-func buildJoinInput(g *Graph, partitions, workers int) ([]*storage.Batch, error) {
-	// These scans read the tables directly (not through the SQL
-	// statement path), so pin one consistent MVCC snapshot of all
-	// three tables for the superstep batch — the drain below then runs
-	// with no engine latch held, and a concurrent session's write
-	// statement neither blocks on it nor mutates what it reads.
-	snap, err := g.DB.AcquireSnapshot(g.VertexTable(), g.MessageTable(), g.EdgeTable())
-	if err != nil {
-		return nil, err
-	}
-	defer snap.Release()
-	vt, err := snap.Table(g.VertexTable())
-	if err != nil {
-		return nil, err
-	}
-	mt, err := snap.Table(g.MessageTable())
-	if err != nil {
-		return nil, err
-	}
-	et, err := snap.Table(g.EdgeTable())
-	if err != nil {
-		return nil, err
-	}
-	// vertex(id,value,halted) ⟕ message+mid ON id=dst  → 3+4 cols
-	// ... ⟕ edge+eid ON id=src                         → 7+6 cols
-	j1 := &exec.HashJoin{
-		Left:     exec.NewTableScan(vt),
-		Right:    &exec.Ordinal{Input: exec.NewTableScan(mt), Name: "mid"},
-		LeftKeys: []int{0}, RightKeys: []int{1},
-		Type: exec.LeftJoin,
-	}
-	j2 := &exec.HashJoin{
-		Left:     j1,
-		Right:    &exec.Ordinal{Input: exec.NewTableScan(et), Name: "eid"},
-		LeftKeys: []int{0}, RightKeys: []int{0},
-		Type: exec.LeftJoin,
-	}
-	data, err := exec.Drain(j2)
-	if err != nil {
-		return nil, fmt.Errorf("core: join input: %w", err)
-	}
-	return partitionAndSort(data, 0, partitions, workers, g.DB.WorkerBudget(), []storage.SortKey{{Col: 0}}), nil
-}
-
-// partitionAndSort hash-partitions the batch on the given int64 column
-// and sorts each partition — the paper's Vertex Batching optimization.
-// Partition-local gather+sort runs on the worker pool, since in
-// Vertexica that work happens inside each worker UDF's input feed.
-func partitionAndSort(data *storage.Batch, idCol, partitions, workers int, budget *sched.Budget, keys []storage.SortKey) []*storage.Batch {
-	ids := data.Cols[idCol].(*storage.Int64Column).Int64s()
+// partitionAndSort hash-partitions the union on its id column and sorts
+// each partition on (id, kind) — the paper's Vertex Batching
+// optimization. Partition-local gather+sort runs on the worker pool,
+// since in Vertexica that work happens inside each worker UDF's input
+// feed.
+func partitionAndSort(data *storage.Batch, partitions, workers int, budget *sched.Budget) []*storage.Batch {
+	ids := data.Cols[0].(*storage.Int64Column).Int64s()
 	parts := storage.PartitionInt64(ids, partitions)
 	nonEmpty := make([][]int, 0, len(parts))
 	for _, idx := range parts {
@@ -255,7 +205,7 @@ func partitionAndSort(data *storage.Batch, idCol, partitions, workers int, budge
 	}
 	out := make([]*storage.Batch, len(nonEmpty))
 	sched.ForEach(budget, len(nonEmpty), workers, func(i int) {
-		out[i] = storage.SortBatch(data.Gather(nonEmpty[i]), keys)
+		out[i] = storage.SortBatch(data.Gather(nonEmpty[i]), unionSortKeys)
 	})
 	return out
 }
@@ -302,50 +252,4 @@ func parseUnionPartition(b *storage.Batch) (units []workUnit, dangling int) {
 		i = j
 	}
 	return units, dangling
-}
-
-// parseJoinPartition reassembles workUnits from the 3-way-join product,
-// deduplicating messages and edges via their ordinal columns.
-// Join-output layout:
-//
-//	0:id 1:value 2:halted | 3:msrc 4:mdst 5:mval 6:mid | 7:esrc 8:edst 9:weight 10:etype 11:created 12:eid
-func parseJoinPartition(b *storage.Batch) (units []workUnit, dangling int) {
-	n := b.Len()
-	ids := b.Cols[0].(*storage.Int64Column).Int64s()
-	for i := 0; i < n; {
-		j := i
-		id := ids[i]
-		for j < n && ids[j] == id {
-			j++
-		}
-		u := workUnit{id: id}
-		u.value = b.Cols[1].Value(i).S
-		u.halted = b.Cols[2].Value(i).Bool()
-		seenM := make(map[int64]bool)
-		seenE := make(map[int64]bool)
-		for k := i; k < j; k++ {
-			if mid := b.Cols[6].Value(k); !mid.Null && !seenM[mid.I] {
-				seenM[mid.I] = true
-				src := b.Cols[3].Value(k)
-				srcID := int64(-1)
-				if !src.Null {
-					srcID = src.I
-				}
-				u.msgs = append(u.msgs, Message{Src: srcID, Dst: id, Value: b.Cols[5].Value(k).S})
-			}
-			if eid := b.Cols[12].Value(k); !eid.Null && !seenE[eid.I] {
-				seenE[eid.I] = true
-				u.edges = append(u.edges, Edge{
-					Src:     id,
-					Dst:     b.Cols[8].Value(k).I,
-					Weight:  b.Cols[9].Value(k).F,
-					Type:    b.Cols[10].Value(k).S,
-					Created: b.Cols[11].Value(k).I,
-				})
-			}
-		}
-		units = append(units, u)
-		i = j
-	}
-	return units, 0
 }

@@ -7,8 +7,8 @@ import (
 	"repro/internal/storage"
 )
 
-// inputFixture builds a graph with one pending message so both
-// assembly paths have all three tuple kinds to reassemble.
+// inputFixture builds a graph with one pending message so the union
+// has all three tuple kinds to reassemble.
 func inputFixture(t *testing.T) *Graph {
 	t.Helper()
 	db := engine.New()
@@ -30,16 +30,11 @@ func inputFixture(t *testing.T) *Graph {
 	return g
 }
 
-func collectUnits(t *testing.T, parts []*storage.Batch, join bool) map[int64]workUnit {
+func collectUnits(t *testing.T, parts []*storage.Batch) map[int64]workUnit {
 	t.Helper()
 	units := map[int64]workUnit{}
 	for _, p := range parts {
-		var us []workUnit
-		if join {
-			us, _ = parseJoinPartition(p)
-		} else {
-			us, _ = parseUnionPartition(p)
-		}
+		us, _ := parseUnionPartition(p)
 		for _, u := range us {
 			if _, dup := units[u.id]; dup {
 				t.Fatalf("vertex %d appears in two partitions", u.id)
@@ -83,21 +78,13 @@ func TestUnionInputAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFixtureUnits(t, collectUnits(t, parts, false), "union")
+	checkFixtureUnits(t, collectUnits(t, parts), "union")
 }
 
-func TestJoinInputAssembly(t *testing.T) {
-	g := inputFixture(t)
-	parts, err := buildJoinInput(g, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFixtureUnits(t, collectUnits(t, parts, true), "join")
-}
-
-func TestJoinInputProductBlowup(t *testing.T) {
-	// A vertex with m messages and e edges yields m×e join rows but
-	// only m+e+1 union rows — the quantitative heart of §2.3.
+func TestUnionInputRowCount(t *testing.T) {
+	// A vertex with m messages and e edges contributes m+e+1 union rows,
+	// not the m×e of a vertex ⟕ message ⟕ edge join — the quantitative
+	// heart of §2.3's Table Unions.
 	db := engine.New()
 	g, err := CreateGraph(db, "blow")
 	if err != nil {
@@ -114,35 +101,20 @@ func TestJoinInputProductBlowup(t *testing.T) {
 	for i := int64(1); i <= 3; i++ {
 		_ = mt.AppendRow(storage.Int64(i), storage.Int64(0), storage.Str("m"))
 	}
-	unionParts, err := buildUnionInput(g, 1, 1)
+	parts, err := buildUnionInput(g, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinParts, err := buildJoinInput(g, 1, 1)
-	if err != nil {
-		t.Fatal(err)
+	rows := 0
+	for _, p := range parts {
+		rows += p.Len()
 	}
-	unionRows, joinRows := 0, 0
-	for _, p := range unionParts {
-		unionRows += p.Len()
+	// 5 vertices + 4 edges + 3 messages.
+	if rows != 12 {
+		t.Errorf("union rows = %d, want 12 (m+e+v)", rows)
 	}
-	for _, p := range joinParts {
-		joinRows += p.Len()
-	}
-	// Vertex 0: 3 msgs × 4 edges = 12 join rows; the other 4 vertices
-	// contribute 1 row each → 16. Union: 5 V + 4 E + 3 M = 12.
-	if joinRows != 16 {
-		t.Errorf("join rows = %d, want 16 (the m×e product)", joinRows)
-	}
-	if unionRows != 12 {
-		t.Errorf("union rows = %d, want 12 (m+e+v)", unionRows)
-	}
-	// And despite the blowup both paths reconstruct identical units.
-	uu := collectUnits(t, unionParts, false)
-	ju := collectUnits(t, joinParts, true)
-	if len(uu[0].msgs) != len(ju[0].msgs) || len(uu[0].edges) != len(ju[0].edges) {
-		t.Errorf("paths disagree: union %d/%d join %d/%d msgs/edges",
-			len(uu[0].msgs), len(uu[0].edges), len(ju[0].msgs), len(ju[0].edges))
+	if u := collectUnits(t, parts)[0]; len(u.msgs) != 3 || len(u.edges) != 4 {
+		t.Errorf("vertex 0 reassembled %d msgs / %d edges, want 3/4", len(u.msgs), len(u.edges))
 	}
 }
 
@@ -156,8 +128,8 @@ func TestPartitionAndSortParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := partitionAndSort(data, 0, 4, 1, nil, []storage.SortKey{{Col: 0}, {Col: 1}})
-	parallel := partitionAndSort(data, 0, 4, 8, nil, []storage.SortKey{{Col: 0}, {Col: 1}})
+	serial := partitionAndSort(data, 4, 1, nil)
+	parallel := partitionAndSort(data, 4, 8, nil)
 	if len(serial) != len(parallel) {
 		t.Fatalf("partition counts differ: %d vs %d", len(serial), len(parallel))
 	}

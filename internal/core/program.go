@@ -4,9 +4,8 @@
 // message); a coordinator "stored procedure" drives supersteps; worker
 // "UDFs" execute the user's vertex-compute function over hash-
 // partitioned, sorted unions of the three tables (§2.2–2.3 of the
-// paper), with the paper's four optimizations implemented and
-// individually switchable for ablation: Table Unions, Parallel Workers,
-// Vertex Batching, and Update-vs-Replace.
+// paper), with the paper's four optimizations implemented: Table
+// Unions, Parallel Workers, Vertex Batching, and Update-vs-Replace.
 package core
 
 import (

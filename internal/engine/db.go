@@ -214,8 +214,7 @@ func (db *DB) SetGraphRunner(fn GraphRunner) {
 // SetParallelism sets how many worker goroutines one SQL statement may
 // use (morsel-parallel scans and filters, parallel hash-join probes,
 // partitioned aggregation). The default is runtime.NumCPU(); 1
-// restores fully serial execution (the ablation baseline); n <= 0
-// resets to the default. Results are identical — row for row, byte for
+// restores fully serial execution; n <= 0 resets to the default. Results are identical — row for row, byte for
 // byte — at every setting.
 func (db *DB) SetParallelism(n int) {
 	if n <= 0 {
@@ -880,9 +879,12 @@ func (db *DB) execParsed(ctx context.Context, st sql.Statement, text string, ps 
 	if err != nil {
 		return Result{}, err
 	}
-	db.logStatement(ctx, text)
+	err = db.logStatement(ctx, text)
 	if db.txn == nil {
 		db.mvcc.Publish()
+	}
+	if err != nil {
+		return Result{}, err
 	}
 	return res, nil
 }

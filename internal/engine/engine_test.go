@@ -334,6 +334,51 @@ func TestRecoveryIgnoresTornWALRecord(t *testing.T) {
 	}
 }
 
+// TestWALFailureFailsWrites closes the log file underneath a durable
+// DB: a write whose WAL append fails must not be acknowledged, on the
+// fast path or the exclusive path. The failure is sticky: a later write
+// is refused even once the file works again, so no record lands after
+// a torn one.
+func TestWALFailureFailsWrites(t *testing.T) {
+	db, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db,
+		"CREATE TABLE src (a INTEGER)",
+		"CREATE TABLE dst (a INTEGER NOT NULL) PARTITION BY HASH(a) SHARDS 4",
+	)
+	if err := db.wal.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fast := db.obs.Counter("engine.fastpath.taken")
+	for _, tc := range []struct {
+		name, stmt string
+		fast       bool
+	}{
+		{"fast path", "INSERT INTO dst VALUES (1), (2)", true},
+		{"exclusive path", "INSERT INTO src SELECT a FROM dst", false},
+		{"later write", "INSERT INTO dst VALUES (3)", true},
+	} {
+		if tc.name == "later write" {
+			// A working file again: only the sticky error can refuse it.
+			f, err := openAppend(db.wal.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.wal.f = f
+		}
+		before := fast.Load()
+		if _, err := db.Exec(tc.stmt); err == nil {
+			t.Errorf("%s: %s acknowledged after its WAL append failed", tc.name, tc.stmt)
+		}
+		if took := fast.Load() > before; took != tc.fast {
+			t.Errorf("%s: fast path taken = %v, want %v", tc.name, took, tc.fast)
+		}
+	}
+}
+
 func TestExecRejectsGarbage(t *testing.T) {
 	db := New()
 	if _, err := db.Exec("FLY ME TO THE MOON"); err == nil {

@@ -89,7 +89,7 @@ func (db *DB) tryFastWrite(ctx context.Context, st sql.Statement, text string, p
 		res, err = db.fastDelete(s, ps)
 	}
 	if err == nil {
-		db.logStatement(ctx, text) // txn is nil: appends straight to the WAL
+		err = db.logStatement(ctx, text) // txn is nil: appends straight to the WAL
 		db.mvcc.Publish()
 	}
 	db.mu.RUnlock()

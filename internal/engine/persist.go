@@ -68,9 +68,9 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// Checkpoint writes a full snapshot and truncates the WAL. The vertex
-// runtime calls this after a graph-algorithm run so direct (non-SQL)
-// table mutations become durable.
+// Checkpoint writes a full snapshot and truncates the WAL. Graph tables
+// are filled outside the statement log, so they become durable only
+// through a checkpoint.
 func (db *DB) Checkpoint() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -87,7 +87,26 @@ func (db *DB) Checkpoint() error {
 	if err := os.Rename(tmp, filepath.Join(db.dir, snapshotFile)); err != nil {
 		return err
 	}
+	// The rename is durable only once the directory entry is: truncating
+	// the WAL before that could lose both the old log and the new
+	// snapshot in a crash.
+	if err := syncDir(db.dir); err != nil {
+		return err
+	}
 	return db.wal.truncate()
+}
+
+// syncDir fsyncs a directory so a rename inside it survives a crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 func (db *DB) writeSnapshot(path string) error {
@@ -439,7 +458,7 @@ type walWriter struct {
 	writeGen  uint64 // generation of the latest appended record
 	syncedGen uint64 // latest generation covered by a finished sync
 	syncing   bool
-	err       error // sticky: a failed sync poisons the log
+	err       error // sticky: a failed write or sync poisons the log
 
 	// Metrics (nil when the owning DB has no registry, e.g. in narrow
 	// tests): fsync count and total records covered by those fsyncs.
@@ -464,12 +483,16 @@ func (w *walWriter) append(stmt string) error {
 	if w.err != nil {
 		return w.err
 	}
+	// A failed write may leave a torn record; poison the log so no later
+	// record lands after it, where replay would never reach it.
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], uint64(len(stmt)))
 	if _, err := w.f.Write(buf[:n]); err != nil {
+		w.err = err
 		return err
 	}
 	if _, err := w.f.Write([]byte(stmt)); err != nil {
+		w.err = err
 		return err
 	}
 	w.writeGen++

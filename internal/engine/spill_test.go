@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/storage"
@@ -127,6 +130,127 @@ func TestOutOfCoreAcceptance64KB(t *testing.T) {
 	if _, ok := found["mem.pool_capacity"]; !ok {
 		t.Error("SHOW STATS is missing the memory-pool gauges")
 	}
+}
+
+// TestSpillPerOperatorHeapBound runs each blocking operator family as
+// its own statement under the 64KB grant. Each must go to disk (at
+// least one spill run over the statement) and must not hold its input:
+// the Go heap, sampled while the statement drains, stays within half
+// the input plus a fixed 48MiB allowance for the executor's working
+// floor and allocator churn. The allowance dominates at this input
+// size; the input term is what bites on a large one.
+func TestSpillPerOperatorHeapBound(t *testing.T) {
+	db := outOfCoreDB(t)
+	input := drainBytes(t, db, "SELECT id, grp, val, tag FROM fact")
+	if input < 4*forceSpillWorkMem {
+		t.Fatalf("fixture too small to exceed the grant: input %d bytes, grant %d", input, forceSpillWorkMem)
+	}
+	peakBound := input/2 + 48<<20
+	for _, c := range []struct{ name, q string }{
+		{"sort", "SELECT id, tag FROM fact ORDER BY tag, id"},
+		// The fact table sits on the build side, so the join itself
+		// goes out of core, not just a probe of the small dim table.
+		{"join", "SELECT d.label, f.id FROM dim d JOIN fact f ON d.grp = f.grp"},
+		{"aggregate", "SELECT tag, COUNT(*) AS c, SUM(val) AS s FROM fact GROUP BY tag"},
+	} {
+		s := db.NewSession()
+		mustSet(t, s, fmt.Sprintf("SET work_mem = %d", forceSpillWorkMem))
+		runs0, _ := storage.SpillTotals()
+		sampler := startHeapSampler()
+		rows, _, err := s.RunStream(context.Background(), c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		n := 0
+		for {
+			b, err := rows.Next()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if b == nil {
+				break
+			}
+			n += b.Len()
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		peak := sampler.finish()
+		runs1, _ := storage.SpillTotals()
+		s.Close()
+		if n == 0 {
+			t.Errorf("%s: empty result", c.name)
+		}
+		if runs1-runs0 < 1 {
+			t.Errorf("%s under the %d-byte grant never spilled", c.name, forceSpillWorkMem)
+		}
+		if peak > peakBound {
+			t.Errorf("%s peaked at %d heap bytes under the grant (bound %d)", c.name, peak, peakBound)
+		}
+	}
+}
+
+// drainBytes streams q and sums the resident size of its batches.
+func drainBytes(t *testing.T, db *DB, q string) int64 {
+	t.Helper()
+	rows, err := db.QueryStream(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	var total int64
+	for {
+		b, err := rows.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			return total
+		}
+		total += storage.BatchBytes(b)
+	}
+}
+
+// heapSampler polls the Go heap every 2ms and tracks the peak,
+// relative to a post-GC baseline taken at start.
+type heapSampler struct {
+	baseline, peak uint64
+	stop           chan struct{}
+	done           sync.WaitGroup
+}
+
+func startHeapSampler() *heapSampler {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	s := &heapSampler{baseline: ms.HeapAlloc, peak: ms.HeapAlloc, stop: make(chan struct{})}
+	s.done.Add(1)
+	go func() {
+		defer s.done.Done()
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		var ms runtime.MemStats
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-tick.C:
+				runtime.ReadMemStats(&ms)
+				s.peak = max(s.peak, ms.HeapAlloc)
+			}
+		}
+	}()
+	return s
+}
+
+// finish stops sampling and returns the peak over the baseline.
+func (s *heapSampler) finish() int64 {
+	close(s.stop)
+	s.done.Wait()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	s.peak = max(s.peak, ms.HeapAlloc)
+	return int64(s.peak - s.baseline)
 }
 
 func TestExplainAnalyzeReportsSpill(t *testing.T) {

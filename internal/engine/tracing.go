@@ -62,9 +62,9 @@ func (db *DB) sessionInfos() []*sessionInfo {
 func (db *DB) Tracer() *trace.Tracer { return db.tracer }
 
 // traceHooksOn gates the statement-trace entry point, mirroring
-// exec.SetStatsEnabled for operator counters: benchmarks flip it off to
-// measure what the disabled tracing fabric costs relative to an engine
-// with no tracing at all. It is process-wide and exists for
+// exec.SetStatsEnabled for operator counters: TestTraceOverhead flips
+// it off to measure what the disabled tracing fabric costs relative to
+// an engine with no tracing at all. It is process-wide and exists for
 // measurement, not operation — use SET trace_sample = 0 to turn
 // tracing off.
 var traceHooksOn atomic.Bool

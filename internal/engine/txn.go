@@ -113,16 +113,22 @@ func (db *DB) noteDrop(t *storage.Table) {
 // transaction's pending log or straight to the WAL. Callers must hold
 // db.mu. A traced statement (collector in ctx) gets a "wal" span
 // covering the group-commit append — the durability wait a client
-// experiences on an auto-commit write.
-func (db *DB) logStatement(ctx context.Context, text string) {
+// experiences on an auto-commit write. A WAL failure fails the
+// statement: it is applied in memory but not durable, so it must not be
+// acknowledged, and the poisoned log refuses every later write.
+func (db *DB) logStatement(ctx context.Context, text string) error {
 	if db.txn != nil {
 		db.txn.log = append(db.txn.log, text)
-		return
+		return nil
 	}
 	if db.wal == nil {
-		return
+		return nil
 	}
 	end := trace.FromContext(ctx).Begin("wal")
-	_ = db.wal.append(text)
+	err := db.wal.append(text)
 	end("group-commit append+fsync")
+	if err != nil {
+		return fmt.Errorf("engine: wal: %w", err)
+	}
+	return nil
 }

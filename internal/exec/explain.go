@@ -133,8 +133,6 @@ func childSets(ops []Operator) [][]Operator {
 			kids = append(kids, o.Input)
 		case *Sort:
 			kids = append(kids, o.Input)
-		case *Ordinal:
-			kids = append(kids, o.Input)
 		case *HashAggregate:
 			kids = append(kids, o.Input)
 		}
@@ -171,8 +169,6 @@ func describeSet(ops []Operator) string {
 		return fmt.Sprintf("Limit %d", o.N)
 	case *Distinct:
 		return "Distinct"
-	case *Ordinal:
-		return fmt.Sprintf("Ordinal (%s)", o.Name)
 	case *Sort:
 		in := o.Input.Schema()
 		keys := make([]string, len(o.Keys))
@@ -398,8 +394,6 @@ func Summary(op Operator) string {
 		return "Distinct(" + Summary(o.Input) + ")"
 	case *Sort:
 		return "Sort(" + Summary(o.Input) + ")"
-	case *Ordinal:
-		return "Ordinal(" + Summary(o.Input) + ")"
 	case *HashAggregate:
 		return "Agg(" + Summary(o.Input) + ")"
 	case *HashJoin:

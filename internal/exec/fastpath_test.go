@@ -144,27 +144,6 @@ func TestAggregateFastPathNullKeysFallBack(t *testing.T) {
 	}
 }
 
-func TestOrdinalOperator(t *testing.T) {
-	tb := storage.NewTable("t", storage.NewSchema(intCol("x")))
-	for i := int64(0); i < int64(storage.BatchSize)+5; i++ {
-		_ = tb.AppendRow(iv(i * 2))
-	}
-	ord := &Ordinal{Input: NewTableScan(tb), Name: "oid"}
-	out, err := Drain(ord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Schema.Len() != 2 || out.Schema.Cols[1].Name != "oid" {
-		t.Fatalf("schema = %v", out.Schema.Names())
-	}
-	// Ordinals are continuous across batch boundaries.
-	for i := 0; i < out.Len(); i++ {
-		if out.Row(i)[1].I != int64(i) {
-			t.Fatalf("ordinal[%d] = %d", i, out.Row(i)[1].I)
-		}
-	}
-}
-
 func TestGatherPad(t *testing.T) {
 	c := storage.NewInt64Column([]int64{10, 20, 30})
 	out := storage.GatherPad(c, []int{2, -1, 0})

@@ -1,9 +1,8 @@
 // Package exec implements the vectorized volcano executor: physical
 // operators that pull record batches from their children. The SQL
-// planner assembles these; the vertex-centric runtime also uses them
-// directly to build its table-union input (the paper's §2.3 "Table
-// Unions" optimization runs on UnionAll + Sort rather than a 3-way
-// join).
+// planner assembles these; the vertex-centric runtime reaches them
+// through SQL, assembling its table-union input (the paper's §2.3
+// "Table Unions" optimization) with a UNION ALL statement.
 package exec
 
 import (

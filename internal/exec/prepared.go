@@ -40,8 +40,6 @@ func Cacheable(op Operator) bool {
 		return Cacheable(o.Input)
 	case *HashAggregate:
 		return Cacheable(o.Input)
-	case *Ordinal:
-		return Cacheable(o.Input)
 	case *HashJoin:
 		return Cacheable(o.Left) && Cacheable(o.Right)
 	case *NestedLoopJoin:
@@ -96,8 +94,6 @@ func Rebind(op Operator, lookup func(string) (storage.TableData, error)) error {
 	case *Sort:
 		return Rebind(o.Input, lookup)
 	case *HashAggregate:
-		return Rebind(o.Input, lookup)
-	case *Ordinal:
 		return Rebind(o.Input, lookup)
 	case *HashJoin:
 		if err := Rebind(o.Left, lookup); err != nil {

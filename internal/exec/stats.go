@@ -53,10 +53,10 @@ func (s *OpStats) spilled(run *storage.SpillRun) {
 }
 
 // statsMode is the single flag the per-call hot path loads: -1 when
-// counter recording is disabled (benchmark ablation only), 0 when
-// counting rows/batches without wall-clock timing (the always-on
-// default), and n > 0 while n timed executions (EXPLAIN ANALYZE) are
-// in flight. Row and batch counters are cheap enough to leave
+// counter recording is disabled (only to measure the counters' cost),
+// 0 when counting rows/batches without wall-clock timing (the
+// always-on default), and n > 0 while n timed executions (EXPLAIN
+// ANALYZE) are in flight. Row and batch counters are cheap enough to leave
 // always-on — two atomic adds per batch — but the time.Now pair around
 // every Open/Next is not: on a sub-10µs point lookup it costs
 // double-digit percent. So clock reads happen only while a timed
@@ -78,8 +78,9 @@ func recomputeStatsMode() {
 	statsMode.Store(int32(statsTimers))
 }
 
-// SetStatsEnabled toggles operator counter recording (benchmark
-// ablation only; counters are on by default).
+// SetStatsEnabled toggles operator counter recording. Counters are on
+// by default; its one user is the engine's TestCounterOverhead, which
+// turns them off to hold their cost to the 2% budget.
 func SetStatsEnabled(on bool) {
 	statsModeMu.Lock()
 	defer statsModeMu.Unlock()
@@ -122,8 +123,6 @@ func forEachStats(op Operator, fn func(*OpStats)) {
 	case *Distinct:
 		forEachStats(o.Input, fn)
 	case *Sort:
-		forEachStats(o.Input, fn)
-	case *Ordinal:
 		forEachStats(o.Input, fn)
 	case *HashAggregate:
 		forEachStats(o.Input, fn)

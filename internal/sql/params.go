@@ -13,8 +13,8 @@ import (
 // file holds the helpers shared by the bind-and-run path (NumParams,
 // used to validate argument counts before planning) and the legacy
 // textual-substitution path (SubstituteParams/RenderLiteral, kept for
-// old clients, WAL rendering of parameterized DML, and as the ablation
-// baseline in the prepare benchmark).
+// old clients, WAL rendering of parameterized DML, and the benchmark's
+// re-parse-per-execution baseline).
 
 // NumParams walks st and returns the highest $n referenced (0 when the
 // statement has no parameters).

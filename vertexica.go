@@ -55,8 +55,8 @@ type (
 	VertexProgram = core.VertexProgram
 	// VertexContext is the per-vertex worker API.
 	VertexContext = core.VertexContext
-	// Options tunes a vertex-centric run (workers, batching,
-	// update-vs-replace threshold, union-vs-join input).
+	// Options tunes a vertex-centric run (workers, batching partitions,
+	// superstep bound, input cache).
 	Options = core.Options
 	// RunStats profiles a vertex-centric run.
 	RunStats = core.RunStats
