@@ -225,14 +225,7 @@ func encodeColumn(w io.Writer, col storage.Column, n int) error {
 	}
 	switch c := col.(type) {
 	case *storage.Int64Column:
-		enc, _ := storage.CompressedSize(c.Int64s())
-		var payload []byte
-		if enc == storage.EncRLE {
-			payload = storage.EncodeInt64RLE(c.Int64s())
-		} else {
-			payload = storage.EncodeInt64Delta(c.Int64s())
-		}
-		return writeBytes(w, payload)
+		return writeBytes(w, storage.EncodeInt64(c.Int64s()))
 	case *storage.Float64Column:
 		return writeBytes(w, storage.EncodeFloat64Plain(c.Float64s()))
 	case *storage.StringColumn:

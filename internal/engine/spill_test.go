@@ -152,8 +152,15 @@ func TestSpillPerOperatorHeapBound(t *testing.T) {
 		// goes out of core, not just a probe of the small dim table.
 		{"join", "SELECT d.label, f.id FROM dim d JOIN fact f ON d.grp = f.grp"},
 		{"aggregate", "SELECT tag, COUNT(*) AS c, SUM(val) AS s FROM fact GROUP BY tag"},
+		// A join feeding an aggregate, in parallel: the join spills (fact
+		// is the build side) and the hybrid aggregate above it must not
+		// hold more than the grant allows plus one window's new groups.
+		{"join+aggregate", "SELECT d.label, COUNT(*), SUM(f.val) FROM dim d JOIN fact f ON d.grp = f.grp GROUP BY d.label"},
 	} {
 		s := db.NewSession()
+		if c.name == "join+aggregate" {
+			mustSet(t, s, "SET parallelism = 2")
+		}
 		mustSet(t, s, fmt.Sprintf("SET work_mem = %d", forceSpillWorkMem))
 		runs0, _ := storage.SpillTotals()
 		sampler := startHeapSampler()
@@ -270,6 +277,42 @@ func TestExplainAnalyzeReportsSpill(t *testing.T) {
 	}
 	if !strings.Contains(plan.String(), "spilled=") {
 		t.Fatalf("EXPLAIN ANALYZE under a 64KB grant shows no spilled= annotation:\n%s", plan.String())
+	}
+}
+
+// TestExplainAnalyzeScansReadOnce: under memory pressure, a join
+// feeding a GROUP BY reads each table exactly once, so every Scan in
+// EXPLAIN ANALYZE reports its table's row count — a restarted operator
+// would count its input twice.
+func TestExplainAnalyzeScansReadOnce(t *testing.T) {
+	db := outOfCoreDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	mustSet(t, s, "SET parallelism = 2")
+	mustSet(t, s, fmt.Sprintf("SET work_mem = %d", forceSpillWorkMem))
+	rows, err := s.QueryContext(context.Background(),
+		"EXPLAIN ANALYZE SELECT d.label, COUNT(*), SUM(f.val) FROM fact f JOIN dim d ON f.grp = d.grp GROUP BY d.label")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"fact": "rows=20000 ", "dim": "rows=500 "}
+	var plan strings.Builder
+	for i := 0; i < rows.Len(); i++ {
+		plan.WriteString(rows.Value(i, 0).S)
+		plan.WriteByte('\n')
+	}
+	for _, line := range strings.Split(plan.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || f[0] != "Scan" {
+			continue
+		}
+		if !strings.Contains(line, want[f[1]]) {
+			t.Errorf("Scan %s: %q, want %s", f[1], strings.TrimSpace(line), want[f[1]])
+		}
+		delete(want, f[1])
+	}
+	if len(want) > 0 {
+		t.Errorf("plan lacks scans of %v:\n%s", want, plan.String())
 	}
 }
 

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"fmt"
+	"errors"
 	"sort"
 
 	"repro/internal/expr"
@@ -15,23 +15,24 @@ import (
 // expressions it produces exactly one row (the SQL scalar-aggregate
 // case), even for empty input.
 //
-// With Workers > 1 a grouped aggregate runs in two parallel stages:
-// the group-key and aggregate-input expressions are evaluated per
-// batch on the worker pool, then the fold runs on partitioned maps —
-// each worker owns the hash partition of group keys assigned to it and
-// folds every input row of its groups, in global row order. Because a
-// group lives entirely inside one partition, per-group accumulation
-// order is identical to the serial fold, which keeps floating-point
-// SUM/AVG results byte-identical at any worker count; group output
-// order (first appearance) is restored by a final sort on each group's
-// first input row.
+// A grouped aggregate consumes its input in windows — up to
+// aggWindowBatches batches with Workers > 1, one batch otherwise — and
+// folds each window in two stages: the group-key (and, on the fast
+// path, aggregate-input) expressions are evaluated per batch on the
+// worker pool, then the fold runs on w partitioned maps — each worker
+// owns the hash partition of group keys assigned to it and folds every
+// input row of its groups, in global row order. Group state persists
+// across windows, so memory is O(window + groups), not O(input).
+// Because a group lives entirely inside one partition, per-group
+// accumulation order is identical to the serial fold, which keeps
+// floating-point SUM/AVG results byte-identical at any worker count;
+// group output order (first appearance) is restored by a final sort on
+// each group's first input row. The fold starts on the vectorized
+// int64-key path when the shape allows and migrates all groups to the
+// generic path if a NULL or non-integer key appears mid-stream.
 //
-// The parallel fold buffers at most aggWindowBatches input batches at
-// a time (the serial fold streams with O(groups) state): inputs that
-// fit in one window use the one-shot partitioned fold; larger inputs
-// run the windowed fold, which consumes the input window by window
-// into persistent partitioned group state — O(window + groups) memory
-// instead of O(input).
+// Under a memory grant the window narrows and the fold may turn hybrid
+// (see Mem); every path reads the input exactly once.
 type HashAggregate struct {
 	Input   Operator
 	GroupBy []expr.Expr
@@ -42,26 +43,24 @@ type HashAggregate struct {
 	Workers int
 	// Budget is the shared extra-worker budget (nil = unlimited).
 	Budget *sched.Budget
-	// Mem is the statement memory grant (nil = unlimited): buffered
-	// input batches and per-group state reserve against it, and a denial
-	// restarts the aggregate into the out-of-core partitioned fold. FS
-	// creates spill files (nil = the default temp-file filesystem).
+	// Mem is the statement memory grant (nil = unlimited). Buffered
+	// window batches are working memory for parallelism: a denied batch
+	// still joins its window (one batch is the working floor) but closes
+	// it, narrowing the window. Group state reserves after each window:
+	// a denial makes the fold hybrid — resident groups keep folding in
+	// place, and every row of a group that is not resident goes to
+	// spillParts hash-partitioned runs on disk, each folded once the
+	// input ends. FS creates spill files (nil = the default temp-file
+	// filesystem).
 	Mem *sched.MemBudget
 	FS  storage.SpillFS
 
 	out    storage.Schema
 	result *storage.Batch
 	pos    int
-	// spilling marks the restarted out-of-core fold, which bounds its
-	// own memory and must not signal a spill again.
-	spilling bool
-	mt       memTracker
-	stats    OpStats
+	mt     memTracker
+	stats  OpStats
 }
-
-// errAggSpill aborts the in-memory fold when a reservation is denied;
-// open restarts the input into openSpilled.
-var errAggSpill = fmt.Errorf("exec: aggregate exceeded memory grant; restart with spill fold")
 
 // groupBytes estimates one group's resident state for accounting: map
 // slot, first-row bookkeeping, keys and accumulators.
@@ -96,11 +95,6 @@ func (a *HashAggregate) Schema() storage.Schema {
 	return a.out
 }
 
-type aggGroup struct {
-	keys []storage.Value
-	accs []*expr.Accumulator
-}
-
 // fastKeyable reports whether the vectorized single-int64-key path
 // applies: one INTEGER group key, no DISTINCT aggregates.
 func (a *HashAggregate) fastKeyable() bool {
@@ -115,66 +109,6 @@ func (a *HashAggregate) fastKeyable() bool {
 	return true
 }
 
-// batchIter returns a next-func over a pre-collected batch list.
-func batchIter(batches []*storage.Batch) func() (*storage.Batch, error) {
-	i := 0
-	return func() (*storage.Batch, error) {
-		if i >= len(batches) {
-			return nil, nil
-		}
-		b := batches[i]
-		i++
-		return b, nil
-	}
-}
-
-// collectUpTo drains at most max non-empty batches from an opened
-// operator. more reports whether the cap was hit (the input may hold
-// further batches).
-func collectUpTo(in Operator, max int) (batches []*storage.Batch, more bool, err error) {
-	for len(batches) < max {
-		b, err := in.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return batches, false, nil
-		}
-		if b.Len() > 0 {
-			batches = append(batches, b)
-		}
-	}
-	return batches, true, nil
-}
-
-// collectWindow is collectUpTo against the aggregate's input with each
-// batch reserved against the memory grant; a denial aborts the
-// in-memory fold with errAggSpill (the spill fold re-reads the input,
-// so the partial window is simply dropped).
-func (a *HashAggregate) collectWindow(max int) (batches []*storage.Batch, more bool, reserved int64, err error) {
-	for len(batches) < max {
-		b, err := a.Input.Next()
-		if err != nil {
-			return nil, false, reserved, err
-		}
-		if b == nil {
-			return batches, false, reserved, nil
-		}
-		if b.Len() == 0 {
-			continue
-		}
-		if !a.spilling {
-			n := storage.BatchBytes(b)
-			if !a.mt.reserve(n) {
-				return nil, false, reserved, errAggSpill
-			}
-			reserved += n
-		}
-		batches = append(batches, b)
-	}
-	return batches, true, reserved, nil
-}
-
 func rowsOf(batches []*storage.Batch) int {
 	rows := 0
 	for _, b := range batches {
@@ -183,80 +117,34 @@ func rowsOf(batches []*storage.Batch) int {
 	return rows
 }
 
-// openFast consumes the input with the vectorized path: the group key
-// and every aggregate input are evaluated as whole columns per batch,
-// and groups live in an int64-keyed map.
-func (a *HashAggregate) openFast(next func() (*storage.Batch, error)) error {
-	type group struct {
-		key  int64
-		accs []*expr.Accumulator
-	}
-	groups := make(map[int64]*group)
-	var order []*group
-	for {
-		b, err := next()
-		if err != nil {
-			return err
+// collectWindow drains the aggregate's next window: at most size
+// non-empty batches, each reserved against the grant when the window
+// buffers more than one. A denied batch still joins the window — one
+// batch is the working floor — but closes it.
+func (a *HashAggregate) collectWindow(size int) (batches []*storage.Batch, reserved int64, err error) {
+	for len(batches) < size {
+		b, err := a.Input.Next()
+		if err != nil || b == nil {
+			return batches, reserved, err
 		}
-		if b == nil {
-			break
+		if b.Len() == 0 {
+			continue
 		}
-		keyCol, err := expr.EvalVector(a.GroupBy[0], b)
-		if err != nil {
-			return err
-		}
-		keys, ok := keyCol.(*storage.Int64Column)
-		if !ok || storage.NullsOf(keys).Any() {
-			return errFastPathNulls
-		}
-		inputs := make([]storage.Column, len(a.Aggs))
-		for k, ag := range a.Aggs {
-			if ag.Kind == expr.AggCountStar {
-				continue
+		batches = append(batches, b)
+		if size > 1 {
+			n := storage.BatchBytes(b)
+			if !a.mt.reserve(n) {
+				break
 			}
-			col, err := expr.EvalVector(ag.Input, b)
-			if err != nil {
-				return err
-			}
-			inputs[k] = col
-		}
-		kv := keys.Int64s()
-		for i := range kv {
-			g := groups[kv[i]]
-			if g == nil {
-				if !a.spilling && !a.mt.reserve(a.groupBytes()) {
-					return errAggSpill
-				}
-				g = &group{key: kv[i], accs: newAccumulators(a.Aggs)}
-				groups[kv[i]] = g
-				order = append(order, g)
-			}
-			for k, ag := range a.Aggs {
-				if ag.Kind == expr.AggCountStar {
-					g.accs[k].Add(storage.Int64(1))
-					continue
-				}
-				g.accs[k].Add(inputs[k].Value(i))
-			}
+			reserved += n
 		}
 	}
-	a.result = storage.NewBatch(a.out)
-	for _, g := range order {
-		row := make([]storage.Value, 0, a.out.Len())
-		row = append(row, storage.Int64(g.key))
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
-		}
-		if err := a.result.AppendRow(row...); err != nil {
-			return err
-		}
-	}
-	return nil
+	return batches, reserved, nil
 }
 
-// errFastPathNulls aborts the fast path when it discovers NULL group
-// keys mid-stream; the caller restarts with the generic path.
-var errFastPathNulls = fmt.Errorf("exec: aggregate fast path hit NULL group keys; re-run without fast path")
+// errFastPathNulls aborts a fast-path window when it discovers NULL or
+// non-integer group keys; the fold migrates to the generic path.
+var errFastPathNulls = errors.New("exec: aggregate fast path hit a NULL or non-integer group key")
 
 func newAccumulators(aggs []*expr.Aggregate) []*expr.Accumulator {
 	accs := make([]*expr.Accumulator, len(aggs))
@@ -279,85 +167,22 @@ func (a *HashAggregate) open() error {
 	a.Schema()
 	a.pos = 0
 	a.mt = memTracker{mem: a.Mem}
-	a.spilling = false
-	err := a.openBudgeted()
-	if err == errAggSpill {
-		// The working set outgrew the grant: drop everything buffered
-		// and restart the input into the out-of-core partitioned fold
-		// (the same restart precedent as the fast path's NULL bailout).
-		a.mt.releaseAll()
-		return a.openSpilled()
-	}
-	return err
-}
-
-// openBudgeted is the in-memory fold, aborting with errAggSpill when a
-// reservation is denied.
-func (a *HashAggregate) openBudgeted() error {
 	if err := a.Input.Open(); err != nil {
 		return err
 	}
 	defer a.Input.Close()
-
-	if len(a.GroupBy) > 0 && a.Workers > 1 {
-		batches, more, reserved, err := a.collectWindow(aggWindowBatches)
-		if err != nil {
-			return err
-		}
-		if more {
-			// The input exceeds one window: fold it window by window
-			// so buffering stays bounded.
-			return a.openWindowed(batches, reserved)
-		}
-		if w := splitParts(rowsOf(batches), a.Workers); w > 1 {
-			return a.openPartitioned(batches, w)
-		}
-		// Too small to parallelize; fold the collected batches serially.
-		if a.fastKeyable() {
-			if err := a.openFast(batchIter(batches)); err == nil {
-				return nil
-			} else if err != errFastPathNulls {
-				return err
-			}
-		}
-		return a.openSerial(batchIter(batches))
+	if len(a.GroupBy) == 0 {
+		return a.openScalar()
 	}
-
-	if a.fastKeyable() {
-		if err := a.openFast(a.Input.Next); err == nil {
-			return nil
-		} else if err != errFastPathNulls {
-			return err
-		}
-		// Restart the input for the generic path.
-		if err := a.Input.Close(); err != nil {
-			return err
-		}
-		if err := a.Input.Open(); err != nil {
-			return err
-		}
-	}
-	return a.openSerial(a.Input.Next)
+	return a.openGrouped()
 }
 
-// openSerial is the generic fold: arbitrary key expressions, evaluated
-// row at a time.
-func (a *HashAggregate) openSerial(next func() (*storage.Batch, error)) error {
-	groups := make(map[uint64][]*aggGroup)
-	var order []*aggGroup // deterministic output order: first appearance
-
-	newGroup := func(keys []storage.Value) *aggGroup {
-		g := &aggGroup{keys: keys, accs: newAccumulators(a.Aggs)}
-		order = append(order, g)
-		return g
-	}
-
-	if len(a.GroupBy) == 0 {
-		newGroup(nil)
-	}
-
+// openScalar folds the whole input into the single row of a scalar
+// aggregate, in O(1) state.
+func (a *HashAggregate) openScalar() error {
+	accs := newAccumulators(a.Aggs)
 	for {
-		b, err := next()
+		b, err := a.Input.Next()
 		if err != nil {
 			return err
 		}
@@ -365,52 +190,183 @@ func (a *HashAggregate) openSerial(next func() (*storage.Batch, error)) error {
 			break
 		}
 		for i := 0; i < b.Len(); i++ {
-			row := expr.Row{Batch: b, Idx: i}
-			var g *aggGroup
-			if len(a.GroupBy) == 0 {
-				g = order[0]
-			} else {
-				keys := make([]storage.Value, len(a.GroupBy))
-				for k, ge := range a.GroupBy {
-					v, err := ge.Eval(row)
-					if err != nil {
-						return err
-					}
-					keys[k] = v
-				}
-				h := storage.HashRow(keys)
-				for _, cand := range groups[h] {
-					if rowsEqual(cand.keys, keys) {
-						g = cand
-						break
-					}
-				}
-				if g == nil {
-					if !a.spilling && !a.mt.reserve(a.groupBytes()) {
-						return errAggSpill
-					}
-					g = newGroup(keys)
-					groups[h] = append(groups[h], g)
-				}
-			}
-			if err := foldRow(g.accs, a.Aggs, row); err != nil {
+			if err := foldRow(accs, a.Aggs, expr.Row{Batch: b, Idx: i}); err != nil {
 				return err
 			}
 		}
 	}
-
 	a.result = storage.NewBatch(a.out)
-	for _, g := range order {
-		row := make([]storage.Value, 0, a.out.Len())
-		row = append(row, g.keys...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
+	return a.result.AppendRow(groupRow(nil, accs)...)
+}
+
+// aggFold is the grouped fold's state across windows: w hash
+// partitions of groups — int64-keyed maps while the fold is on the fast
+// path, hash-keyed generic maps after — each with its groups in
+// creation order, plus, once group state has outgrown the grant, the
+// partitioner that spills the rows of groups that are not resident.
+type aggFold struct {
+	w         int
+	fast      bool
+	fastParts []map[int64]*pgroup
+	slowParts []map[uint64][]*pgroup
+	lists     [][]*pgroup
+	spill     *spillPartitioner
+}
+
+func (f *aggFold) groups() int {
+	n := 0
+	for _, list := range f.lists {
+		n += len(list)
+	}
+	return n
+}
+
+// openGrouped runs the windowed fold over the whole input. After each
+// window it trades the window's batch reservation for the group state
+// the window grew; when the grant cannot hold that, the resident set is
+// frozen and the fold goes hybrid.
+func (a *HashAggregate) openGrouped() error {
+	size := 1
+	if a.Workers > 1 {
+		size = aggWindowBatches
+	}
+	window, reserved, err := a.collectWindow(size)
+	if err != nil {
+		return err
+	}
+	w := splitParts(rowsOf(window), a.Workers)
+	f := &aggFold{
+		w:         w,
+		fast:      a.fastKeyable(),
+		fastParts: make([]map[int64]*pgroup, w),
+		slowParts: make([]map[uint64][]*pgroup, w),
+		lists:     make([][]*pgroup, w),
+	}
+	for p := 0; p < w; p++ {
+		f.fastParts[p] = make(map[int64]*pgroup)
+		f.slowParts[p] = make(map[uint64][]*pgroup)
+	}
+	defer func() {
+		if f.spill != nil {
+			f.spill.abort()
 		}
-		if err := a.result.AppendRow(row...); err != nil {
+	}()
+	offset := 0
+	for len(window) > 0 {
+		prevGroups := f.groups()
+		if err := a.foldWindow(f, window, offset); err != nil {
+			return err
+		}
+		offset += rowsOf(window)
+		a.mt.release(reserved)
+		if f.spill == nil && !a.mt.reserve(int64(f.groups()-prevGroups)*a.groupBytes()) {
+			f.spill = &spillPartitioner{fs: a.fs(), schema: withIdx(a.Input.Schema())}
+		}
+		if window, reserved, err = a.collectWindow(size); err != nil {
+			return err
+		}
+	}
+
+	var merged []mergedGroup
+	for _, list := range f.lists {
+		for _, g := range list {
+			merged = append(merged, mergedGroup{first: g.first, row: groupRow(g.keyValues(), g.accs)})
+		}
+	}
+	if f.spill != nil {
+		runs, err := f.spill.finish(&a.stats)
+		f.spill = nil
+		if err != nil {
+			return err
+		}
+		for k, run := range runs {
+			if run == nil {
+				continue
+			}
+			err := a.foldSpillRun(run, &merged)
+			run.Close()
+			if err != nil {
+				closeRuns(runs[k+1:])
+				return err
+			}
+		}
+	}
+	sort.Slice(merged, func(x, y int) bool { return merged[x].first < merged[y].first })
+	a.result = storage.NewBatch(a.out)
+	for _, g := range merged {
+		if err := a.result.AppendRow(g.row...); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func (a *HashAggregate) fs() storage.SpillFS {
+	if a.FS != nil {
+		return a.FS
+	}
+	return storage.DefaultSpillFS
+}
+
+// foldWindow folds one window on the fast path, or on the generic path
+// once any key has been NULL or non-integer.
+func (a *HashAggregate) foldWindow(f *aggFold, window []*storage.Batch, offset int) error {
+	if f.fast {
+		err := a.foldWindowFast(f, window, offset)
+		if err != errFastPathNulls {
+			return err
+		}
+		// Stage 1 rejected the window before any row of it was folded:
+		// migrate every group to the generic path and re-fold this
+		// window there.
+		f.fast = false
+		migrateGroups(f)
+	}
+	return a.foldWindowSlow(f, window, offset)
+}
+
+// spillRows writes the flagged rows of each window batch — rows of
+// groups that are not resident — to the spill partition their group
+// hash selects, tagged with their global row index. A group's rows all
+// land in one partition, in row order.
+func (a *HashAggregate) spillRows(f *aggFold, window []*storage.Batch, starts []int, spilled [][]bool, hash func(bi, i int) uint64) error {
+	for bi, b := range window {
+		var rows [spillParts][]int
+		for i, s := range spilled[bi] {
+			if s {
+				k := hash(bi, i) % spillParts
+				rows[k] = append(rows[k], i)
+			}
+		}
+		for k, r := range rows {
+			if len(r) > 0 {
+				if err := f.spill.add(k, tagRows(b, r, int64(starts[bi]), f.spill.schema)); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// spillFlags allocates one flag per row of each window batch.
+func spillFlags(window []*storage.Batch) [][]bool {
+	flags := make([][]bool, len(window))
+	for bi, b := range window {
+		flags[bi] = make([]bool, b.Len())
+	}
+	return flags
+}
+
+// groupRow is a finished group's output row: its keys, then each
+// aggregate's result.
+func groupRow(keys []storage.Value, accs []*expr.Accumulator) []storage.Value {
+	row := make([]storage.Value, 0, len(keys)+len(accs))
+	row = append(row, keys...)
+	for _, acc := range accs {
+		row = append(row, acc.Result())
+	}
+	return row
 }
 
 // foldRow folds one input row into a group's accumulators.
@@ -438,223 +394,6 @@ type mergedGroup struct {
 	row   []storage.Value
 }
 
-// openPartitioned is the parallel grouped fold over pre-collected
-// batches: stage 1 evaluates key (and, on the fast path, aggregate
-// input) expressions per batch on the worker pool; stage 2 folds on w
-// partitioned maps, each worker visiting every row but claiming only
-// the keys that hash into its partition.
-func (a *HashAggregate) openPartitioned(batches []*storage.Batch, w int) error {
-	starts := make([]int, len(batches))
-	rows := 0
-	for i, b := range batches {
-		starts[i] = rows
-		rows += b.Len()
-	}
-
-	var merged []mergedGroup
-	var err error
-	if a.fastKeyable() {
-		merged, err = a.foldFastPartitioned(batches, starts, w)
-		if err == errFastPathNulls {
-			merged, err = a.foldSlowPartitioned(batches, starts, w)
-		}
-	} else {
-		merged, err = a.foldSlowPartitioned(batches, starts, w)
-	}
-	if err != nil {
-		return err
-	}
-
-	sort.Slice(merged, func(x, y int) bool { return merged[x].first < merged[y].first })
-	a.result = storage.NewBatch(a.out)
-	for _, g := range merged {
-		if err := a.result.AppendRow(g.row...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// foldFastPartitioned is the int64-key parallel fold.
-func (a *HashAggregate) foldFastPartitioned(batches []*storage.Batch, starts []int, w int) ([]mergedGroup, error) {
-	type evalBatch struct {
-		keys   []int64
-		inputs []storage.Column
-	}
-	evals := make([]evalBatch, len(batches))
-	errs := make([]error, len(batches))
-	sched.ForEach(a.Budget, len(batches), w, func(bi int) {
-		b := batches[bi]
-		keyCol, err := expr.EvalVector(a.GroupBy[0], b)
-		if err != nil {
-			errs[bi] = err
-			return
-		}
-		keys, ok := keyCol.(*storage.Int64Column)
-		if !ok || storage.NullsOf(keys).Any() {
-			errs[bi] = errFastPathNulls
-			return
-		}
-		ev := evalBatch{keys: keys.Int64s(), inputs: make([]storage.Column, len(a.Aggs))}
-		for k, ag := range a.Aggs {
-			if ag.Kind == expr.AggCountStar {
-				continue
-			}
-			col, err := expr.EvalVector(ag.Input, b)
-			if err != nil {
-				errs[bi] = err
-				return
-			}
-			ev.inputs[k] = col
-		}
-		evals[bi] = ev
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	type group struct {
-		key   int64
-		first int
-		accs  []*expr.Accumulator
-	}
-	parts := make([][]*group, w)
-	sched.ForEach(a.Budget, w, w, func(p int) {
-		m := make(map[int64]*group)
-		var order []*group
-		for bi := range evals {
-			start := starts[bi]
-			for i, k := range evals[bi].keys {
-				if int(uint64(k)%uint64(w)) != p {
-					continue
-				}
-				g := m[k]
-				if g == nil {
-					g = &group{key: k, first: start + i, accs: newAccumulators(a.Aggs)}
-					m[k] = g
-					order = append(order, g)
-				}
-				for ai, ag := range a.Aggs {
-					if ag.Kind == expr.AggCountStar {
-						g.accs[ai].Add(storage.Int64(1))
-						continue
-					}
-					g.accs[ai].Add(evals[bi].inputs[ai].Value(i))
-				}
-			}
-		}
-		parts[p] = order
-	})
-
-	var merged []mergedGroup
-	for _, order := range parts {
-		for _, g := range order {
-			row := make([]storage.Value, 0, a.out.Len())
-			row = append(row, storage.Int64(g.key))
-			for _, acc := range g.accs {
-				row = append(row, acc.Result())
-			}
-			merged = append(merged, mergedGroup{first: g.first, row: row})
-		}
-	}
-	return merged, nil
-}
-
-// foldSlowPartitioned is the generic parallel fold: stage 1 computes
-// key values and hashes per row; stage 2 folds each hash partition on
-// its own worker, evaluating aggregate inputs only for owned rows.
-func (a *HashAggregate) foldSlowPartitioned(batches []*storage.Batch, starts []int, w int) ([]mergedGroup, error) {
-	type evalBatch struct {
-		keys   [][]storage.Value
-		hashes []uint64
-	}
-	evals := make([]evalBatch, len(batches))
-	errs := make([]error, len(batches))
-	sched.ForEach(a.Budget, len(batches), w, func(bi int) {
-		b := batches[bi]
-		n := b.Len()
-		ev := evalBatch{keys: make([][]storage.Value, n), hashes: make([]uint64, n)}
-		for i := 0; i < n; i++ {
-			row := expr.Row{Batch: b, Idx: i}
-			keys := make([]storage.Value, len(a.GroupBy))
-			for k, ge := range a.GroupBy {
-				v, err := ge.Eval(row)
-				if err != nil {
-					errs[bi] = err
-					return
-				}
-				keys[k] = v
-			}
-			ev.keys[i] = keys
-			ev.hashes[i] = storage.HashRow(keys)
-		}
-		evals[bi] = ev
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	type group struct {
-		keys  []storage.Value
-		first int
-		accs  []*expr.Accumulator
-	}
-	parts := make([][]*group, w)
-	perrs := make([]error, w)
-	sched.ForEach(a.Budget, w, w, func(p int) {
-		m := make(map[uint64][]*group)
-		var order []*group
-		for bi := range evals {
-			b := batches[bi]
-			start := starts[bi]
-			for i, h := range evals[bi].hashes {
-				if int(h%uint64(w)) != p {
-					continue
-				}
-				var g *group
-				for _, cand := range m[h] {
-					if rowsEqual(cand.keys, evals[bi].keys[i]) {
-						g = cand
-						break
-					}
-				}
-				if g == nil {
-					g = &group{keys: evals[bi].keys[i], first: start + i, accs: newAccumulators(a.Aggs)}
-					m[h] = append(m[h], g)
-					order = append(order, g)
-				}
-				if err := foldRow(g.accs, a.Aggs, expr.Row{Batch: b, Idx: i}); err != nil {
-					perrs[p] = err
-					return
-				}
-			}
-		}
-		parts[p] = order
-	})
-	for _, err := range perrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var merged []mergedGroup
-	for _, order := range parts {
-		for _, g := range order {
-			row := make([]storage.Value, 0, a.out.Len())
-			row = append(row, g.keys...)
-			for _, acc := range g.accs {
-				row = append(row, acc.Result())
-			}
-			merged = append(merged, mergedGroup{first: g.first, row: row})
-		}
-	}
-	return merged, nil
-}
-
 // pgroup is one group's persistent fold state in the windowed
 // partitioned fold. A group starts on the int64 fast path (keys nil)
 // and may migrate to the generic representation mid-stream.
@@ -666,119 +405,38 @@ type pgroup struct {
 	accs  []*expr.Accumulator
 }
 
-// openWindowed is the bounded-buffering parallel grouped fold: the
-// input is consumed in windows of at most aggWindowBatches batches,
-// each window running the two parallel stages (expression eval per
-// batch, then a fold on w hash partitions) into group state that
-// persists across windows. Every group is folded in global row order
-// regardless of w, and output order is restored by each group's first
-// input row, so results stay byte-identical at any worker count. The
-// fold starts on the vectorized int64-key path when the shape allows
-// and migrates all groups to the generic path if a NULL or non-integer
-// key appears mid-stream — accumulated state carries over, so no input
-// is re-read.
-func (a *HashAggregate) openWindowed(window []*storage.Batch, reserved int64) error {
-	w := splitParts(rowsOf(window), a.Workers)
-	if w < 1 {
-		w = 1
+// keyValues returns the group's key values, boxing a fast-path key.
+func (g *pgroup) keyValues() []storage.Value {
+	if g.keys != nil {
+		return g.keys
 	}
-	fast := a.fastKeyable()
-	fastParts := make([]map[int64]*pgroup, w)
-	slowParts := make([]map[uint64][]*pgroup, w)
-	lists := make([][]*pgroup, w)
-	for p := 0; p < w; p++ {
-		fastParts[p] = make(map[int64]*pgroup)
-		slowParts[p] = make(map[uint64][]*pgroup)
-	}
-	groupCount := func() int {
-		n := 0
-		for _, list := range lists {
-			n += len(list)
-		}
-		return n
-	}
-
-	offset := 0
-	for len(window) > 0 {
-		prevGroups := groupCount()
-		if fast {
-			err := a.foldWindowFast(window, offset, w, fastParts, lists)
-			if err == errFastPathNulls {
-				// Stage 1 rejected the window before any row of it was
-				// folded: migrate every group to the generic path and
-				// re-fold this window there.
-				fast = false
-				migrateGroups(fastParts, slowParts, lists, w)
-			} else if err != nil {
-				return err
-			}
-		}
-		if !fast {
-			if err := a.foldWindowSlow(window, offset, w, slowParts, lists); err != nil {
-				return err
-			}
-		}
-		offset += rowsOf(window)
-		// The window is folded: trade its batch reservation for the
-		// group state it grew.
-		a.mt.release(reserved)
-		if !a.mt.reserve(int64(groupCount()-prevGroups) * a.groupBytes()) {
-			return errAggSpill
-		}
-		var err error
-		window, _, reserved, err = a.collectWindow(aggWindowBatches)
-		if err != nil {
-			return err
-		}
-	}
-
-	var merged []mergedGroup
-	for _, list := range lists {
-		for _, g := range list {
-			row := make([]storage.Value, 0, a.out.Len())
-			if g.keys != nil {
-				row = append(row, g.keys...)
-			} else {
-				row = append(row, storage.Int64(g.key))
-			}
-			for _, acc := range g.accs {
-				row = append(row, acc.Result())
-			}
-			merged = append(merged, mergedGroup{first: g.first, row: row})
-		}
-	}
-	sort.Slice(merged, func(x, y int) bool { return merged[x].first < merged[y].first })
-	a.result = storage.NewBatch(a.out)
-	for _, g := range merged {
-		if err := a.result.AppendRow(g.row...); err != nil {
-			return err
-		}
-	}
-	return nil
+	return []storage.Value{storage.Int64(g.key)}
 }
 
 // migrateGroups moves every fast-path group to the generic
 // representation, re-routing it to the partition its row hash selects
-// so future generic folds find it.
-func migrateGroups(fastParts []map[int64]*pgroup, slowParts []map[uint64][]*pgroup, lists [][]*pgroup, w int) {
-	newLists := make([][]*pgroup, w)
-	for p, list := range lists {
+// so future generic folds find it. Accumulated state carries over, so
+// no input is re-read.
+func migrateGroups(f *aggFold) {
+	newLists := make([][]*pgroup, f.w)
+	for p, list := range f.lists {
 		for _, g := range list {
 			g.keys = []storage.Value{storage.Int64(g.key)}
 			g.hash = storage.HashRow(g.keys)
-			np := int(g.hash % uint64(w))
-			slowParts[np][g.hash] = append(slowParts[np][g.hash], g)
+			np := int(g.hash % uint64(f.w))
+			f.slowParts[np][g.hash] = append(f.slowParts[np][g.hash], g)
 			newLists[np] = append(newLists[np], g)
 		}
-		fastParts[p] = nil
+		f.fastParts[p] = nil
 	}
-	copy(lists, newLists)
+	copy(f.lists, newLists)
 }
 
 // foldWindowFast folds one window on the int64-key path. It returns
 // errFastPathNulls — with no rows of the window folded — when a NULL
-// or non-integer key appears.
-func (a *HashAggregate) foldWindowFast(window []*storage.Batch, offset, w int, parts []map[int64]*pgroup, lists [][]*pgroup) error {
+// or non-integer key appears. In a hybrid fold, rows of groups that are
+// not resident go to the spill instead.
+func (a *HashAggregate) foldWindowFast(f *aggFold, window []*storage.Batch, offset int) error {
 	type evalBatch struct {
 		keys   []int64
 		inputs []storage.Column
@@ -824,8 +482,13 @@ func (a *HashAggregate) foldWindowFast(window []*storage.Batch, offset, w int, p
 	}
 
 	starts := windowStarts(window, offset)
+	var spilled [][]bool
+	if f.spill != nil {
+		spilled = spillFlags(window)
+	}
+	w := f.w
 	sched.ForEach(a.Budget, w, a.Workers, func(p int) {
-		m := parts[p]
+		m := f.fastParts[p]
 		for bi := range evals {
 			start := starts[bi]
 			for i, k := range evals[bi].keys {
@@ -834,9 +497,13 @@ func (a *HashAggregate) foldWindowFast(window []*storage.Batch, offset, w int, p
 				}
 				g := m[k]
 				if g == nil {
+					if spilled != nil {
+						spilled[bi][i] = true
+						continue
+					}
 					g = &pgroup{key: k, first: start + i, accs: newAccumulators(a.Aggs)}
 					m[k] = g
-					lists[p] = append(lists[p], g)
+					f.lists[p] = append(f.lists[p], g)
 				}
 				for ai, ag := range a.Aggs {
 					if ag.Kind == expr.AggCountStar {
@@ -848,13 +515,19 @@ func (a *HashAggregate) foldWindowFast(window []*storage.Batch, offset, w int, p
 			}
 		}
 	})
-	return nil
+	if spilled == nil {
+		return nil
+	}
+	return a.spillRows(f, window, starts, spilled, func(bi, i int) uint64 {
+		return storage.HashRow([]storage.Value{storage.Int64(evals[bi].keys[i])})
+	})
 }
 
 // foldWindowSlow folds one window on the generic path: stage 1
 // computes key values and hashes per row in parallel; stage 2 folds
-// each hash partition on its own worker.
-func (a *HashAggregate) foldWindowSlow(window []*storage.Batch, offset, w int, parts []map[uint64][]*pgroup, lists [][]*pgroup) error {
+// each hash partition on its own worker. In a hybrid fold, rows of
+// groups that are not resident go to the spill instead.
+func (a *HashAggregate) foldWindowSlow(f *aggFold, window []*storage.Batch, offset int) error {
 	type evalBatch struct {
 		keys   [][]storage.Value
 		hashes []uint64
@@ -888,9 +561,14 @@ func (a *HashAggregate) foldWindowSlow(window []*storage.Batch, offset, w int, p
 	}
 
 	starts := windowStarts(window, offset)
+	var spilled [][]bool
+	if f.spill != nil {
+		spilled = spillFlags(window)
+	}
+	w := f.w
 	perrs := make([]error, w)
 	sched.ForEach(a.Budget, w, a.Workers, func(p int) {
-		m := parts[p]
+		m := f.slowParts[p]
 		for bi := range evals {
 			b := window[bi]
 			start := starts[bi]
@@ -906,9 +584,13 @@ func (a *HashAggregate) foldWindowSlow(window []*storage.Batch, offset, w int, p
 					}
 				}
 				if g == nil {
+					if spilled != nil {
+						spilled[bi][i] = true
+						continue
+					}
 					g = &pgroup{keys: evals[bi].keys[i], hash: h, first: start + i, accs: newAccumulators(a.Aggs)}
 					m[h] = append(m[h], g)
-					lists[p] = append(lists[p], g)
+					f.lists[p] = append(f.lists[p], g)
 				}
 				if err := foldRow(g.accs, a.Aggs, expr.Row{Batch: b, Idx: i}); err != nil {
 					perrs[p] = err
@@ -922,140 +604,20 @@ func (a *HashAggregate) foldWindowSlow(window []*storage.Batch, offset, w int, p
 			return err
 		}
 	}
-	return nil
+	if spilled == nil {
+		return nil
+	}
+	return a.spillRows(f, window, starts, spilled, func(bi, i int) uint64 {
+		return evals[bi].hashes[i]
+	})
 }
 
-// aggSpillParts is the partition fan-out of the out-of-core fold.
-const aggSpillParts = 16
-
-// openSpilled is the out-of-core grouped fold: the input streams to
-// aggSpillParts hash-partitioned runs on disk — raw rows tagged with
-// their global index, not accumulator state, because float accumulation
-// order must match the serial fold — then each partition is folded
-// serially in row order. A group's rows all land in one partition and
-// stay in stream order there, so per-group accumulation order equals
-// the serial fold's; sorting finished groups by first-row index
-// restores the serial output order, making the result byte-identical
-// to the in-memory fold. Resident state is one partition's groups plus
-// a batch per partition — the aggregate's working floor.
-func (a *HashAggregate) openSpilled() error {
-	a.spilling = true
-	if err := a.Input.Open(); err != nil {
-		return err
-	}
-	defer a.Input.Close()
-	if len(a.GroupBy) == 0 {
-		// Scalar aggregates fold in O(1) state; stream serially.
-		return a.openSerial(a.Input.Next)
-	}
+// foldSpillRun folds one spilled partition run with the generic serial
+// fold, appending its finished groups to merged. A group's rows all
+// sit in one run in row order, so its accumulation order — and the
+// first-row index taken from __idx — equal the in-memory fold's.
+func (a *HashAggregate) foldSpillRun(run *storage.SpillRun, merged *[]mergedGroup) error {
 	is := a.Input.Schema()
-	cols := make([]storage.ColumnDef, 0, is.Len()+1)
-	cols = append(cols, is.Cols...)
-	cols = append(cols, storage.Col("__idx", storage.TypeInt64))
-	ext := storage.NewSchema(cols...)
-	fs := a.FS
-	if fs == nil {
-		fs = storage.DefaultSpillFS
-	}
-	var ws [aggSpillParts]*storage.RunWriter
-	abort := func() {
-		for _, w := range ws {
-			if w != nil {
-				w.Abort()
-			}
-		}
-	}
-	var pend [aggSpillParts]*storage.Batch
-	write := func(k int) error {
-		if ws[k] == nil {
-			var err error
-			ws[k], err = storage.NewRunWriter(fs, ext)
-			if err != nil {
-				return err
-			}
-		}
-		err := ws[k].Write(pend[k])
-		pend[k] = nil
-		return err
-	}
-	idx := int64(0)
-	for {
-		b, err := a.Input.Next()
-		if err != nil {
-			abort()
-			return err
-		}
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.Len(); i++ {
-			row := expr.Row{Batch: b, Idx: i}
-			keys := make([]storage.Value, len(a.GroupBy))
-			for k, ge := range a.GroupBy {
-				v, err := ge.Eval(row)
-				if err != nil {
-					abort()
-					return err
-				}
-				keys[k] = v
-			}
-			k := int(storage.HashRow(keys) % aggSpillParts)
-			if pend[k] == nil {
-				pend[k] = storage.NewBatch(ext)
-			}
-			if err := pend[k].AppendRow(append(b.Row(i), storage.Int64(idx))...); err != nil {
-				abort()
-				return err
-			}
-			idx++
-			if pend[k].Len() >= storage.BatchSize {
-				if err := write(k); err != nil {
-					abort()
-					return err
-				}
-			}
-		}
-	}
-	for k := range pend {
-		if pend[k] != nil && pend[k].Len() > 0 {
-			if err := write(k); err != nil {
-				abort()
-				return err
-			}
-		}
-	}
-	var merged []mergedGroup
-	for k := range ws {
-		if ws[k] == nil {
-			continue
-		}
-		run, err := ws[k].Finish()
-		ws[k] = nil
-		if err != nil {
-			abort()
-			return err
-		}
-		a.stats.spilled(run)
-		err = a.foldSpillRun(run, is, &merged)
-		run.Close()
-		if err != nil {
-			abort()
-			return err
-		}
-	}
-	sort.Slice(merged, func(x, y int) bool { return merged[x].first < merged[y].first })
-	a.result = storage.NewBatch(a.out)
-	for _, g := range merged {
-		if err := a.result.AppendRow(g.row...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// foldSpillRun folds one partition run with the generic serial fold,
-// appending its finished groups to merged.
-func (a *HashAggregate) foldSpillRun(run *storage.SpillRun, is storage.Schema, merged *[]mergedGroup) error {
 	type sgroup struct {
 		keys  []storage.Value
 		first int
@@ -1104,12 +666,7 @@ func (a *HashAggregate) foldSpillRun(run *storage.SpillRun, is storage.Schema, m
 		}
 	}
 	for _, g := range order {
-		row := make([]storage.Value, 0, a.out.Len())
-		row = append(row, g.keys...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
-		}
-		*merged = append(*merged, mergedGroup{first: g.first, row: row})
+		*merged = append(*merged, mergedGroup{first: g.first, row: groupRow(g.keys, g.accs)})
 	}
 	return nil
 }

@@ -6,7 +6,7 @@ import (
 
 // Grace hash join: when the build side outgrows the memory grant, both
 // inputs are hash-partitioned on the join key into on-disk runs —
-// graceParts partitions per level, 4 hash bits each — and each left
+// spillParts partitions per level, 4 hash bits each — and each left
 // partition is probed against its right partition with a
 // partition-sized hash table. A partition that still does not fit
 // repartitions on the next 4 bits, up to maxGraceLevels, after which it
@@ -21,18 +21,19 @@ import (
 // each result run is index-sorted; a K-way merge by index across the
 // result runs reproduces the serial probe output exactly, then strips
 // the index column.
+//
+// Every phase moves columns: key hashes are computed column by column,
+// partitions are filled by Gather, a partition is probed into (left,
+// right) index pairs that are gathered once per output batch, and the
+// merge builds each output column with one multi-source gather.
 
-const (
-	// graceParts is the partition fan-out per level: 4 hash bits.
-	graceParts = 16
-	// maxGraceLevels caps recursive repartitioning; level 0 is the
-	// initial split, deeper levels use successively higher hash bits.
-	maxGraceLevels = 3
-)
+// maxGraceLevels caps recursive repartitioning; level 0 is the initial
+// split, deeper levels use successively higher hash bits.
+const maxGraceLevels = 3
 
 // gracePartOf routes a key hash to its partition at the given level.
 func gracePartOf(h uint64, level int) int {
-	return int((h >> (4 * uint(level))) % graceParts)
+	return int((h >> (4 * uint(level))) % spillParts)
 }
 
 func (j *HashJoin) fs() storage.SpillFS {
@@ -60,67 +61,55 @@ func (j *HashJoin) openGrace() error {
 	}
 	lruns, err := j.partitionLeft()
 	if err != nil {
-		for _, r := range rruns {
-			r.Close()
-		}
+		closeRuns(rruns[:])
 		return err
 	}
 	j.mt.releaseAll()
 	var results []*storage.SpillRun
-	closeResults := func() {
-		for _, r := range results {
-			r.Close()
-		}
-	}
-	for k := 0; k < graceParts; k++ {
+	for k := 0; k < spillParts; k++ {
 		if err := j.graceProbe(lruns[k], rruns[k], 1, &results); err != nil {
-			for kk := k + 1; kk < graceParts; kk++ {
-				lruns[kk].Close()
-				rruns[kk].Close()
-			}
-			closeResults()
+			closeRuns(lruns[k+1:])
+			closeRuns(rruns[k+1:])
+			closeRuns(results)
 			return err
 		}
 	}
 	g, err := newGraceState(results)
 	if err != nil {
-		closeResults()
+		closeRuns(results)
 		return err
 	}
 	j.grace = g
 	return nil
 }
 
+func closeRuns(runs []*storage.SpillRun) {
+	for _, r := range runs {
+		r.Close()
+	}
+}
+
 // partitionRight routes the buffered build prefix plus the rest of the
 // right stream into level-0 partition runs. NULL-key rows are dropped
 // here — they can never match.
-func (j *HashJoin) partitionRight() ([graceParts]*storage.SpillRun, error) {
-	var zero [graceParts]*storage.SpillRun
-	p := gracePartitioner{fs: j.fs(), schema: j.Right.Schema()}
+func (j *HashJoin) partitionRight() ([spillParts]*storage.SpillRun, error) {
+	p := spillPartitioner{fs: j.fs(), schema: j.Right.Schema()}
+	var kh keyHashes
 	route := func(b *storage.Batch) error {
-		var idxs [graceParts][]int
-		for i := 0; i < b.Len(); i++ {
-			h, ok := joinKeyOf(b, i, j.RightKeys)
-			if !ok {
-				continue
-			}
-			k := gracePartOf(h, 0)
-			idxs[k] = append(idxs[k], i)
-		}
-		for k := 0; k < graceParts; k++ {
-			if len(idxs[k]) == 0 {
-				continue
-			}
-			if err := p.write(k, b.Gather(idxs[k])); err != nil {
-				return err
+		kh.of(b, j.RightKeys)
+		for k, rows := range kh.route(0, false) {
+			if len(rows) > 0 {
+				if err := p.add(k, b.Gather(rows)); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
-	fail := func(err error) ([graceParts]*storage.SpillRun, error) {
+	fail := func(err error) ([spillParts]*storage.SpillRun, error) {
 		p.abort()
 		j.Right.Close()
-		return zero, err
+		return [spillParts]*storage.SpillRun{}, err
 	}
 	pos := 0
 	for {
@@ -147,7 +136,7 @@ func (j *HashJoin) partitionRight() ([graceParts]*storage.SpillRun, error) {
 	}
 	if err := j.Right.Close(); err != nil {
 		p.abort()
-		return zero, err
+		return [spillParts]*storage.SpillRun{}, err
 	}
 	j.rdata = nil
 	j.mt.releaseAll() // the buffered prefix lives on disk now
@@ -158,25 +147,19 @@ func (j *HashJoin) partitionRight() ([graceParts]*storage.SpillRun, error) {
 // runs, appending each row's global input index as the last column.
 // NULL-key rows of a left join ride partition 0 (they match nothing and
 // come back NULL-padded); under an inner join they are dropped.
-func (j *HashJoin) partitionLeft() ([graceParts]*storage.SpillRun, error) {
-	var zero [graceParts]*storage.SpillRun
-	ls := j.Left.Schema()
-	cols := make([]storage.ColumnDef, 0, ls.Len()+1)
-	cols = append(cols, ls.Cols...)
-	cols = append(cols, storage.Col("__idx", storage.TypeInt64))
-	ext := storage.NewSchema(cols...)
-	p := gracePartitioner{fs: j.fs(), schema: ext}
+func (j *HashJoin) partitionLeft() ([spillParts]*storage.SpillRun, error) {
+	ext := withIdx(j.Left.Schema())
+	p := spillPartitioner{fs: j.fs(), schema: ext}
 	if err := j.Left.Open(); err != nil {
-		p.abort()
-		return zero, err
+		return [spillParts]*storage.SpillRun{}, err
 	}
-	fail := func(err error) ([graceParts]*storage.SpillRun, error) {
+	fail := func(err error) ([spillParts]*storage.SpillRun, error) {
 		p.abort()
 		j.Left.Close()
-		return zero, err
+		return [spillParts]*storage.SpillRun{}, err
 	}
-	var pend [graceParts]*storage.Batch
-	idx := int64(0)
+	var kh keyHashes
+	offset := int64(0)
 	for {
 		b, err := j.Left.Next()
 		if err != nil {
@@ -186,97 +169,21 @@ func (j *HashJoin) partitionLeft() ([graceParts]*storage.SpillRun, error) {
 			break
 		}
 		j.probeRows.Add(int64(b.Len()))
-		for i := 0; i < b.Len(); i++ {
-			h, ok := joinKeyOf(b, i, j.LeftKeys)
-			k := 0
-			if ok {
-				k = gracePartOf(h, 0)
-			} else if j.Type != LeftJoin {
-				idx++
-				continue
-			}
-			if pend[k] == nil {
-				pend[k] = storage.NewBatch(ext)
-			}
-			row := append(b.Row(i), storage.Int64(idx))
-			idx++
-			if err := pend[k].AppendRow(row...); err != nil {
-				return fail(err)
-			}
-			if pend[k].Len() >= storage.BatchSize {
-				if err := p.write(k, pend[k]); err != nil {
+		kh.of(b, j.LeftKeys)
+		for k, rows := range kh.route(0, j.Type == LeftJoin) {
+			if len(rows) > 0 {
+				if err := p.add(k, tagRows(b, rows, offset, ext)); err != nil {
 					return fail(err)
 				}
-				pend[k] = nil
 			}
 		}
+		offset += int64(b.Len())
 	}
 	if err := j.Left.Close(); err != nil {
 		p.abort()
-		return zero, err
-	}
-	for k := 0; k < graceParts; k++ {
-		if pend[k] != nil && pend[k].Len() > 0 {
-			if err := p.write(k, pend[k]); err != nil {
-				p.abort()
-				return zero, err
-			}
-		}
+		return [spillParts]*storage.SpillRun{}, err
 	}
 	return p.finish(&j.stats)
-}
-
-// gracePartitioner fans batches out to one lazily created run writer
-// per partition.
-type gracePartitioner struct {
-	fs     storage.SpillFS
-	schema storage.Schema
-	ws     [graceParts]*storage.RunWriter
-}
-
-func (p *gracePartitioner) write(k int, b *storage.Batch) error {
-	w := p.ws[k]
-	if w == nil {
-		var err error
-		w, err = storage.NewRunWriter(p.fs, p.schema)
-		if err != nil {
-			return err
-		}
-		p.ws[k] = w
-	}
-	return w.Write(b)
-}
-
-func (p *gracePartitioner) abort() {
-	for _, w := range p.ws {
-		if w != nil {
-			w.Abort()
-		}
-	}
-}
-
-func (p *gracePartitioner) finish(stats *OpStats) ([graceParts]*storage.SpillRun, error) {
-	var runs [graceParts]*storage.SpillRun
-	for k, w := range p.ws {
-		if w == nil {
-			continue
-		}
-		run, err := w.Finish()
-		if err != nil {
-			for _, r := range runs {
-				r.Close()
-			}
-			for _, w2 := range p.ws[k:] {
-				if w2 != nil {
-					w2.Abort()
-				}
-			}
-			return runs, err
-		}
-		stats.spilled(run)
-		runs[k] = run
-	}
-	return runs, nil
 }
 
 // graceProbe joins one left partition against its right partition,
@@ -292,9 +199,8 @@ func (j *HashJoin) graceProbe(lrun, rrun *storage.SpillRun, level int, results *
 	}
 	mt := memTracker{mem: j.Mem}
 	defer mt.releaseAll()
-	var rpart *storage.Batch
+	rpart := storage.NewBatch(j.Right.Schema())
 	if rrun != nil {
-		rpart = storage.NewBatch(rrun.Schema())
 		rr := rrun.Reader()
 		for {
 			b, err := rr.Next()
@@ -313,33 +219,14 @@ func (j *HashJoin) graceProbe(lrun, rrun *storage.SpillRun, level int, results *
 			}
 		}
 	}
-	built := make(map[uint64][]int)
-	if rpart != nil {
-		for i := 0; i < rpart.Len(); i++ {
-			h, ok := joinKeyOf(rpart, i, j.RightKeys)
-			if !ok {
-				continue
-			}
-			built[h] = append(built[h], i)
-		}
-	}
+	table := buildJoinTable(rpart, j.RightKeys, 1, nil)
 	oschema := j.graceOutSchema()
 	w, err := storage.NewRunWriter(j.fs(), oschema)
 	if err != nil {
 		return err
 	}
-	out := storage.NewBatch(oschema)
-	flush := func(force bool) error {
-		if out.Len() == 0 || (!force && out.Len() < storage.BatchSize) {
-			return nil
-		}
-		if err := w.Write(out); err != nil {
-			return err
-		}
-		out = storage.NewBatch(oschema)
-		return nil
-	}
 	ls := j.Left.Schema()
+	var side probeSide
 	lr := lrun.Reader()
 	for {
 		b, err := lr.Next()
@@ -351,59 +238,24 @@ func (j *HashJoin) graceProbe(lrun, rrun *storage.SpillRun, level int, results *
 			break
 		}
 		nl := len(b.Cols) - 1
-		core := &storage.Batch{Schema: ls, Cols: b.Cols[:nl]}
-		idxs := b.Cols[nl].(*storage.Int64Column).Int64s()
-		for i := 0; i < b.Len(); i++ {
-			matched := false
-			if h, ok := joinKeyOf(core, i, j.LeftKeys); ok {
-				var lrow []storage.Value
-				for _, ri := range built[h] {
-					if !joinKeysEqual(core, i, rpart, ri, j.LeftKeys, j.RightKeys) {
-						continue
-					}
-					if lrow == nil {
-						lrow = core.Row(i)
-					}
-					combined := append(append([]storage.Value{}, lrow...), rpart.Row(ri)...)
-					if j.Residual != nil {
-						keep, err := evalPredOnRow(j.out, j.Residual, combined)
-						if err != nil {
-							w.Abort()
-							return err
-						}
-						if !keep {
-							continue
-						}
-					}
-					matched = true
-					row := append([]storage.Value{storage.Int64(idxs[i])}, combined...)
-					if err := out.AppendRow(row...); err != nil {
-						w.Abort()
-						return err
-					}
-					if err := flush(false); err != nil {
-						w.Abort()
-						return err
-					}
-				}
+		idxs := b.Cols[nl]
+		j.setProbeSide(&side, &storage.Batch{Schema: ls, Cols: b.Cols[:nl]}, table)
+		for lo := 0; lo < b.Len(); {
+			out, lrows, next, err := j.probeChunk(&side, lo, b.Len(), table)
+			if err != nil {
+				w.Abort()
+				return err
 			}
-			if !matched && j.Type == LeftJoin {
-				row := append([]storage.Value{storage.Int64(idxs[i])}, core.Row(i)...)
-				row = append(row, j.rNulls...)
-				if err := out.AppendRow(row...); err != nil {
-					w.Abort()
-					return err
-				}
-				if err := flush(false); err != nil {
-					w.Abort()
-					return err
-				}
+			lo = next
+			if out.Len() == 0 {
+				continue
+			}
+			cols := append([]storage.Column{idxs.Gather(lrows)}, out.Cols...)
+			if err := w.Write(&storage.Batch{Schema: oschema, Cols: cols}); err != nil {
+				w.Abort()
+				return err
 			}
 		}
-	}
-	if err := flush(true); err != nil {
-		w.Abort()
-		return err
 	}
 	run, err := w.Finish()
 	if err != nil {
@@ -427,17 +279,13 @@ func (j *HashJoin) graceRecurse(lrun, rrun *storage.SpillRun, level int, results
 	}
 	lsub, err := j.repartitionRun(lrun, level, j.LeftKeys, true)
 	if err != nil {
-		for _, r := range rsub {
-			r.Close()
-		}
+		closeRuns(rsub[:])
 		return err
 	}
-	for k := 0; k < graceParts; k++ {
+	for k := 0; k < spillParts; k++ {
 		if err := j.graceProbe(lsub[k], rsub[k], level+1, results); err != nil {
-			for kk := k + 1; kk < graceParts; kk++ {
-				lsub[kk].Close()
-				rsub[kk].Close()
-			}
+			closeRuns(lsub[k+1:])
+			closeRuns(rsub[k+1:])
 			return err
 		}
 	}
@@ -448,41 +296,26 @@ func (j *HashJoin) graceRecurse(lrun, rrun *storage.SpillRun, level int, results
 // runs carry their __idx as the last column, so the key indices stay
 // valid; their NULL-key rows (left-join pads-to-be) stay in
 // sub-partition 0.
-func (j *HashJoin) repartitionRun(run *storage.SpillRun, level int, keys []int, isLeft bool) ([graceParts]*storage.SpillRun, error) {
-	var zero [graceParts]*storage.SpillRun
-	p := gracePartitioner{fs: j.fs(), schema: run.Schema()}
+func (j *HashJoin) repartitionRun(run *storage.SpillRun, level int, keys []int, isLeft bool) ([spillParts]*storage.SpillRun, error) {
+	p := spillPartitioner{fs: j.fs(), schema: run.Schema()}
+	var kh keyHashes
 	rr := run.Reader()
 	for {
 		b, err := rr.Next()
 		if err != nil {
 			p.abort()
-			return zero, err
+			return [spillParts]*storage.SpillRun{}, err
 		}
 		if b == nil {
 			break
 		}
-		kb := b
-		if isLeft {
-			kb = &storage.Batch{Schema: j.Left.Schema(), Cols: b.Cols[:len(b.Cols)-1]}
-		}
-		var idxs [graceParts][]int
-		for i := 0; i < b.Len(); i++ {
-			h, ok := joinKeyOf(kb, i, keys)
-			k := 0
-			if ok {
-				k = gracePartOf(h, level)
-			} else if !isLeft {
-				continue
-			}
-			idxs[k] = append(idxs[k], i)
-		}
-		for k := 0; k < graceParts; k++ {
-			if len(idxs[k]) == 0 {
-				continue
-			}
-			if err := p.write(k, b.Gather(idxs[k])); err != nil {
-				p.abort()
-				return zero, err
+		kh.of(b, keys)
+		for k, rows := range kh.route(level, isLeft) {
+			if len(rows) > 0 {
+				if err := p.add(k, b.Gather(rows)); err != nil {
+					p.abort()
+					return [spillParts]*storage.SpillRun{}, err
+				}
 			}
 		}
 	}
@@ -535,37 +368,67 @@ func (g *graceState) load(i int) error {
 }
 
 // graceNextBatch serves the next merged batch of the Grace result,
-// stripping the index column.
+// stripping the index column. It picks (frame, row) pairs — taking from
+// the run with the smallest head index every row whose index stays
+// below the other runs' heads — and then gathers each output column
+// from the picked frames in one pass.
 func (j *HashJoin) graceNextBatch() (*storage.Batch, error) {
 	g := j.grace
-	out := storage.NewBatch(j.out)
-	for out.Len() < storage.BatchSize {
-		best := -1
-		var bestIdx int64
+	var frames []*storage.Batch
+	slot := make([]int32, len(g.runs)) // run -> its current frame in frames
+	for r, b := range g.cur {
+		if b != nil {
+			slot[r] = int32(len(frames))
+			frames = append(frames, b)
+		}
+	}
+	picks := make([]storage.SourceRow, 0, storage.BatchSize)
+	for len(picks) < storage.BatchSize {
+		best, second := -1, -1
 		for r := range g.runs {
 			if g.cur[r] == nil {
 				continue
 			}
-			if idx := g.idxs[r][g.pos[r]]; best < 0 || idx < bestIdx {
-				best, bestIdx = r, idx
+			idx := g.idxs[r][g.pos[r]]
+			switch {
+			case best < 0 || idx < g.idxs[best][g.pos[best]]:
+				best, second = r, best
+			case second < 0 || idx < g.idxs[second][g.pos[second]]:
+				second = r
 			}
 		}
 		if best < 0 {
 			break
 		}
-		row := g.cur[best].Row(g.pos[best])
-		if err := out.AppendRow(row[1:]...); err != nil {
-			return nil, err
+		bound := int64(-1) // no other run: take to the frame's end
+		if second >= 0 {
+			bound = g.idxs[second][g.pos[second]]
 		}
-		g.pos[best]++
-		if g.pos[best] >= g.cur[best].Len() {
+		idxs, n := g.idxs[best], g.cur[best].Len()
+		for len(picks) < storage.BatchSize && g.pos[best] < n && (bound < 0 || idxs[g.pos[best]] < bound) {
+			picks = append(picks, storage.SourceRow{Src: slot[best], Row: int32(g.pos[best])})
+			g.pos[best]++
+		}
+		if g.pos[best] >= n {
 			if err := g.load(best); err != nil {
 				return nil, err
 			}
+			if g.cur[best] != nil {
+				slot[best] = int32(len(frames))
+				frames = append(frames, g.cur[best])
+			}
 		}
 	}
-	if out.Len() == 0 {
+	if len(picks) == 0 {
 		return nil, nil
+	}
+	out := &storage.Batch{Schema: j.out, Cols: make([]storage.Column, j.out.Len())}
+	srcs := make([]storage.Column, len(frames))
+	for c, def := range j.out.Cols {
+		for f, b := range frames {
+			srcs[f] = b.Cols[c+1]
+		}
+		out.Cols[c] = storage.GatherSources(def.Type, srcs, picks)
 	}
 	return out, nil
 }

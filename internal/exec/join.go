@@ -60,10 +60,7 @@ type HashJoin struct {
 	FS  storage.SpillFS
 
 	out   storage.Schema
-	built map[uint64][]int
-	// builtParts is the partitioned generic build (Workers > 1): key
-	// hash modulo the partition count routes both build and lookup.
-	builtParts []map[uint64][]int
+	table *joinTable // the generic build side
 	// buildOffs holds the shard boundaries of rdata when the build side
 	// is a whole-table scan of a sharded table keyed on its partition
 	// column: buildOffs[s]..buildOffs[s+1] is shard s's index range.
@@ -72,10 +69,10 @@ type HashJoin struct {
 	buildOffs []int
 	rdata     *storage.Batch
 	ldata     *storage.Batch
+	lside     probeSide // ldata readied for the generic probe
 	lpos      int
 	lopen     bool // Streaming: left operator is open
 	ldone     bool // Streaming: left exhausted
-	rNulls    []storage.Value
 
 	// fast holds the fully materialized result when the vectorized
 	// single-int64-key path applies; fastPos tracks emission.
@@ -94,6 +91,9 @@ type HashJoin struct {
 	grace       *graceState
 	streamSpill bool
 	mt          memTracker
+	// lmt holds the drained probe side's reservation; a streaming probe
+	// returns it once that buffered prefix has been probed.
+	lmt memTracker
 
 	stats OpStats
 	// buildRows/probeRows split the join's input accounting between the
@@ -140,9 +140,9 @@ func (j *HashJoin) open() error {
 	j.lopen, j.ldone = false, false
 	j.grace, j.streamSpill = nil, false
 	j.mt = memTracker{mem: j.Mem}
+	j.lmt = memTracker{mem: j.Mem}
 	j.buildRows.Store(0)
 	j.probeRows.Store(0)
-	j.prepareNulls()
 	rdata, rspill, err := j.drainAccounted(j.Right, &j.buildRows, &j.mt)
 	if err != nil {
 		return err
@@ -164,40 +164,29 @@ func (j *HashJoin) open() error {
 		j.ldata, j.lpos = nil, 0
 		return nil
 	}
-	var lmt memTracker
-	lmt.mem = j.Mem
-	ldata, lspill, err := j.drainAccounted(j.Left, &j.probeRows, &lmt)
+	ldata, lspill, err := j.drainAccounted(j.Left, &j.probeRows, &j.lmt)
 	if err != nil {
 		return err
 	}
 	if lspill {
-		// The build fits but the probe side does not. Drop the partial
-		// drain, restart the left input and probe batch by batch at
-		// O(batch) memory — the streaming probe visits left rows in
-		// input order, which IS the materialized probe's output order,
-		// so the result is byte-identical.
-		lmt.releaseAll()
-		if err := j.Left.Close(); err != nil {
-			return err
-		}
-		j.probeRows.Store(0)
+		// The build fits but the probe side does not. Probe the buffered
+		// prefix, then stream the rest of the still-open left input batch
+		// by batch at O(batch) memory — the streaming probe visits left
+		// rows in input order, which IS the materialized probe's output
+		// order, so the result is byte-identical and no row is read twice.
 		j.buildTable()
-		if err := j.Left.Open(); err != nil {
-			return err
-		}
 		j.lopen = true
-		j.ldata, j.lpos = nil, 0
 		j.streamSpill = true
+		j.setProbe(ldata)
 		return nil
 	}
-	j.mt.held += lmt.held
-	lmt.held = 0
 	j.ldata = ldata
 	j.lpos = 0
 	if j.tryFastPath() {
 		return nil
 	}
 	j.buildTable()
+	j.setProbe(ldata)
 	if w := splitParts(j.ldata.Len(), j.Workers); w > 1 {
 		return j.probeSlowParallel(w)
 	}
@@ -267,62 +256,16 @@ func (j *HashJoin) shardBuildOffsets() []int {
 	return offs
 }
 
-// prepareNulls builds the NULL pad row left joins append to unmatched
-// rows.
-func (j *HashJoin) prepareNulls() {
-	rs := j.Right.Schema()
-	j.rNulls = make([]storage.Value, rs.Len())
-	for i, c := range rs.Cols {
-		j.rNulls[i] = storage.Null(c.Type)
-	}
-}
-
-// buildTable hashes the drained right side. With Workers > 1 the build
-// itself is parallel in two stages: key hashes are computed over
-// contiguous morsels, then one map per hash partition is built
-// concurrently (each worker scans the key array claiming the hashes
-// that route to its partition — no locks, no merge). Match lists stay
-// in ascending build order either way, so probes see identical lists.
+// buildTable hashes the drained right side into the generic build
+// table.
 func (j *HashJoin) buildTable() {
-	j.built, j.builtParts = nil, nil
-	n := j.rdata.Len()
-	if w := splitParts(n, j.Workers); w > 1 {
-		keys := make([]uint64, n)
-		oks := make([]bool, n)
-		sched.ForEach(j.Budget, w, j.Workers, func(m int) {
-			for i := m * n / w; i < (m+1)*n/w; i++ {
-				keys[i], oks[i] = j.keyOf(j.rdata, i, j.RightKeys)
-			}
-		})
-		parts := make([]map[uint64][]int, w)
-		sched.ForEach(j.Budget, w, j.Workers, func(p int) {
-			m := make(map[uint64][]int, n/w+1)
-			for i := 0; i < n; i++ {
-				if oks[i] && keys[i]%uint64(w) == uint64(p) {
-					m[keys[i]] = append(m[keys[i]], i)
-				}
-			}
-			parts[p] = m
-		})
-		j.builtParts = parts
-		return
-	}
-	j.built = make(map[uint64][]int, n)
-	for i := 0; i < n; i++ {
-		key, ok := j.keyOf(j.rdata, i, j.RightKeys)
-		if !ok {
-			continue // NULL key never matches
-		}
-		j.built[key] = append(j.built[key], i)
-	}
+	j.table = buildJoinTable(j.rdata, j.RightKeys, j.Workers, j.Budget)
 }
 
-// lookup returns the build-side match list for a key hash.
-func (j *HashJoin) lookup(key uint64) []int {
-	if j.builtParts != nil {
-		return j.builtParts[key%uint64(len(j.builtParts))][key]
-	}
-	return j.built[key]
+// setProbe makes b the probe batch the generic probe reads from.
+func (j *HashJoin) setProbe(b *storage.Batch) {
+	j.ldata, j.lpos = b, 0
+	j.setProbeSide(&j.lside, b, j.table)
 }
 
 // tryFastPath materializes the join result vectorized when both key
@@ -461,20 +404,224 @@ func probeFastShardRange(builtShards []map[int64][]int32, lvals []int64, lo, hi 
 	return leftIdx, rightIdx
 }
 
-// probeSlowParallel runs the generic (multi-key / residual) probe over
-// w contiguous morsels of the left input concurrently. Each worker
-// emits its own batch list; lists are concatenated in morsel order, so
-// the output matches the serial probe row for row. The build map,
-// drained inputs and expression trees are all read-only during the
-// probe. Like the vectorized fast path, this materializes the whole
-// join result in Open — an early-exiting consumer (LIMIT) no longer
-// stops the probe partway, trading that for probe parallelism.
+// keyHashes holds one batch's join-key hashes and NULL-key flags; the
+// slices are reused from batch to batch.
+type keyHashes struct {
+	h    []uint64
+	null []bool
+}
+
+// of hashes the key columns of every row of b.
+func (kh *keyHashes) of(b *storage.Batch, keys []int) {
+	n := b.Len()
+	if cap(kh.h) < n {
+		kh.h, kh.null = make([]uint64, n), make([]bool, n)
+	}
+	kh.h, kh.null = kh.h[:n], kh.null[:n]
+	storage.HashKeys(b, keys, 0, n, kh.h, kh.null)
+}
+
+// route splits the hashed rows by their Grace partition at level.
+// NULL-key rows go to partition 0 when keepNull is set (left-join rows,
+// which come back NULL-padded) and are dropped otherwise.
+func (kh *keyHashes) route(level int, keepNull bool) [spillParts][]int {
+	var rows [spillParts][]int
+	for i, h := range kh.h {
+		k := 0
+		if !kh.null[i] {
+			k = gracePartOf(h, level)
+		} else if !keepNull {
+			continue
+		}
+		rows[k] = append(rows[k], i)
+	}
+	return rows
+}
+
+// joinTable is the generic build side: the row indexes of the build
+// batch per key hash, in ascending build order, in one map or — after a
+// parallel build — one map per hash partition (key hash modulo the
+// partition count routes both build and lookup). NULL-key rows are left
+// out; they never match.
+type joinTable struct {
+	rb    *storage.Batch
+	keys  []int
+	parts []map[uint64][]int32
+}
+
+func (t *joinTable) lookup(h uint64) []int32 {
+	return t.parts[h%uint64(len(t.parts))][h]
+}
+
+// buildJoinTable hashes the key columns of rb. With workers > 1 the
+// build is parallel in two stages: key hashes are computed over
+// contiguous morsels, then one map per hash partition is built
+// concurrently (each worker scans the hash array claiming the hashes
+// that route to its partition — no locks, no merge). Match lists stay
+// in ascending build order either way, so probes see identical lists.
+func buildJoinTable(rb *storage.Batch, keys []int, workers int, budget *sched.Budget) *joinTable {
+	n := rb.Len()
+	hashes, nulls := make([]uint64, n), make([]bool, n)
+	t := &joinTable{rb: rb, keys: keys}
+	w := splitParts(n, workers)
+	if w < 2 {
+		storage.HashKeys(rb, keys, 0, n, hashes, nulls)
+		m := make(map[uint64][]int32, n)
+		for i, h := range hashes {
+			if !nulls[i] {
+				m[h] = append(m[h], int32(i))
+			}
+		}
+		t.parts = []map[uint64][]int32{m}
+		return t
+	}
+	sched.ForEach(budget, w, workers, func(m int) {
+		lo, hi := m*n/w, (m+1)*n/w
+		storage.HashKeys(rb, keys, lo, hi, hashes[lo:hi], nulls[lo:hi])
+	})
+	t.parts = make([]map[uint64][]int32, w)
+	sched.ForEach(budget, w, workers, func(p int) {
+		m := make(map[uint64][]int32, n/w+1)
+		for i, h := range hashes {
+			if !nulls[i] && h%uint64(w) == uint64(p) {
+				m[h] = append(m[h], int32(i))
+			}
+		}
+		t.parts[p] = m
+	})
+	return t
+}
+
+// probeSide is one probe batch readied for probeChunk: its key hashes
+// and a typed key-equality check against the build batch (the
+// hash-collision check).
+type probeSide struct {
+	b  *storage.Batch
+	kh keyHashes
+	eq func(l, r int) bool
+}
+
+func (j *HashJoin) setProbeSide(s *probeSide, b *storage.Batch, t *joinTable) {
+	s.b = b
+	s.kh.of(b, j.LeftKeys)
+	s.eq = storage.KeysEqual(b, j.LeftKeys, t.rb, t.keys)
+}
+
+// probeChunk is the generic probe (several keys, a residual, or NULL
+// keys): it probes left rows from lo of the probe side, up to hi or the
+// left row that brings the output to storage.BatchSize rows. It
+// collects (left, right) row-index pairs — each left row's matches in
+// ascending build order, right index -1 marking a left join's NULL pad
+// — applies the residual, and gathers the output columns once. It
+// returns the output, the left row of each output row, and the next
+// left row to probe.
+func (j *HashJoin) probeChunk(s *probeSide, lo, hi int, t *joinTable) (*storage.Batch, []int, int, error) {
+	lidx := make([]int, 0, storage.BatchSize)
+	ridx := make([]int, 0, storage.BatchSize)
+	i := lo
+	for ; i < hi && len(lidx) < storage.BatchSize; i++ {
+		n := len(lidx)
+		if !s.kh.null[i] {
+			for _, r := range t.lookup(s.kh.h[i]) {
+				if s.eq(i, int(r)) {
+					lidx = append(lidx, i)
+					ridx = append(ridx, int(r))
+				}
+			}
+		}
+		if len(lidx) == n && j.Type == LeftJoin {
+			lidx = append(lidx, i)
+			ridx = append(ridx, -1)
+		}
+	}
+	if j.Residual != nil {
+		var err error
+		if lidx, ridx, err = j.filterResidual(s.b, t.rb, lidx, ridx); err != nil {
+			return nil, nil, i, err
+		}
+	}
+	return j.gatherPairs(s.b, t.rb, lidx, ridx), lidx, i, nil
+}
+
+// filterResidual keeps the pairs whose residual is TRUE, evaluating it
+// vectorized over the gathered candidate pairs (pads are not
+// evaluated). Under a left join, a left row none of whose candidates
+// survives gets its NULL pad.
+func (j *HashJoin) filterResidual(lb, rb *storage.Batch, lidx, ridx []int) ([]int, []int, error) {
+	var cl, cr []int
+	for k, r := range ridx {
+		if r >= 0 {
+			cl = append(cl, lidx[k])
+			cr = append(cr, r)
+		}
+	}
+	pred, err := expr.EvalVector(j.Residual, j.gatherPairs(lb, rb, cl, cr))
+	if err != nil {
+		return nil, nil, err
+	}
+	keepL := make([]int, 0, len(lidx))
+	keepR := make([]int, 0, len(lidx))
+	c := 0 // position among the candidates
+	for k := 0; k < len(lidx); {
+		// Pairs k..e-1 belong to one left row.
+		e, kept := k, false
+		for ; e < len(lidx) && lidx[e] == lidx[k]; e++ {
+			if ridx[e] < 0 {
+				continue
+			}
+			if pred.Value(c).IsTrue() {
+				keepL = append(keepL, lidx[e])
+				keepR = append(keepR, ridx[e])
+				kept = true
+			}
+			c++
+		}
+		if !kept && j.Type == LeftJoin {
+			keepL = append(keepL, lidx[k])
+			keepR = append(keepR, -1)
+		}
+		k = e
+	}
+	return keepL, keepR, nil
+}
+
+// gatherPairs materializes (left, right) index pairs as output rows; a
+// right index of -1 yields NULL right columns.
+func (j *HashJoin) gatherPairs(lb, rb *storage.Batch, lidx, ridx []int) *storage.Batch {
+	cols := make([]storage.Column, 0, len(lb.Cols)+len(rb.Cols))
+	for _, c := range lb.Cols {
+		cols = append(cols, c.Gather(lidx))
+	}
+	for _, c := range rb.Cols {
+		cols = append(cols, storage.GatherPad(c, ridx))
+	}
+	return &storage.Batch{Schema: j.out, Cols: cols}
+}
+
+// probeSlowParallel runs the generic probe over w contiguous morsels of
+// the left input concurrently. Each worker emits its own batch list;
+// lists are concatenated in morsel order, so the output matches the
+// serial probe row for row. The build table, drained inputs and
+// expression trees are all read-only during the probe. Like the
+// vectorized fast path, this materializes the whole join result in
+// Open — an early-exiting consumer (LIMIT) no longer stops the probe
+// partway, trading that for probe parallelism.
 func (j *HashJoin) probeSlowParallel(w int) error {
 	outs := make([][]*storage.Batch, w)
 	errs := make([]error, w)
 	n := j.ldata.Len()
 	sched.ForEach(j.Budget, w, w, func(m int) {
-		outs[m], errs[m] = j.probeSlowRange(m*n/w, (m+1)*n/w)
+		for lo, hi := m*n/w, (m+1)*n/w; lo < hi; {
+			out, _, next, err := j.probeChunk(&j.lside, lo, hi, j.table)
+			if err != nil {
+				errs[m] = err
+				return
+			}
+			if out.Len() > 0 {
+				outs[m] = append(outs[m], out)
+			}
+			lo = next
+		}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -489,100 +636,6 @@ func (j *HashJoin) probeSlowParallel(w int) error {
 	}
 	j.slowPos = 0
 	return nil
-}
-
-// probeSlowRange probes left rows [lo, hi), returning the result
-// batches for that morsel.
-func (j *HashJoin) probeSlowRange(lo, hi int) ([]*storage.Batch, error) {
-	var batches []*storage.Batch
-	out := storage.NewBatch(j.out)
-	for i := lo; i < hi; i++ {
-		if out.Len() >= storage.BatchSize {
-			batches = append(batches, out)
-			out = storage.NewBatch(j.out)
-		}
-		matched, err := j.probeOne(i, out)
-		if err != nil {
-			return nil, err
-		}
-		if !matched && j.Type == LeftJoin {
-			combined := append(j.ldata.Row(i), j.rNulls...)
-			if err := out.AppendRow(combined...); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if out.Len() > 0 {
-		batches = append(batches, out)
-	}
-	return batches, nil
-}
-
-// probeOne probes left row i, appending every surviving match to out.
-func (j *HashJoin) probeOne(i int, out *storage.Batch) (matched bool, err error) {
-	key, ok := j.keyOf(j.ldata, i, j.LeftKeys)
-	if !ok {
-		return false, nil
-	}
-	var lrow []storage.Value
-	for _, ri := range j.lookup(key) {
-		if !j.keysEqual(i, ri) {
-			continue // hash collision
-		}
-		if lrow == nil {
-			lrow = j.ldata.Row(i)
-		}
-		combined := append(append([]storage.Value{}, lrow...), j.rdata.Row(ri)...)
-		if j.Residual != nil {
-			keep, err := j.evalResidual(combined)
-			if err != nil {
-				return matched, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		matched = true
-		if err := out.AppendRow(combined...); err != nil {
-			return matched, err
-		}
-	}
-	return matched, nil
-}
-
-func (j *HashJoin) keyOf(b *storage.Batch, row int, keys []int) (uint64, bool) {
-	return joinKeyOf(b, row, keys)
-}
-
-// joinKeyOf hashes the key columns of one row; ok is false when any key
-// is NULL (which never matches, per SQL).
-func joinKeyOf(b *storage.Batch, row int, keys []int) (uint64, bool) {
-	vals := make([]storage.Value, len(keys))
-	for k, c := range keys {
-		v := b.Cols[c].Value(row)
-		if v.Null {
-			return 0, false
-		}
-		vals[k] = v
-	}
-	return storage.HashRow(vals), true
-}
-
-func (j *HashJoin) keysEqual(lrow, rrow int) bool {
-	return joinKeysEqual(j.ldata, lrow, j.rdata, rrow, j.LeftKeys, j.RightKeys)
-}
-
-// joinKeysEqual compares the key columns of one left and one right row
-// (the hash-collision check behind every generic probe).
-func joinKeysEqual(lb *storage.Batch, lrow int, rb *storage.Batch, rrow int, lkeys, rkeys []int) bool {
-	for k := range lkeys {
-		lv := lb.Cols[lkeys[k]].Value(lrow)
-		rv := rb.Cols[rkeys[k]].Value(rrow)
-		if lv.Null || rv.Null || storage.Compare(lv, rv) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Next implements Operator.
@@ -609,17 +662,10 @@ func (j *HashJoin) next() (*storage.Batch, error) {
 		return b, nil
 	}
 	streaming := j.Streaming || j.streamSpill
-	if j.ldata == nil && !streaming {
-		return nil, nil
-	}
-	out := storage.NewBatch(j.out)
-	for out.Len() < storage.BatchSize {
+	for {
 		if j.ldata == nil || j.lpos >= j.ldata.Len() {
-			if !streaming {
-				break
-			}
-			if j.ldone {
-				break
+			if !streaming || j.ldone {
+				return nil, nil
 			}
 			b, err := j.Left.Next()
 			if err != nil {
@@ -627,49 +673,29 @@ func (j *HashJoin) next() (*storage.Batch, error) {
 			}
 			if b == nil {
 				j.ldone = true
-				break
+				return nil, nil
 			}
+			j.lmt.releaseAll() // a buffered probe prefix is done
 			j.probeRows.Add(int64(b.Len()))
-			j.ldata, j.lpos = b, 0
+			j.setProbe(b)
 			continue
 		}
-		i := j.lpos
-		j.lpos++
-		matched, err := j.probeOne(i, out)
+		out, _, next, err := j.probeChunk(&j.lside, j.lpos, j.ldata.Len(), j.table)
 		if err != nil {
 			return nil, err
 		}
-		if !matched && j.Type == LeftJoin {
-			combined := append(j.ldata.Row(i), j.rNulls...)
-			if err := out.AppendRow(combined...); err != nil {
-				return nil, err
-			}
+		j.lpos = next
+		if out.Len() > 0 {
+			return out, nil
 		}
 	}
-	if out.Len() == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-func (j *HashJoin) evalResidual(row []storage.Value) (bool, error) {
-	return evalPredOnRow(j.out, j.Residual, row)
-}
-
-// evalPredOnRow evaluates a predicate over one materialized row.
-func evalPredOnRow(schema storage.Schema, pred expr.Expr, row []storage.Value) (bool, error) {
-	b := storage.NewBatch(schema)
-	if err := b.AppendRow(row...); err != nil {
-		return false, err
-	}
-	return expr.EvalBool(pred, expr.Row{Batch: b, Idx: 0})
 }
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
 	j.stats.closed()
-	j.built = nil
-	j.builtParts = nil
+	j.table = nil
+	j.lside = probeSide{}
 	j.rdata = nil
 	j.ldata = nil
 	j.fast = nil
@@ -681,6 +707,7 @@ func (j *HashJoin) Close() error {
 		j.grace = nil
 	}
 	j.mt.releaseAll()
+	j.lmt.releaseAll()
 	if j.lopen {
 		j.lopen = false
 		return j.Left.Close()
@@ -758,11 +785,10 @@ func (j *NestedLoopJoin) open() error {
 		return ErrOutOfMemoryBudget
 	}
 	if j.Workers > 1 {
-		if done, err := j.openParallel(); done || err != nil {
-			return err
-		}
-		// The probe side outgrew the grant: fall through to the streamed
-		// serial probe, restarting the left input from scratch.
+		// When the probe side outgrows the grant, openParallel leaves the
+		// left input open behind the buffered prefix, which the streamed
+		// serial probe then reads first: no row is read twice.
+		return j.openParallel()
 	}
 	if err := j.Left.Open(); err != nil {
 		return err
@@ -773,39 +799,38 @@ func (j *NestedLoopJoin) open() error {
 }
 
 // openParallel materializes the left side under the grant and probes it
-// over parallel morsels. done=false (with nil error) means the left
-// side did not fit and the caller should stream instead.
-func (j *NestedLoopJoin) openParallel() (done bool, err error) {
+// over parallel morsels. A left side that does not fit stays open: the
+// buffered prefix becomes the first probe batch of the streamed serial
+// probe.
+func (j *NestedLoopJoin) openParallel() error {
 	lmt := memTracker{mem: j.Mem}
 	if err := j.Left.Open(); err != nil {
-		return false, err
+		return err
 	}
 	lall := storage.NewBatch(j.Left.Schema())
-	spill := false
-	for !spill {
+	for {
 		b, err := j.Left.Next()
 		if err != nil {
 			j.Left.Close()
-			return false, err
+			return err
 		}
 		if b == nil {
 			break
 		}
-		if !lmt.reserve(storage.BatchBytes(b)) {
-			spill = true
-			break
-		}
+		spill := !lmt.reserve(storage.BatchBytes(b))
 		if err := storage.Concat(lall, b); err != nil {
 			j.Left.Close()
-			return false, err
+			return err
+		}
+		if spill {
+			lmt.releaseAll()
+			j.ldata, j.lpos = lall, 0
+			j.lopen = true
+			return nil
 		}
 	}
 	if err := j.Left.Close(); err != nil {
-		return false, err
-	}
-	if spill {
-		lmt.releaseAll()
-		return false, nil
+		return err
 	}
 	j.mt.held += lmt.held
 	lmt.held = 0
@@ -815,7 +840,7 @@ func (j *NestedLoopJoin) openParallel() (done bool, err error) {
 		// Too small to fan out: serve the materialized batch serially.
 		j.ldata, j.lpos = lall, 0
 		j.ldone = true
-		return true, nil
+		return nil
 	}
 	j.ldata = lall
 	outs := make([][]*storage.Batch, w)
@@ -826,7 +851,7 @@ func (j *NestedLoopJoin) openParallel() (done bool, err error) {
 	j.ldata = nil
 	for _, err := range errs {
 		if err != nil {
-			return false, err
+			return err
 		}
 	}
 	j.slowOut = make([]*storage.Batch, 0, w)
@@ -834,7 +859,7 @@ func (j *NestedLoopJoin) openParallel() (done bool, err error) {
 		j.slowOut = append(j.slowOut, bs...)
 	}
 	j.slowPos = 0
-	return true, nil
+	return nil
 }
 
 // probeNLRange probes left rows [lo, hi) of the materialized left side,
@@ -855,6 +880,15 @@ func (j *NestedLoopJoin) probeNLRange(lo, hi int) ([]*storage.Batch, error) {
 		batches = append(batches, out)
 	}
 	return batches, nil
+}
+
+// evalPredOnRow evaluates a predicate over one materialized row.
+func evalPredOnRow(schema storage.Schema, pred expr.Expr, row []storage.Value) (bool, error) {
+	b := storage.NewBatch(schema)
+	if err := b.AppendRow(row...); err != nil {
+		return false, err
+	}
+	return expr.EvalBool(pred, expr.Row{Batch: b, Idx: 0})
 }
 
 // probeRow joins left row i of lb against the whole build side,

@@ -366,3 +366,212 @@ func TestMarkTimedScopesToOneTree(t *testing.T) {
 		t.Fatal("unmarked concurrent tree paid for timings")
 	}
 }
+
+// openCounter wraps an operator and counts how often it is opened.
+type openCounter struct {
+	Operator
+	opens int
+}
+
+func (o *openCounter) Open() error {
+	o.opens++
+	return o.Operator.Open()
+}
+
+// TestSpillPathsOpenInputOnce: no memory-pressure path re-reads its
+// input. An aggregate whose window batches are denied narrows its
+// window, one whose group state is denied goes hybrid, the serial fast
+// path's NULL-key fallback migrates its groups, and a hash join whose
+// probe side outgrows the grant streams on from the buffered prefix —
+// each opens its input exactly once, with results identical to
+// unlimited memory.
+func TestSpillPathsOpenInputOnce(t *testing.T) {
+	tb := bigTable(t, 20000)
+	agg := func(group string, workers int, mem *sched.MemBudget) (*HashAggregate, *openCounter) {
+		in := &openCounter{Operator: NewTableScan(tb)}
+		return &HashAggregate{
+			Input:   in,
+			GroupBy: []expr.Expr{colRef(tb.Schema(), group)},
+			Aggs: []*expr.Aggregate{{Kind: expr.AggCountStar},
+				{Kind: expr.AggSum, Input: colRef(tb.Schema(), "k")}},
+			Names: []string{group, "c", "t"}, Workers: workers, Mem: mem,
+		}, in
+	}
+	for _, c := range []struct {
+		name      string
+		group     string
+		workers   int
+		wantSpill bool
+	}{
+		// 97 groups fit the grant; the buffered window does not.
+		{"input-window denial", "g", 2, false},
+		// Thousands of groups outgrow the grant.
+		{"group-state denial serial", "s", 1, true},
+		{"group-state denial parallel", "s", 2, true},
+	} {
+		base, _ := agg(c.group, 1, nil)
+		want, err := Drain(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, in := agg(c.group, c.workers, sched.NewMemBudget(spillTestBudget))
+		got, err := Drain(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBatches(t, c.name, got, want)
+		if in.opens != 1 {
+			t.Errorf("%s: input opened %d times, want 1", c.name, in.opens)
+		}
+		if spilled := a.stats.SpillRuns.Load() > 0; spilled != c.wantSpill {
+			t.Errorf("%s: spilled=%v, want %v", c.name, spilled, c.wantSpill)
+		}
+	}
+
+	// The serial fast path meets a NULL key mid-stream.
+	nulls := storage.NewTable("t", storage.NewSchema(intCol("g")))
+	for i := 0; i < 3000; i++ {
+		v := iv(int64(i % 7))
+		if i == 2500 {
+			v = storage.Null(storage.TypeInt64)
+		}
+		if err := nulls.AppendRow(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := &openCounter{Operator: NewTableScan(nulls)}
+	out, err := Drain(&HashAggregate{
+		Input:   in,
+		GroupBy: []expr.Expr{colRef(nulls.Schema(), "g")},
+		Aggs:    []*expr.Aggregate{{Kind: expr.AggCountStar}},
+		Names:   []string{"g", "n"}, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 8 || in.opens != 1 {
+		t.Errorf("NULL-key fallback: %d groups (want 8), input opened %d times (want 1)", out.Len(), in.opens)
+	}
+
+	// A hash join whose build fits but whose probe side does not.
+	l, r := joinInputs(t, 12000)
+	small := storage.NewTable("small", r.Schema())
+	for i := 0; i < 200; i++ {
+		if err := small.AppendRow(r.Snapshot().ShardBatch(0).Row(i)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mk := func(mem *sched.MemBudget) (*HashJoin, *openCounter) {
+		left := &openCounter{Operator: NewTableScan(l)}
+		return &HashJoin{Left: left, Right: NewTableScan(small),
+			LeftKeys: []int{0}, RightKeys: []int{0}, Type: LeftJoin, Mem: mem}, left
+	}
+	base, _ := mk(nil)
+	want, err := Drain(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, left := mk(sched.NewMemBudget(spillTestBudget))
+	got, err := Drain(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameBatches(t, "probe-side overflow", got, want)
+	if !j.streamSpill || left.opens != 1 {
+		t.Errorf("probe-side overflow: streamed=%v, left opened %d times (want true, 1)", j.streamSpill, left.opens)
+	}
+	if _, probe := j.BuildProbeRows(); probe != int64(l.NumRows()) {
+		t.Errorf("probe rows = %d, want %d", probe, l.NumRows())
+	}
+}
+
+// graceFixture builds left and right tables for the columnar Grace
+// join tests: an (INTEGER, VARCHAR) key pair and FLOAT, BOOL and
+// VARCHAR payloads, every column with NULLs.
+func graceFixture(t *testing.T, rows int) (*storage.Table, *storage.Table) {
+	t.Helper()
+	mk := func(name, p string, seed int64) *storage.Table {
+		tb := storage.NewTable(name, storage.NewSchema(
+			intCol(p+"k"), storage.Col(p+"s", storage.TypeString),
+			storage.Col(p+"f", storage.TypeFloat64), storage.Col(p+"b", storage.TypeBool),
+			storage.Col(p+"p", storage.TypeString)))
+		rng := rand.New(rand.NewSource(seed))
+		maybe := func(v storage.Value, typ storage.Type) storage.Value {
+			if rng.Intn(15) == 0 {
+				return storage.Null(typ)
+			}
+			return v
+		}
+		for i := 0; i < rows; i++ {
+			if err := tb.AppendRow(
+				maybe(iv(rng.Int63n(int64(rows/8+1))), storage.TypeInt64),
+				maybe(sv(string(rune('a'+rng.Intn(3)))), storage.TypeString),
+				maybe(storage.Float64(rng.NormFloat64()), storage.TypeFloat64),
+				maybe(storage.Bool(rng.Intn(2) == 0), storage.TypeBool),
+				maybe(sv(fmt.Sprintf("%s-%05d", name, i)), storage.TypeString),
+			); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tb
+	}
+	return mk("l", "l", 21), mk("r", "r", 22)
+}
+
+// TestHashJoinGraceColumnar covers the columnar Grace path's shapes at
+// workers 1/2/8 under the 64KB grant, each byte-identical to unlimited
+// memory: a two-key join with NULL keys on both sides, a LEFT join
+// whose residual reads both sides, and FLOAT/BOOL/VARCHAR payloads with
+// NULLs through a LEFT join's pads.
+func TestHashJoinGraceColumnar(t *testing.T) {
+	l, r := graceFixture(t, 8000)
+	col := func(name string, idx int, typ storage.Type) *expr.ColumnRef {
+		return &expr.ColumnRef{Name: name, Index: idx, Typ: typ}
+	}
+	residual := func() expr.Expr {
+		// l.lf < r.rf (columns 2 and 7 of the combined row).
+		lt, err := expr.NewBinary(expr.OpLt, col("lf", 2, storage.TypeFloat64), col("rf", 7, storage.TypeFloat64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lt
+	}
+	cases := []struct {
+		name        string
+		lkeys, rkey []int
+		typ         JoinType
+		residual    func() expr.Expr
+	}{
+		{"two keys with NULLs", []int{0, 1}, []int{0, 1}, InnerJoin, nil},
+		{"left join residual over both sides", []int{0}, []int{0}, LeftJoin, residual},
+		{"left join payload NULLs", []int{0, 1}, []int{0, 1}, LeftJoin, nil},
+	}
+	for _, c := range cases {
+		mk := func(workers int, mem *sched.MemBudget) *HashJoin {
+			j := &HashJoin{Left: NewTableScan(l), Right: NewTableScan(r),
+				LeftKeys: c.lkeys, RightKeys: c.rkey, Type: c.typ, Workers: workers, Mem: mem}
+			if c.residual != nil {
+				j.Residual = c.residual()
+			}
+			return j
+		}
+		want, err := Drain(mk(1, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() < 1000 {
+			t.Fatalf("%s: degenerate fixture, %d rows", c.name, want.Len())
+		}
+		for _, workers := range []int{1, 2, 8} {
+			j := mk(workers, sched.NewMemBudget(spillTestBudget))
+			got, err := Drain(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameBatches(t, fmt.Sprintf("%s workers=%d", c.name, workers), got, want)
+			if j.stats.SpillRuns.Load() == 0 {
+				t.Fatalf("%s workers=%d: 64KB join did not partition to disk", c.name, workers)
+			}
+		}
+	}
+}

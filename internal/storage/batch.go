@@ -120,6 +120,36 @@ func rowComparator(a, b *Batch, keys []SortKey) func(i, j int) int {
 	}
 }
 
+// KeysEqual returns a function reporting whether the key columns akeys
+// of row i of a equal the key columns bkeys of row j of b, pairwise
+// under Compare, reading the typed value slices directly. A NULL key
+// equals nothing, per SQL join semantics.
+func KeysEqual(a *Batch, akeys []int, b *Batch, bkeys []int) func(i, j int) bool {
+	type keyEq struct {
+		cmp    func(i, j int) int
+		an, bn *Bitmap
+	}
+	eqs := make([]keyEq, len(akeys))
+	for k := range akeys {
+		ac, bc := a.Cols[akeys[k]], b.Cols[bkeys[k]]
+		eqs[k] = keyEq{cmp: keyComparator(ac, bc, false)}
+		if nb := NullsOf(ac); nb.Any() {
+			eqs[k].an = nb
+		}
+		if nb := NullsOf(bc); nb.Any() {
+			eqs[k].bn = nb
+		}
+	}
+	return func(i, j int) bool {
+		for _, e := range eqs {
+			if e.an.Get(i) || e.bn.Get(j) || e.cmp(i, j) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 func keyComparator(a, b Column, desc bool) func(i, j int) int {
 	switch ac := a.(type) {
 	case *Int64Column:

@@ -27,7 +27,7 @@ type Column interface {
 }
 
 // GatherPad is Gather with padding: index -1 yields a NULL row. The
-// hash join's vectorized left-join path uses it to pad unmatched rows.
+// hash join uses it to pad a left join's unmatched rows.
 func GatherPad(c Column, idx []int) Column {
 	hasPad := false
 	for _, i := range idx {
@@ -39,19 +39,133 @@ func GatherPad(c Column, idx []int) Column {
 	if !hasPad {
 		return c.Gather(idx)
 	}
+	switch col := c.(type) {
+	case *Int64Column:
+		vals, nulls := gatherPad(col.vals, col.nulls, idx)
+		return &Int64Column{vals: vals, nulls: nulls}
+	case *Float64Column:
+		vals, nulls := gatherPad(col.vals, col.nulls, idx)
+		return &Float64Column{vals: vals, nulls: nulls}
+	case *StringColumn:
+		vals, nulls := gatherPad(col.vals, col.nulls, idx)
+		return &StringColumn{vals: vals, nulls: nulls}
+	case *BoolColumn:
+		vals, nulls := gatherPad(col.vals, col.nulls, idx)
+		return &BoolColumn{vals: vals, nulls: nulls}
+	}
 	out := NewColumn(c.Type(), len(idx))
 	for _, i := range idx {
 		if i < 0 {
 			out.AppendNull()
 			continue
 		}
-		if c.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
 		_ = out.Append(c.Value(i))
 	}
 	return out
+}
+
+// gatherPad gathers typed values with -1 (and NULL source rows) as
+// NULL, leaving the zero value underneath, as AppendNull does.
+func gatherPad[T any](vals []T, nulls *Bitmap, idx []int) ([]T, *Bitmap) {
+	out := make([]T, len(idx))
+	bm := NewBitmap(len(idx))
+	for k, i := range idx {
+		if i < 0 || nulls.Get(i) {
+			bm.Set(k)
+			continue
+		}
+		out[k] = vals[i]
+	}
+	return out, bm
+}
+
+// SourceRow addresses one row of one source in a multi-source gather.
+type SourceRow struct{ Src, Row int32 }
+
+// GatherSources is Gather over several sources of type t: row k of the
+// result is row picks[k].Row of srcs[picks[k].Src], NULLs included. It
+// is the merge kernel behind K-way index merges, which interleave rows
+// of several runs' frames into one output batch.
+func GatherSources(t Type, srcs []Column, picks []SourceRow) Column {
+	switch t {
+	case TypeInt64:
+		if vals, nulls, ok := gatherSources(srcs, picks, func(c Column) ([]int64, bool) {
+			if col, ok := c.(*Int64Column); ok {
+				return col.vals, true
+			}
+			return nil, false
+		}); ok {
+			return &Int64Column{vals: vals, nulls: nulls}
+		}
+	case TypeFloat64:
+		if vals, nulls, ok := gatherSources(srcs, picks, func(c Column) ([]float64, bool) {
+			if col, ok := c.(*Float64Column); ok {
+				return col.vals, true
+			}
+			return nil, false
+		}); ok {
+			return &Float64Column{vals: vals, nulls: nulls}
+		}
+	case TypeString:
+		if vals, nulls, ok := gatherSources(srcs, picks, func(c Column) ([]string, bool) {
+			if col, ok := c.(*StringColumn); ok {
+				return col.vals, true
+			}
+			return nil, false
+		}); ok {
+			return &StringColumn{vals: vals, nulls: nulls}
+		}
+	case TypeBool:
+		if vals, nulls, ok := gatherSources(srcs, picks, func(c Column) ([]bool, bool) {
+			if col, ok := c.(*BoolColumn); ok {
+				return col.vals, true
+			}
+			return nil, false
+		}); ok {
+			return &BoolColumn{vals: vals, nulls: nulls}
+		}
+	}
+	out := NewColumn(t, len(picks))
+	for _, p := range picks {
+		_ = out.Append(srcs[p.Src].Value(int(p.Row)))
+	}
+	return out
+}
+
+// gatherSources gathers typed values and the null bitmap; ok is false
+// when a source is not of the expected column type.
+func gatherSources[T any](srcs []Column, picks []SourceRow, typed func(Column) ([]T, bool)) ([]T, *Bitmap, bool) {
+	vals := make([][]T, len(srcs))
+	nulls := make([]*Bitmap, len(srcs))
+	anyNull := false
+	for s, c := range srcs {
+		v, ok := typed(c)
+		if !ok {
+			return nil, nil, false
+		}
+		vals[s] = v
+		if nb := NullsOf(c); nb.Any() {
+			nulls[s] = nb
+			anyNull = true
+		}
+	}
+	out := make([]T, len(picks))
+	for k, p := range picks {
+		out[k] = vals[p.Src][p.Row]
+	}
+	if !anyNull {
+		return out, nil, true
+	}
+	var bm *Bitmap
+	for k, p := range picks {
+		if nulls[p.Src].Get(int(p.Row)) {
+			if bm == nil {
+				bm = NewBitmap(len(picks))
+			}
+			bm.Set(k)
+		}
+	}
+	return out, bm, true
 }
 
 // NullsOf exposes a column's null bitmap (nil when no row is NULL);

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Column encodings. A Vertica-style column store keeps columns
@@ -48,18 +49,19 @@ var errCorrupt = errors.New("storage: corrupt encoded column")
 // varint pairs. It shines on sorted low-cardinality data such as the
 // `kind` discriminator column of the table union.
 func EncodeInt64RLE(vals []int64) []byte {
-	buf := []byte{byte(EncRLE)}
-	var tmp [binary.MaxVarintLen64]byte
+	return appendInt64RLE(nil, vals)
+}
+
+func appendInt64RLE(buf []byte, vals []int64) []byte {
+	buf = append(buf, byte(EncRLE))
 	i := 0
 	for i < len(vals) {
-		j := i
+		j := i + 1
 		for j < len(vals) && vals[j] == vals[i] {
 			j++
 		}
-		n := binary.PutUvarint(tmp[:], uint64(j-i))
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutVarint(tmp[:], vals[i])
-		buf = append(buf, tmp[:n]...)
+		buf = binary.AppendUvarint(buf, uint64(j-i))
+		buf = binary.AppendVarint(buf, vals[i])
 		i = j
 	}
 	return buf
@@ -115,12 +117,14 @@ func DecodeInt64RLEMax(data []byte, max int) ([]int64, error) {
 // absolute, then differences. Sorted vertex-id columns compress to a
 // byte or two per row.
 func EncodeInt64Delta(vals []int64) []byte {
-	buf := []byte{byte(EncDelta)}
-	var tmp [binary.MaxVarintLen64]byte
+	return appendInt64Delta(nil, vals)
+}
+
+func appendInt64Delta(buf []byte, vals []int64) []byte {
+	buf = append(buf, byte(EncDelta))
 	prev := int64(0)
 	for _, v := range vals {
-		n := binary.PutVarint(tmp[:], v-prev)
-		buf = append(buf, tmp[:n]...)
+		buf = binary.AppendVarint(buf, v-prev)
 		prev = v
 	}
 	return buf
@@ -259,12 +263,50 @@ func DecodeFloat64Plain(data []byte) ([]float64, error) {
 }
 
 // CompressedSize reports the encoded size of an int64 column under the
-// best of RLE/delta, used by the engine to pick an encoding per segment.
+// best of RLE/delta (RLE on a tie). It sizes both encodings in one pass
+// without encoding or allocating.
 func CompressedSize(vals []int64) (enc Encoding, size int) {
-	r := len(EncodeInt64RLE(vals))
-	d := len(EncodeInt64Delta(vals))
+	r, d := 1, 1 // the encoding tag
+	prev, runStart := int64(0), 0
+	for i, v := range vals {
+		d += varintLen(v - prev)
+		prev = v
+		if i == 0 || v != vals[i-1] {
+			// A run starts here: its value, plus its length once known.
+			r += varintLen(v)
+			if i > 0 {
+				r += uvarintLen(uint64(i - runStart))
+			}
+			runStart = i
+		}
+	}
+	if len(vals) > 0 {
+		r += uvarintLen(uint64(len(vals) - runStart))
+	}
 	if r <= d {
 		return EncRLE, r
 	}
 	return EncDelta, d
+}
+
+// EncodeInt64 encodes an int64 column under whichever of RLE and delta
+// is smaller (RLE on a tie): one sizing pass, then one encode into an
+// exactly sized buffer. Spill frames, wire batches and snapshots all
+// encode their INTEGER columns through it.
+func EncodeInt64(vals []int64) []byte {
+	enc, size := CompressedSize(vals)
+	if enc == EncRLE {
+		return appendInt64RLE(make([]byte, 0, size), vals)
+	}
+	return appendInt64Delta(make([]byte, 0, size), vals)
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x uint64) int {
+	return 1 + (bits.Len64(x|1)-1)/7
+}
+
+// varintLen is the length of binary.AppendVarint's (zig-zag) encoding of v.
+func varintLen(v int64) int {
+	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
 }

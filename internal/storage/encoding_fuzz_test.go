@@ -139,3 +139,23 @@ func FuzzDecodeFloat64Plain(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEncodeInt64 checks the one-pass encoding choice against the
+// two-encode reference on fuzzer-built columns: 8-byte little-endian
+// values, each repeated 1–4 times by a control byte so runs occur.
+func FuzzEncodeInt64(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 3})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var vals []int64
+		for len(data) >= 9 {
+			v := int64(binary.LittleEndian.Uint64(data))
+			for r := 0; r <= int(data[8]%4); r++ {
+				vals = append(vals, v)
+			}
+			data = data[9:]
+		}
+		checkEncodeInt64(t, "fuzz", vals)
+	})
+}

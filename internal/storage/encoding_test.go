@@ -1,7 +1,11 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -143,5 +147,77 @@ func TestCompressedSizePicksBest(t *testing.T) {
 	}
 	if enc, _ := CompressedSize(seq); enc != EncDelta {
 		t.Errorf("sequential column should pick DELTA, got %v", enc)
+	}
+}
+
+// twoEncodeChoice is the reference INTEGER column encoding: encode under
+// both RLE and delta with per-value varint writes, keep the shorter, RLE
+// on a tie. EncodeInt64 must produce exactly these bytes, so spill,
+// wire and snapshot bytes do not change.
+func twoEncodeChoice(vals []int64) []byte {
+	var tmp [binary.MaxVarintLen64]byte
+	rle := []byte{byte(EncRLE)}
+	for i := 0; i < len(vals); {
+		j := i
+		for j < len(vals) && vals[j] == vals[i] {
+			j++
+		}
+		rle = append(rle, tmp[:binary.PutUvarint(tmp[:], uint64(j-i))]...)
+		rle = append(rle, tmp[:binary.PutVarint(tmp[:], vals[i])]...)
+		i = j
+	}
+	delta := []byte{byte(EncDelta)}
+	prev := int64(0)
+	for _, v := range vals {
+		delta = append(delta, tmp[:binary.PutVarint(tmp[:], v-prev)]...)
+		prev = v
+	}
+	if len(rle) <= len(delta) {
+		return rle
+	}
+	return delta
+}
+
+// checkEncodeInt64 compares EncodeInt64 and CompressedSize with the
+// two-encode reference.
+func checkEncodeInt64(t *testing.T, what string, vals []int64) {
+	t.Helper()
+	want := twoEncodeChoice(vals)
+	if got := EncodeInt64(vals); !bytes.Equal(got, want) {
+		t.Fatalf("%s: EncodeInt64 = %x, want %x", what, got, want)
+	}
+	if enc, size := CompressedSize(vals); enc != Encoding(want[0]) || size != len(want) {
+		t.Fatalf("%s: CompressedSize = %v/%d, want %v/%d", what, enc, size, Encoding(want[0]), len(want))
+	}
+}
+
+func TestEncodeInt64MatchesTwoEncodeChoice(t *testing.T) {
+	seq := make([]int64, 1000)
+	for i := range seq {
+		seq[i] = int64(i) * 3
+	}
+	checkEncodeInt64(t, "empty", nil)
+	checkEncodeInt64(t, "constant", make([]int64, 1000))
+	checkEncodeInt64(t, "sorted", seq)
+	checkEncodeInt64(t, "single", []int64{-5})
+	checkEncodeInt64(t, "extremes", []int64{math.MinInt64, math.MaxInt64, math.MinInt64, 0, math.MaxInt64, math.MaxInt64})
+	checkEncodeInt64(t, "tie", []int64{7, 7}) // 3 bytes either way: RLE
+	rng := rand.New(rand.NewSource(5))
+	for seed := 0; seed < 500; seed++ {
+		vals := make([]int64, rng.Intn(300))
+		run := 1 + rng.Intn(8)
+		for i := range vals {
+			switch {
+			case i > 0 && rng.Intn(run) != 0:
+				vals[i] = vals[i-1] // runs
+			case seed%3 == 0:
+				vals[i] = -rng.Int63n(1 << uint(rng.Intn(63))) // negative
+			case seed%3 == 1 && i > 0:
+				vals[i] = vals[i-1] + rng.Int63n(100) // sorted
+			default:
+				vals[i] = int64(rng.Uint64()) // random, wrapping deltas
+			}
+		}
+		checkEncodeInt64(t, fmt.Sprintf("seed %d", seed), vals)
 	}
 }

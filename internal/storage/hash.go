@@ -40,30 +40,90 @@ func HashValue(v Value) uint64 {
 	case TypeInt64, TypeBool:
 		return HashInt64(v.I)
 	case TypeFloat64:
-		if v.F == float64(int64(v.F)) {
-			// Hash integral floats like ints so INTEGER and DOUBLE
-			// join keys agree.
-			return HashInt64(int64(v.F))
-		}
-		return HashInt64(int64(v.F*1e9)) ^ 0xabcd
+		return hashFloat64(v.F)
 	case TypeString:
 		return HashString(v.S)
 	}
 	return 0
 }
 
+// hashFloat64 is HashValue of a non-null DOUBLE.
+func hashFloat64(f float64) uint64 {
+	if f == float64(int64(f)) {
+		// Hash integral floats like ints so INTEGER and DOUBLE
+		// join keys agree.
+		return HashInt64(int64(f))
+	}
+	return HashInt64(int64(f*1e9)) ^ 0xabcd
+}
+
+// foldHash folds one key hash into a row hash, FNV-1a over its bytes.
+func foldHash(h, hv uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= hv & 0xff
+		h *= fnvPrime64
+		hv >>= 8
+	}
+	return h
+}
+
 // HashRow combines the hashes of several key values.
 func HashRow(vals []Value) uint64 {
 	h := uint64(fnvOffset64)
 	for _, v := range vals {
-		hv := HashValue(v)
-		for i := 0; i < 8; i++ {
-			h ^= hv & 0xff
-			h *= fnvPrime64
-			hv >>= 8
-		}
+		h = foldHash(h, HashValue(v))
 	}
 	return h
+}
+
+// HashKeys hashes the key columns of rows [lo, hi) of b column by
+// column: hashes[i-lo] equals HashRow over row i's boxed key values, so
+// a row hashed here routes exactly like one hashed by HashRow. nulls[i-lo]
+// reports whether any key of row i is NULL; such a row's hash is
+// meaningless (a NULL key matches nothing). Both slices need hi-lo
+// entries.
+func HashKeys(b *Batch, keys []int, lo, hi int, hashes []uint64, nulls []bool) {
+	hashes, nulls = hashes[:hi-lo], nulls[:hi-lo]
+	for i := range hashes {
+		hashes[i] = fnvOffset64
+		nulls[i] = false
+	}
+	for _, k := range keys {
+		c := b.Cols[k]
+		switch col := c.(type) {
+		case *Int64Column:
+			for i, v := range col.vals[lo:hi] {
+				hashes[i] = foldHash(hashes[i], HashInt64(v))
+			}
+		case *Float64Column:
+			for i, v := range col.vals[lo:hi] {
+				hashes[i] = foldHash(hashes[i], hashFloat64(v))
+			}
+		case *StringColumn:
+			for i, v := range col.vals[lo:hi] {
+				hashes[i] = foldHash(hashes[i], HashString(v))
+			}
+		case *BoolColumn:
+			for i, v := range col.vals[lo:hi] {
+				var x int64
+				if v {
+					x = 1
+				}
+				hashes[i] = foldHash(hashes[i], HashInt64(x))
+			}
+		default:
+			for i := range hashes {
+				hashes[i] = foldHash(hashes[i], HashValue(c.Value(lo+i)))
+			}
+		}
+		if nb := NullsOf(c); nb.Any() {
+			for i := range nulls {
+				if nb.Get(lo + i) {
+					nulls[i] = true
+				}
+			}
+		}
+	}
 }
 
 // PartitionInt64 assigns each value to one of n partitions by hash and

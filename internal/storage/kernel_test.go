@@ -364,3 +364,154 @@ func TestAppendBatchMatchesAppendRow(t *testing.T) {
 		}
 	}
 }
+
+// refGatherSources is the boxed multi-source gather: one Append per
+// picked cell.
+func refGatherSources(t Type, srcs []Column, picks []SourceRow) Column {
+	out := NewColumn(t, len(picks))
+	for _, p := range picks {
+		if err := out.Append(srcs[p.Src].Value(int(p.Row))); err != nil {
+			panic(err)
+		}
+	}
+	return out
+}
+
+// TestGatherSourcesMatchesBoxedReference: the typed multi-source gather
+// yields the boxed reference's cells and null-bitmap presence for every
+// column type, over one or several sources, including empty sources and
+// empty picks.
+func TestGatherSourcesMatchesBoxedReference(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		g := rngGen(seed)
+		s := g.schema()
+		srcs := make([]*Batch, 1+int(g.next())%4)
+		var nonEmpty []int
+		for i := range srcs {
+			srcs[i] = g.batch(s, int(g.next())%20, 100*i)
+			if srcs[i].Len() > 0 {
+				nonEmpty = append(nonEmpty, i)
+			}
+		}
+		var picks []SourceRow
+		if len(nonEmpty) > 0 {
+			picks = make([]SourceRow, int(g.next())%40)
+			for k := range picks {
+				src := nonEmpty[int(g.next())%len(nonEmpty)]
+				picks[k] = SourceRow{Src: int32(src), Row: int32(int(g.next()) % srcs[src].Len())}
+			}
+		}
+		got := &Batch{Schema: s, Cols: make([]Column, s.Len())}
+		want := &Batch{Schema: s, Cols: make([]Column, s.Len())}
+		for j, c := range s.Cols {
+			cols := make([]Column, len(srcs))
+			for i, b := range srcs {
+				cols[i] = b.Cols[j]
+			}
+			got.Cols[j] = GatherSources(c.Type, cols, picks)
+			want.Cols[j] = refGatherSources(c.Type, cols, picks)
+		}
+		sameBatch(t, fmt.Sprintf("seed %d: %d sources, %d picks", seed, len(srcs), len(picks)), got, want)
+	}
+}
+
+// TestGatherPadMatchesBoxedReference: the typed GatherPad yields the
+// cells of a boxed gather in which index -1 appends NULL. (Without a
+// pad it is Gather, which may keep an all-clear bitmap, so bitmap
+// presence is not compared.)
+func TestGatherPadMatchesBoxedReference(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		g := rngGen(seed)
+		s := g.schema()
+		src := g.batch(s, int(g.next())%20, 0)
+		idx := make([]int, int(g.next())%30)
+		for k := range idx {
+			idx[k] = -1
+			if src.Len() > 0 && g.next()%3 != 0 {
+				idx[k] = int(g.next()) % src.Len()
+			}
+		}
+		got := &Batch{Schema: s, Cols: make([]Column, s.Len())}
+		want := &Batch{Schema: s, Cols: make([]Column, s.Len())}
+		for j, c := range src.Cols {
+			got.Cols[j] = GatherPad(c, idx)
+			ref := NewColumn(c.Type(), len(idx))
+			for _, i := range idx {
+				if i < 0 {
+					ref.AppendNull()
+				} else if err := ref.Append(c.Value(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want.Cols[j] = ref
+		}
+		requireSameCells(t, fmt.Sprintf("seed %d", seed), got, want)
+	}
+}
+
+// TestHashKeysMatchesHashRow: column-wise key hashing agrees with
+// HashRow over the boxed key values on every non-NULL row (so both
+// join sides route alike), flags exactly the rows with a NULL key, and
+// hashes a sub-range like the whole batch.
+func TestHashKeysMatchesHashRow(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		g := rngGen(seed)
+		s := g.schema()
+		b := g.batch(s, int(g.next())%40, 0)
+		keys := make([]int, 1+int(g.next())%3)
+		for k := range keys {
+			keys[k] = int(g.next()) % s.Len()
+		}
+		lo := 0
+		if b.Len() > 0 {
+			lo = int(g.next()) % b.Len()
+		}
+		hashes, nulls := make([]uint64, b.Len()-lo), make([]bool, b.Len()-lo)
+		HashKeys(b, keys, lo, b.Len(), hashes, nulls)
+		for i := lo; i < b.Len(); i++ {
+			vals := make([]Value, len(keys))
+			null := false
+			for k, c := range keys {
+				vals[k] = b.Cols[c].Value(i)
+				null = null || vals[k].Null
+			}
+			if nulls[i-lo] != null {
+				t.Fatalf("seed %d row %d: null flag %v, want %v", seed, i, nulls[i-lo], null)
+			}
+			if !null && hashes[i-lo] != HashRow(vals) {
+				t.Fatalf("seed %d row %d: hash %x, want HashRow %x", seed, i, hashes[i-lo], HashRow(vals))
+			}
+		}
+	}
+}
+
+// TestKeysEqualMatchesCompare: the typed key-equality check agrees with
+// pairwise Compare over boxed values, NULL never equal, including keys
+// whose two sides differ in type.
+func TestKeysEqualMatchesCompare(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		g := rngGen(seed)
+		s := g.schema()
+		a, b := g.batch(s, 1+int(g.next())%15, 0), g.batch(s, 1+int(g.next())%15, 0)
+		akeys, bkeys := make([]int, 1+int(g.next())%3), make([]int, 0, 3)
+		for k := range akeys {
+			akeys[k] = int(g.next()) % s.Len()
+			bkeys = append(bkeys, int(g.next())%s.Len())
+		}
+		eq := KeysEqual(a, akeys, b, bkeys)
+		for i := 0; i < a.Len(); i++ {
+			for j := 0; j < b.Len(); j++ {
+				want := true
+				for k := range akeys {
+					av, bv := a.Cols[akeys[k]].Value(i), b.Cols[bkeys[k]].Value(j)
+					if av.Null || bv.Null || Compare(av, bv) != 0 {
+						want = false
+					}
+				}
+				if got := eq(i, j); got != want {
+					t.Fatalf("seed %d: KeysEqual(%d, %d) = %v, want %v", seed, i, j, got, want)
+				}
+			}
+		}
+	}
+}

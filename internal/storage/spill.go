@@ -145,10 +145,7 @@ func EncodeSpillBatch(b *Batch) []byte {
 func encodeSpillColumn(c Column) []byte {
 	switch col := c.(type) {
 	case *Int64Column:
-		if enc, _ := CompressedSize(col.vals); enc == EncRLE {
-			return EncodeInt64RLE(col.vals)
-		}
-		return EncodeInt64Delta(col.vals)
+		return EncodeInt64(col.vals)
 	case *Float64Column:
 		return EncodeFloat64Plain(col.vals)
 	case *StringColumn:

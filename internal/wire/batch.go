@@ -73,12 +73,7 @@ func AppendBatch(b *Buffer, data *storage.Batch) error {
 		}
 		switch c := col.(type) {
 		case *storage.Int64Column:
-			enc, _ := storage.CompressedSize(c.Int64s())
-			if enc == storage.EncRLE {
-				b.PutBytes(storage.EncodeInt64RLE(c.Int64s()))
-			} else {
-				b.PutBytes(storage.EncodeInt64Delta(c.Int64s()))
-			}
+			b.PutBytes(storage.EncodeInt64(c.Int64s()))
 		case *storage.Float64Column:
 			b.PutBytes(storage.EncodeFloat64Plain(c.Float64s()))
 		case *storage.StringColumn:
