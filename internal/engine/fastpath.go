@@ -231,7 +231,7 @@ func conjuncts(e sql.Expr, into []sql.Expr) []sql.Expr {
 }
 
 // pinShard matches `<partition key> = <literal or parameter>`. The
-// type rules mirror the planner's shardForConjunct: a value whose type
+// type rules mirror the planner's shard routing: a value whose type
 // does not hash identically to the key column's representation after
 // coercion declines the pin (the comparison could still match rows in
 // other shards under cross-type equality).

@@ -46,7 +46,8 @@ func explainLines(t *testing.T, sess *Session, stmt string) []string {
 
 // TestExplainGolden pins the plain-EXPLAIN renderings for the plan
 // shapes the executor produces: serial scans, shard-pruned point
-// lookups, parallel aggregation and joins, and write routing. The
+// lookups, parallel aggregation and joins, conjuncts placed below a
+// join or as its residual or ON, and write routing. The
 // worker count is fixed by SET parallelism, so the fragment counts are
 // machine-independent.
 func TestExplainGolden(t *testing.T) {
@@ -82,11 +83,29 @@ func TestExplainGolden(t *testing.T) {
 			"  Sort (label) [workers=2]",
 			"    Gather (fragments=2)",
 			"      Project (label)",
-			"        Filter ((e.src = 1))",
-			"          Spool (parts=2)",
-			"            HashJoin inner (dst = id) [workers=2]",
-			"              Scan nv",
-			"              Scan ev [4 shards]",
+			"        Spool (parts=2)",
+			"          HashJoin inner (dst = id) [workers=2]",
+			"            Scan nv",
+			"            Filter ((e.src = 1))",
+			"              Scan ev [shard 1/4]",
+		}},
+		{"EXPLAIN SELECT e.src, n.label FROM ev e JOIN nv n ON n.id = e.dst WHERE e.src < n.id", []string{
+			"plan (workers=2, mode=snapshot, plan-cache=miss)",
+			"Gather (fragments=2)",
+			"  Project (src, label)",
+			"    Spool (parts=2)",
+			"      HashJoin inner (dst = id) residual ((e.src < n.id)) [workers=2]",
+			"        Scan nv",
+			"        Scan ev [4 shards]",
+		}},
+		{"EXPLAIN SELECT e.src, n.id FROM ev e, nv n WHERE e.dst < n.id", []string{
+			"plan (workers=2, mode=snapshot, plan-cache=miss)",
+			"Gather (fragments=2)",
+			"  Project (src, id)",
+			"    Spool (parts=2)",
+			"      NestedLoopJoin inner on ((e.dst < n.id))",
+			"        Scan nv",
+			"        Scan ev [4 shards]",
 		}},
 		{"EXPLAIN INSERT INTO nv VALUES (4, 'd')", []string{
 			"write insert: sharded fast path (shared gate + per-shard statement locks)",

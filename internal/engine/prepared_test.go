@@ -87,6 +87,8 @@ var preparedCorpus = []struct {
 		"SELECT dst FROM edges WHERE src = 7 ORDER BY dst"},
 	{"SELECT p.name, e.dst FROM people p, edges e WHERE p.id = e.src AND e.w > $1 ORDER BY p.id, e.dst", vals(storage.Float64(4.0)),
 		"SELECT p.name, e.dst FROM people p, edges e WHERE p.id = e.src AND e.w > 4.0 ORDER BY p.id, e.dst"},
+	{"SELECT p.name FROM edges e JOIN people p ON p.id = e.dst WHERE e.src = $1", vals(storage.Int64(3)),
+		"SELECT p.name FROM edges e JOIN people p ON p.id = e.dst WHERE e.src = 3"},
 	{"SELECT src, COUNT(*) AS deg FROM edges GROUP BY src HAVING COUNT(*) > $1 ORDER BY src", vals(storage.Int64(9)),
 		"SELECT src, COUNT(*) AS deg FROM edges GROUP BY src HAVING COUNT(*) > 9 ORDER BY src"},
 	{"SELECT DISTINCT w FROM edges WHERE src < $1", vals(storage.Int64(10)),
@@ -137,6 +139,42 @@ func TestPreparedParamLiteralDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPreparedParamLiteralJoinRoute runs one cached one-hop plan, whose
+// edge scan sits under a join, with two keys owned by different shards:
+// each execution must match its literal form, so the route is rebound
+// per execution below the join too.
+func TestPreparedParamLiteralJoinRoute(t *testing.T) {
+	db := prepDB(t)
+	sess := db.NewSession()
+	ctx := context.Background()
+	const stmt = "SELECT p.name FROM edges e JOIN people p ON p.id = e.dst WHERE e.src = $1"
+	shard := func(k int64) uint64 { return storage.HashValue(storage.Int64(k)) % 4 }
+	keys := []int64{1}
+	for k := int64(2); len(keys) < 2; k++ {
+		if shard(k) != shard(keys[0]) {
+			keys = append(keys, k)
+		}
+	}
+	for _, k := range append(keys, keys...) {
+		rows, _, err := sess.RunStreamBound(ctx, stmt, vals(storage.Int64(k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rowLines(t, rows)
+		rows, _, err = sess.RunStream(ctx, strings.Replace(stmt, "$1", fmt.Sprint(k), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rowLines(t, rows)
+		if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("src = %d: bound %q, literal %q", k, got, want)
+		}
+	}
+	if st := db.PreparedStats(); st.Plans != 1 || st.Hits != 3 {
+		t.Errorf("Plans/Hits = %d/%d, want 1/3 (one cached plan)", st.Plans, st.Hits)
 	}
 }
 

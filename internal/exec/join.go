@@ -540,7 +540,7 @@ func (j *HashJoin) probeChunk(s *probeSide, lo, hi int, t *joinTable) (*storage.
 			return nil, nil, i, err
 		}
 	}
-	return j.gatherPairs(s.b, t.rb, lidx, ridx), lidx, i, nil
+	return gatherPairs(j.out, s.b, t.rb, lidx, ridx), lidx, i, nil
 }
 
 // filterResidual keeps the pairs whose residual is TRUE, evaluating it
@@ -555,7 +555,7 @@ func (j *HashJoin) filterResidual(lb, rb *storage.Batch, lidx, ridx []int) ([]in
 			cr = append(cr, r)
 		}
 	}
-	pred, err := expr.EvalVector(j.Residual, j.gatherPairs(lb, rb, cl, cr))
+	pred, err := expr.EvalVector(j.Residual, gatherPairs(j.out, lb, rb, cl, cr))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -587,7 +587,7 @@ func (j *HashJoin) filterResidual(lb, rb *storage.Batch, lidx, ridx []int) ([]in
 
 // gatherPairs materializes (left, right) index pairs as output rows; a
 // right index of -1 yields NULL right columns.
-func (j *HashJoin) gatherPairs(lb, rb *storage.Batch, lidx, ridx []int) *storage.Batch {
+func gatherPairs(out storage.Schema, lb, rb *storage.Batch, lidx, ridx []int) *storage.Batch {
 	cols := make([]storage.Column, 0, len(lb.Cols)+len(rb.Cols))
 	for _, c := range lb.Cols {
 		cols = append(cols, c.Gather(lidx))
@@ -595,7 +595,7 @@ func (j *HashJoin) gatherPairs(lb, rb *storage.Batch, lidx, ridx []int) *storage
 	for _, c := range rb.Cols {
 		cols = append(cols, storage.GatherPad(c, ridx))
 	}
-	return &storage.Batch{Schema: j.out, Cols: cols}
+	return &storage.Batch{Schema: out, Cols: cols}
 }
 
 // probeSlowParallel runs the generic probe over w contiguous morsels of
@@ -882,45 +882,36 @@ func (j *NestedLoopJoin) probeNLRange(lo, hi int) ([]*storage.Batch, error) {
 	return batches, nil
 }
 
-// evalPredOnRow evaluates a predicate over one materialized row.
-func evalPredOnRow(schema storage.Schema, pred expr.Expr, row []storage.Value) (bool, error) {
-	b := storage.NewBatch(schema)
-	if err := b.AppendRow(row...); err != nil {
-		return false, err
-	}
-	return expr.EvalBool(pred, expr.Row{Batch: b, Idx: 0})
-}
-
 // probeRow joins left row i of lb against the whole build side,
-// appending matches (or the left-join pad) to out.
+// appending matches (or the left-join pad) to out. ON is evaluated
+// vectorized, once over the row's pairs with every build row.
 func (j *NestedLoopJoin) probeRow(lb *storage.Batch, i int, out *storage.Batch) error {
-	lrow := lb.Row(i)
-	matched := false
-	for ri := 0; ri < j.rdata.Len(); ri++ {
-		combined := append(append([]storage.Value{}, lrow...), j.rdata.Row(ri)...)
-		if j.On != nil {
-			ok, err := evalPredOnRow(j.out, j.On, combined)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-		}
-		matched = true
-		if err := out.AppendRow(combined...); err != nil {
+	n := j.rdata.Len()
+	lidx, ridx := make([]int, n), make([]int, n)
+	for r := range ridx {
+		lidx[r], ridx[r] = i, r
+	}
+	if j.On != nil && n > 0 {
+		pred, err := expr.EvalVector(j.On, gatherPairs(j.out, lb, j.rdata, lidx, ridx))
+		if err != nil {
 			return err
 		}
-	}
-	if !matched && j.Type == LeftJoin {
-		rs := j.Right.Schema()
-		combined := append([]storage.Value{}, lrow...)
-		for _, c := range rs.Cols {
-			combined = append(combined, storage.Null(c.Type))
+		k := 0
+		for r := range ridx {
+			if pred.Value(r).IsTrue() {
+				ridx[k] = r
+				k++
+			}
 		}
-		return out.AppendRow(combined...)
+		lidx, ridx = lidx[:k], ridx[:k]
 	}
-	return nil
+	if len(ridx) == 0 {
+		if j.Type != LeftJoin {
+			return nil
+		}
+		lidx, ridx = []int{i}, []int{-1}
+	}
+	return storage.Concat(out, gatherPairs(j.out, lb, j.rdata, lidx, ridx))
 }
 
 // Next implements Operator.

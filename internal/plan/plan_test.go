@@ -382,3 +382,116 @@ func TestLimitKeepsPlanSerial(t *testing.T) {
 		t.Fatal("LIMIT at SerialLimitMax should plan serial")
 	}
 }
+
+// twinCatalog holds a and b, which share both column names, and c,
+// which shares only id.
+func twinCatalog(t *testing.T) *catalog.Catalog {
+	t.Helper()
+	cat := catalog.New()
+	for _, name := range []string{"a", "b", "c"} {
+		other := storage.Col("x", storage.TypeInt64)
+		if name == "c" {
+			other = storage.Col("y", storage.TypeInt64)
+		}
+		tb, err := cat.Create(name, storage.NewSchema(storage.Col("id", storage.TypeInt64), other))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.AppendRow(storage.Int64(1), storage.Int64(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// TestJoinAmbiguousColumn: an unqualified name two FROM items share is
+// ambiguous in WHERE and ON alike, even when placement could bind it
+// on the first item alone; an ON condition sees only the tables joined
+// so far.
+func TestJoinAmbiguousColumn(t *testing.T) {
+	p := New(twinCatalog(t), expr.NewRegistry())
+	for _, tc := range []struct{ q, want string }{
+		{"SELECT a.id FROM a, b WHERE a.id = b.id AND x = 1", `ambiguous column "x"`},
+		{"SELECT a.id FROM a JOIN b ON a.id = b.id WHERE x = 1", `ambiguous column "x"`},
+		{"SELECT a.id FROM a JOIN b ON a.id = b.id AND x = 1", `ambiguous column "x"`},
+		{"SELECT a.id FROM a LEFT JOIN b ON a.id = b.id WHERE x = 1", `ambiguous column "x"`},
+		{"SELECT a.id FROM a LEFT JOIN b ON a.id = b.id AND x = 1", `ambiguous column "x"`},
+		{"SELECT a.id FROM a, b JOIN c ON a.id = c.id", `unknown column "a.id"`},
+		{"SELECT a.id FROM a JOIN b ON a.id = c.id, c", `unknown column "c.id"`},
+		{"SELECT a.id FROM a JOIN c ON c.id = b.id JOIN b ON b.id = a.id", `unknown column "b.id"`},
+	} {
+		st, err := sql.Parse(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = p.PlanSelect(st.(*sql.SelectStmt))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %s", tc.q, err, tc.want)
+		}
+	}
+	// A name only one of its own join's tables carries binds there,
+	// though a table outside that join has it too.
+	for _, q := range []string{
+		"SELECT c.y FROM a, b JOIN c ON b.id = c.id AND x = 1",
+		"SELECT c.y FROM a JOIN c ON a.id = c.id AND x = 1 JOIN b ON b.id = a.id",
+	} {
+		out, err := exec.Drain(planQuery(t, twinCatalog(t), q))
+		if err != nil || out.Len() != 1 {
+			t.Errorf("%s: rows = %v, err = %v; want 1 row", q, out, err)
+		}
+	}
+}
+
+// TestJoinPlacementExplain pins where conjuncts land: a WHERE conjunct
+// on one input filters that input below the join, one that first binds
+// at a join step is that join's residual (or a nested-loop join's ON),
+// and the ON and WHERE spellings of a query print the same plan.
+func TestJoinPlacementExplain(t *testing.T) {
+	cat := testCatalog(t)
+	explain := func(q string) string {
+		t.Helper()
+		return strings.Join(exec.Explain(planQuery(t, cat, q), false), "\n")
+	}
+	for _, tc := range []struct {
+		q    string
+		want []string
+	}{
+		{"SELECT v.name FROM edge e JOIN vertex v ON v.id = e.dst WHERE e.src = 1", []string{
+			"Project (name)",
+			"  HashJoin inner (dst = id)",
+			"    Scan vertex",
+			"    Filter ((e.src = 1))",
+			"      Scan edge",
+		}},
+		{"SELECT v.name FROM edge e JOIN vertex v ON v.id = e.dst WHERE e.weight > v.id", []string{
+			"Project (name)",
+			"  HashJoin inner (dst = id) residual ((e.weight > v.id))",
+			"    Scan vertex",
+			"    Scan edge",
+		}},
+		{"SELECT v.name FROM edge e, vertex v WHERE e.src < v.id", []string{
+			"Project (name)",
+			"  NestedLoopJoin inner on ((e.src < v.id))",
+			"    Scan vertex",
+			"    Scan edge",
+		}},
+	} {
+		if got, want := explain(tc.q), strings.Join(tc.want, "\n"); got != want {
+			t.Errorf("%s:\n got\n%s\nwant\n%s", tc.q, got, want)
+		}
+	}
+
+	// Per-node triangles, with the non-key conjuncts in ON and in WHERE.
+	on := explain(`SELECT e1.src, COUNT(*) FROM edge e1
+		JOIN edge e2 ON e1.src = e2.src AND e1.dst < e2.dst
+		JOIN edge e3 ON e3.src = e1.dst AND e3.dst = e2.dst GROUP BY e1.src`)
+	where := explain(`SELECT e1.src, COUNT(*) FROM edge e1
+		JOIN edge e2 ON e1.src = e2.src
+		JOIN edge e3 ON e3.src = e1.dst WHERE e1.dst < e2.dst AND e3.dst = e2.dst GROUP BY e1.src`)
+	if on != where {
+		t.Errorf("ON and WHERE spellings plan differently:\nON\n%s\nWHERE\n%s", on, where)
+	}
+	if !strings.Contains(on, "residual ((e1.dst < e2.dst))") {
+		t.Errorf("triangle plan lacks the e1.dst < e2.dst residual:\n%s", on)
+	}
+}

@@ -368,7 +368,8 @@ func identIn(e sql.Expr, sc *Scope) (int, bool) {
 	return i, true
 }
 
-// planTableRef lowers one FROM item to (operator, scope).
+// planTableRef lowers one base or derived FROM item to (operator,
+// scope); planItem plans joins.
 func (c *planCtx) planTableRef(ref sql.TableRef) (exec.Operator, *Scope, error) {
 	switch t := ref.(type) {
 	case *sql.BaseTable:
@@ -397,47 +398,133 @@ func (c *planCtx) planTableRef(ref sql.TableRef) (exec.Operator, *Scope, error) 
 			return nil, nil, err
 		}
 		return op, NewScope(t.Alias, op.Schema()), nil
-	case *sql.JoinTable:
-		return c.planJoin(t)
 	default:
 		return nil, nil, fmt.Errorf("plan: unsupported table reference %T", ref)
 	}
 }
 
-func (c *planCtx) planJoin(j *sql.JoinTable) (exec.Operator, *Scope, error) {
-	lop, ls, err := c.planTableRef(j.Left)
+// flatten appends the items of an inner or cross join chain to items,
+// left to right, and to ons the ON condition of the join that adds each
+// item (nil for the first item and a CROSS join). A LEFT join, a base
+// table and a derived table are one item each.
+func flatten(ref sql.TableRef, items []sql.TableRef, ons []sql.Expr) ([]sql.TableRef, []sql.Expr) {
+	j, ok := ref.(*sql.JoinTable)
+	if !ok || j.Kind == sql.JoinLeft {
+		return append(items, ref), append(ons, nil)
+	}
+	items, ons = flatten(j.Left, items, ons)
+	return append(items, j.Right), append(ons, j.On)
+}
+
+// planFrom plans a FROM list as one left-deep join and places each
+// pending conjunct at the lowest point where it binds: on one item as a
+// filter with shard routing (pushDown), at a join step as a hash key or
+// the join's residual (joinStep), never as a filter over a join. A lone
+// inner join chain flattens into the list, its ON conjuncts placed like
+// WHERE's; a join beside other comma items plans its own list, as its
+// ON sees only its own tables. It returns the conjuncts that bind
+// nowhere in the list.
+func (c *planCtx) planFrom(from []sql.TableRef, pending []sql.Expr) (exec.Operator, *Scope, []sql.Expr, error) {
+	items, ons := from, make([]sql.Expr, len(from))
+	if len(from) == 1 {
+		items, ons = flatten(from[0], nil, nil)
+	}
+	var on []sql.Expr
+	for _, e := range ons {
+		if e != nil {
+			on = splitConjuncts(e, on)
+		}
+	}
+	pending = append(on, pending...)
+	var op exec.Operator
+	var sc *Scope
+	for i, item := range items {
+		rop, rsc, rest, err := c.planItem(item, pending)
+		if err == nil && i > 0 {
+			rop, rsc, rest, err = c.joinStep(op, sc, rop, rsc, exec.InnerJoin, rest)
+		}
+		if err == nil {
+			// An ON condition sees the tables joined so far. Placement
+			// bound each conjunct on the first input it fits, where a
+			// name two tables share is not yet ambiguous.
+			_, err = c.bindPred(ons[i], rsc)
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		op, sc, pending = rop, rsc, rest
+	}
+	return op, sc, pending, nil
+}
+
+// planItem plans one FROM item and filters it by the pending conjuncts
+// that bind on it alone.
+func (c *planCtx) planItem(ref sql.TableRef, pending []sql.Expr) (exec.Operator, *Scope, []sql.Expr, error) {
+	var op exec.Operator
+	var sc *Scope
+	var err error
+	if j, ok := ref.(*sql.JoinTable); !ok {
+		op, sc, err = c.planTableRef(ref)
+	} else if j.Kind != sql.JoinLeft {
+		return c.planFrom([]sql.TableRef{j}, pending)
+	} else {
+		op, sc, pending, err = c.planJoin(j, pending)
+	}
+	if err == nil {
+		op, pending, err = c.pushDown(op, sc, pending)
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	rop, rs, err := c.planTableRef(j.Right)
+	return exec.ParallelizeMem(op, c.workers, c.p.Budget, c.mem), sc, pending, nil
+}
+
+// planJoin plans L LEFT JOIN R ON …. A pending conjunct that binds on L
+// alone filters L, which drops the same rows as a filter above the
+// join; one that references R stays pending, above the join. An ON
+// conjunct that binds on R alone filters R; every other ON conjunct,
+// even one on L alone, decides which rows match rather than which
+// survive, so it becomes a key or the residual.
+func (c *planCtx) planJoin(j *sql.JoinTable, pending []sql.Expr) (exec.Operator, *Scope, []sql.Expr, error) {
+	lop, ls, pending, err := c.planItem(j.Left, pending)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	combined := Concat(ls, rs)
-	if j.Kind == sql.JoinCross {
-		return &exec.NestedLoopJoin{Left: lop, Right: rop, Type: exec.CrossJoin, Workers: c.workers, Budget: c.p.Budget, Mem: c.mem}, combined, nil
+	rop, rs, rest, err := c.planItem(j.Right, splitConjuncts(j.On, nil))
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	jt := exec.InnerJoin
-	if j.Kind == sql.JoinLeft {
-		jt = exec.LeftJoin
+	op, sc, _, err := c.joinStep(lop, ls, rop, rs, exec.LeftJoin, rest)
+	if err == nil {
+		_, err = c.bindPred(j.On, sc)
 	}
-	conjuncts := splitConjuncts(j.On, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return op, sc, pending, nil
+}
+
+// joinStep joins lop to rop and places there every pending conjunct
+// that first binds on the pair: an equality between the two sides
+// becomes a hash key, any other conjunct the hash join's residual or
+// the nested-loop join's ON. It returns the conjuncts not yet bindable.
+func (c *planCtx) joinStep(lop exec.Operator, ls *Scope, rop exec.Operator, rs *Scope, jt exec.JoinType, pending []sql.Expr) (exec.Operator, *Scope, []sql.Expr, error) {
+	sc := Concat(ls, rs)
 	var lkeys, rkeys []int
-	var residual []sql.Expr
-	for _, cj := range conjuncts {
+	var residual, rest []sql.Expr
+	for _, cj := range pending {
 		if lk, rk, ok := equiKey(cj, ls, rs); ok {
 			lkeys = append(lkeys, lk)
 			rkeys = append(rkeys, rk)
-		} else {
+		} else if c.bindable(cj, sc) {
 			residual = append(residual, cj)
+		} else {
+			rest = append(rest, cj)
 		}
 	}
-	var resExpr expr.Expr
-	if rest := andAll(residual); rest != nil {
-		resExpr, err = bindExpr(rest, combined, c.p.Funcs, nil, c.params)
-		if err != nil {
-			return nil, nil, err
-		}
+	res, err := c.bindPred(andAll(residual), sc)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	if len(lkeys) > 0 {
 		// equiKey resolves each side against its own scope, so both key
@@ -445,89 +532,40 @@ func (c *planCtx) planJoin(j *sql.JoinTable) (exec.Operator, *Scope, error) {
 		return &exec.HashJoin{
 			Left: lop, Right: rop,
 			LeftKeys: lkeys, RightKeys: rkeys,
-			Type: jt, Residual: resExpr,
+			Type: jt, Residual: res,
 			Workers: c.workers, Budget: c.p.Budget, Mem: c.mem,
 			Streaming: c.serial,
-		}, combined, nil
+		}, sc, rest, nil
 	}
-	return &exec.NestedLoopJoin{Left: lop, Right: rop, Type: jt, On: resExpr, Workers: c.workers, Budget: c.p.Budget, Mem: c.mem}, combined, nil
+	if res == nil && jt == exec.InnerJoin {
+		jt = exec.CrossJoin
+	}
+	return &exec.NestedLoopJoin{Left: lop, Right: rop, Type: jt, On: res, Workers: c.workers, Budget: c.p.Budget, Mem: c.mem}, sc, rest, nil
 }
 
 // planCore lowers one SELECT core; it returns the operator and the
 // printed select-item strings (for ORDER BY matching).
 func (c *planCtx) planCore(core *sql.SelectCore) (exec.Operator, []string, error) {
+	var where []sql.Expr
+	if core.Where != nil {
+		where = splitConjuncts(core.Where, nil)
+	}
 	var op exec.Operator
 	var sc *Scope
-
-	pending := []sql.Expr{}
-	if core.Where != nil {
-		pending = splitConjuncts(core.Where, nil)
-	}
-
+	var err error
 	if len(core.From) == 0 {
 		op = &exec.OneRow{}
 		sc = &Scope{Cols: []ScopeCol{{Qualifier: "$system", Name: "$one", Type: storage.TypeInt64, Hidden: true}}}
+		op, _, err = c.pushDown(op, sc, where)
 	} else {
-		var err error
-		op, sc, err = c.planTableRef(core.From[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		op, pending, err = c.pushDown(op, sc, pending)
-		if err != nil {
-			return nil, nil, err
-		}
-		op = exec.ParallelizeMem(op, c.workers, c.p.Budget, c.mem)
-		for _, item := range core.From[1:] {
-			rop, rsc, err := c.planTableRef(item)
-			if err != nil {
-				return nil, nil, err
-			}
-			rop, pending, err = c.pushDown(rop, rsc, pending)
-			if err != nil {
-				return nil, nil, err
-			}
-			rop = exec.ParallelizeMem(rop, c.workers, c.p.Budget, c.mem)
-			// Promote cross-scope equality conjuncts to hash-join keys.
-			var lkeys, rkeys []int
-			var rest []sql.Expr
-			for _, cj := range pending {
-				if lk, rk, ok := equiKey(cj, sc, rsc); ok {
-					lkeys = append(lkeys, lk)
-					rkeys = append(rkeys, rk)
-				} else {
-					rest = append(rest, cj)
-				}
-			}
-			pending = rest
-			combined := Concat(sc, rsc)
-			if len(lkeys) > 0 {
-				op = &exec.HashJoin{Left: op, Right: rop,
-					LeftKeys: lkeys, RightKeys: rkeys, Type: exec.InnerJoin,
-					Workers: c.workers, Budget: c.p.Budget, Mem: c.mem,
-					Streaming: c.serial}
-			} else {
-				op = &exec.NestedLoopJoin{Left: op, Right: rop, Type: exec.CrossJoin, Workers: c.workers, Budget: c.p.Budget, Mem: c.mem}
-			}
-			sc = combined
-			// Apply conjuncts that became bindable after this join.
-			op, pending, err = c.pushDown(op, sc, pending)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
+		op, sc, _, err = c.planFrom(core.From, where)
 	}
-
-	// Whatever WHERE conjuncts remain must bind on the full scope.
-	if rest := andAll(pending); rest != nil {
-		pred, err := bindExpr(rest, sc, c.p.Funcs, nil, c.params)
-		if err != nil {
-			return nil, nil, err
-		}
-		if pred.Type() != storage.TypeBool {
-			return nil, nil, fmt.Errorf("plan: WHERE must be boolean, got %s", pred.Type())
-		}
-		op = &exec.Filter{Input: op, Pred: pred}
+	if err == nil {
+		// WHERE sees the whole FROM scope; see planFrom.
+		_, err = c.bindPred(core.Where, sc)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Aggregate detection.
@@ -555,9 +593,9 @@ func (c *planCtx) planCore(core *sql.SelectCore) (exec.Operator, []string, error
 // as a filter, returning the filtered operator and the remaining list.
 // When the operator is a scan of a hash-partitioned table and one of
 // the applicable conjuncts is a point predicate on the partition key,
-// the scan is routed to the owning shard: the filter still runs (it
-// keeps the semantics exact), but only one shard is read — point
-// lookups, and any aggregate sitting above such a filter, become
+// the scan is routed to the owning shard (see route): the filter still
+// runs (it keeps the semantics exact), but only one shard is read —
+// point lookups, and any join or aggregate above such a filter, become
 // shard-local.
 func (c *planCtx) pushDown(op exec.Operator, sc *Scope, pending []sql.Expr) (exec.Operator, []sql.Expr, error) {
 	var applicable []sql.Expr
@@ -572,140 +610,86 @@ func (c *planCtx) pushDown(op exec.Operator, sc *Scope, pending []sql.Expr) (exe
 	if ts, ok := op.(*exec.TableScan); ok && ts.Shard == 0 && !ts.NoSplit {
 		if sh, ok := ts.Table.(storage.Sharded); ok && sh.NumShards() > 1 && sh.ShardKey() >= 0 {
 			for _, cj := range applicable {
-				if s, ok := shardForConjunct(cj, sc, sh); ok {
-					ts.Shard = s + 1
-					break
-				}
-				// A point predicate against a parameter routes too, but
-				// the owning shard is only known at bind time: record a
-				// route and keep the scan a single re-routable fragment.
-				if n, ok := c.paramRouteFor(cj, sc, sh); ok {
-					ts.NoSplit = true
-					c.routes = append(c.routes, Route{
-						Scan: ts, N: n,
-						Key: sh.Schema().Cols[sh.ShardKey()].Type,
-					})
+				if c.route(ts, sh, cj, sc) {
 					break
 				}
 			}
 		}
 	}
-	if pred := andAll(applicable); pred != nil {
-		bound, err := bindExpr(pred, sc, c.p.Funcs, nil, c.params)
-		if err != nil {
-			return nil, nil, err
-		}
-		if bound.Type() != storage.TypeBool {
-			return nil, nil, fmt.Errorf("plan: WHERE must be boolean, got %s", bound.Type())
-		}
-		op = &exec.Filter{Input: op, Pred: bound}
+	pred, err := c.bindPred(andAll(applicable), sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if pred != nil {
+		op = &exec.Filter{Input: op, Pred: pred}
 	}
 	return op, rest, nil
 }
 
-// shardForConjunct recognizes `key = literal` (either operand order)
-// where key resolves to the table's partition column, and returns the
-// owning shard. Only literals whose natural type matches the key
-// column (plus the safe INTEGER→DOUBLE widening, which HashValue
-// hashes identically) qualify — cross-type comparisons fall back to a
-// full scan rather than risk a coercion mismatch.
-func shardForConjunct(e sql.Expr, sc *Scope, sh storage.Sharded) (int, bool) {
-	b, ok := e.(*sql.BinExpr)
-	if !ok || b.Op != "=" {
-		return 0, false
+// bindPred binds a boolean predicate (nil binds to nil).
+func (c *planCtx) bindPred(e sql.Expr, sc *Scope) (expr.Expr, error) {
+	if e == nil {
+		return nil, nil
 	}
-	try := func(idExpr, litExpr sql.Expr) (int, bool) {
-		i, ok := identIn(idExpr, sc)
-		if !ok || i != sh.ShardKey() {
-			return 0, false
-		}
-		kt := sh.Schema().Cols[sh.ShardKey()].Type
-		var v storage.Value
-		switch l := litExpr.(type) {
-		case *sql.IntLit:
-			if kt != storage.TypeInt64 && kt != storage.TypeFloat64 {
-				return 0, false
-			}
-			v = storage.Int64(l.V)
-		case *sql.FloatLit:
-			if kt != storage.TypeFloat64 {
-				return 0, false
-			}
-			v = storage.Float64(l.V)
-		case *sql.StringLit:
-			if kt != storage.TypeString {
-				return 0, false
-			}
-			v = storage.Str(l.V)
-		case *sql.BoolLit:
-			if kt != storage.TypeBool {
-				return 0, false
-			}
-			v = storage.Bool(l.V)
-		default:
-			return 0, false
-		}
-		cv, err := storage.Coerce(v, kt)
-		if err != nil {
-			return 0, false
-		}
-		return int(storage.HashValue(cv) % uint64(sh.NumShards())), true
+	pred, err := bindExpr(e, sc, c.p.Funcs, nil, c.params)
+	if err != nil {
+		return nil, err
 	}
-	if s, ok := try(b.L, b.R); ok {
-		return s, true
+	if pred.Type() != storage.TypeBool {
+		return nil, fmt.Errorf("plan: WHERE and ON must be boolean, got %s", pred.Type())
 	}
-	return try(b.R, b.L)
+	return pred, nil
 }
 
-// paramRouteFor recognizes `key = $n` (either operand order) where key
-// resolves to the table's partition column and the parameter's recorded
-// type matches the key column under the same rules shardForConjunct
-// applies to literals. It returns the 1-based parameter index; the
-// shard itself is computed per execution from the bound value.
-func (c *planCtx) paramRouteFor(e sql.Expr, sc *Scope, sh storage.Sharded) (int, bool) {
-	if c.params == nil {
-		return 0, false
-	}
-	b, ok := e.(*sql.BinExpr)
+// route recognizes `key = x` (either operand order), key the table's
+// partition column, and routes the scan to x's shard. A literal fixes
+// the shard at planning; a parameter's shard is only known at bind
+// time, so it records a Route and keeps the scan a single re-routable
+// fragment. x must have the key's type, or be INTEGER against a DOUBLE
+// key (which HashValue hashes identically): a cross-type comparison
+// scans every shard rather than risk a coercion mismatch.
+func (c *planCtx) route(ts *exec.TableScan, sh storage.Sharded, cj sql.Expr, sc *Scope) bool {
+	b, ok := cj.(*sql.BinExpr)
 	if !ok || b.Op != "=" {
-		return 0, false
+		return false
 	}
-	try := func(idExpr, pExpr sql.Expr) (int, bool) {
-		i, ok := identIn(idExpr, sc)
-		if !ok || i != sh.ShardKey() {
-			return 0, false
+	x := b.R
+	if i, ok := identIn(b.L, sc); !ok || i != sh.ShardKey() {
+		if i, ok = identIn(b.R, sc); !ok || i != sh.ShardKey() {
+			return false
 		}
-		p, ok := pExpr.(*sql.Param)
-		if !ok || p.N < 1 || p.N > len(c.params.Types) {
-			return 0, false
-		}
-		kt := sh.Schema().Cols[sh.ShardKey()].Type
-		switch c.params.Types[p.N-1] {
-		case storage.TypeInt64:
-			if kt != storage.TypeInt64 && kt != storage.TypeFloat64 {
-				return 0, false
-			}
-		case storage.TypeFloat64:
-			if kt != storage.TypeFloat64 {
-				return 0, false
-			}
-		case storage.TypeString:
-			if kt != storage.TypeString {
-				return 0, false
-			}
-		case storage.TypeBool:
-			if kt != storage.TypeBool {
-				return 0, false
-			}
-		default:
-			return 0, false
-		}
-		return p.N, true
+		x = b.L
 	}
-	if n, ok := try(b.L, b.R); ok {
-		return n, true
+	kt := sh.Schema().Cols[sh.ShardKey()].Type
+	routable := func(t storage.Type) bool {
+		return t == kt || t == storage.TypeInt64 && kt == storage.TypeFloat64
 	}
-	return try(b.R, b.L)
+	var v storage.Value
+	switch l := x.(type) {
+	case *sql.Param:
+		if c.params == nil || l.N < 1 || l.N > len(c.params.Types) || !routable(c.params.Types[l.N-1]) {
+			return false
+		}
+		ts.NoSplit = true
+		c.routes = append(c.routes, Route{Scan: ts, N: l.N, Key: kt})
+		return true
+	case *sql.IntLit:
+		v = storage.Int64(l.V)
+	case *sql.FloatLit:
+		v = storage.Float64(l.V)
+	case *sql.StringLit:
+		v = storage.Str(l.V)
+	case *sql.BoolLit:
+		v = storage.Bool(l.V)
+	default:
+		return false
+	}
+	cv, err := storage.Coerce(v, kt)
+	if err != nil || !routable(v.Type) {
+		return false
+	}
+	ts.Shard = int(storage.HashValue(cv)%uint64(sh.NumShards())) + 1
+	return true
 }
 
 // planProjection binds the select items over the (possibly post-
