@@ -220,14 +220,16 @@ func (g *Graph) BulkLoad(values map[int64]string, edges []Edge) error {
 	if err != nil {
 		return err
 	}
-	eb := storage.NewBatch(EdgeSchema())
-	for _, e := range edges {
-		if err := eb.AppendRow(storage.Int64(e.Src), storage.Int64(e.Dst),
-			storage.Float64(e.Weight), storage.Str(e.Type), storage.Int64(e.Created)); err != nil {
-			return err
-		}
+	n := len(edges)
+	src, dst, created := make([]int64, n), make([]int64, n), make([]int64, n)
+	weight, etype := make([]float64, n), make([]string, n)
+	for i, e := range edges {
+		src[i], dst[i], weight[i], etype[i], created[i] = e.Src, e.Dst, e.Weight, e.Type, e.Created
 	}
-	return et.AppendBatch(eb)
+	return et.AppendBatch(&storage.Batch{Schema: EdgeSchema(), Cols: []storage.Column{
+		storage.NewInt64Column(src), storage.NewInt64Column(dst), storage.NewFloat64Column(weight),
+		storage.NewStringColumn(etype), storage.NewInt64Column(created),
+	}})
 }
 
 // EdgeVersion returns the edge table's mutation counter. The

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/exec"
 )
 
 // Observability coverage: EXPLAIN / EXPLAIN ANALYZE renderings, the
@@ -81,31 +83,25 @@ func TestExplainGolden(t *testing.T) {
 			"plan (workers=2, mode=snapshot, plan-cache=miss)",
 			"Limit 2",
 			"  Sort (label) [workers=2]",
-			"    Gather (fragments=2)",
-			"      Project (label)",
-			"        Spool (parts=2)",
-			"          HashJoin inner (dst = id) [workers=2]",
-			"            Scan nv",
-			"            Filter ((e.src = 1))",
-			"              Scan ev [shard 1/4]",
+			"    Project (label)",
+			"      HashJoin inner (dst = id) [workers=2]",
+			"        Scan nv",
+			"        Filter ((e.src = 1))",
+			"          Scan ev [shard 1/4]",
 		}},
 		{"EXPLAIN SELECT e.src, n.label FROM ev e JOIN nv n ON n.id = e.dst WHERE e.src < n.id", []string{
 			"plan (workers=2, mode=snapshot, plan-cache=miss)",
-			"Gather (fragments=2)",
-			"  Project (src, label)",
-			"    Spool (parts=2)",
-			"      HashJoin inner (dst = id) residual ((e.src < n.id)) [workers=2]",
-			"        Scan nv",
-			"        Scan ev [4 shards]",
+			"Project (src, label)",
+			"  HashJoin inner (dst = id) residual ((e.src < n.id)) [workers=2]",
+			"    Scan nv",
+			"    Scan ev [4 shards]",
 		}},
 		{"EXPLAIN SELECT e.src, n.id FROM ev e, nv n WHERE e.dst < n.id", []string{
 			"plan (workers=2, mode=snapshot, plan-cache=miss)",
-			"Gather (fragments=2)",
-			"  Project (src, id)",
-			"    Spool (parts=2)",
-			"      NestedLoopJoin inner on ((e.dst < n.id))",
-			"        Scan nv",
-			"        Scan ev [4 shards]",
+			"Project (src, id)",
+			"  NestedLoopJoin inner on ((e.dst < n.id))",
+			"    Scan nv",
+			"    Scan ev [4 shards]",
 		}},
 		{"EXPLAIN INSERT INTO nv VALUES (4, 'd')", []string{
 			"write insert: sharded fast path (shared gate + per-shard statement locks)",
@@ -218,6 +214,46 @@ func TestExplainAnalyzeRowsInvariance(t *testing.T) {
 		for op, n := range base {
 			if counts[op] != n {
 				t.Errorf("workers=%d: %s rows = %d, want %d (workers=1)", workers, op, counts[op], n)
+			}
+		}
+	}
+}
+
+// TestExplainAnalyzeTimesWithinStatement: a clone set's time is its
+// slowest clone's, not the sum over clones, so at workers 2 no node of
+// an EXPLAIN ANALYZE reports more time than the whole statement took.
+func TestExplainAnalyzeTimesWithinStatement(t *testing.T) {
+	oldMorsels := exec.MinMorselRows
+	exec.MinMorselRows = 64
+	defer func() { exec.MinMorselRows = oldMorsels }()
+	db := corpusDB(t)
+	sess := observeSession(t, db, 2)
+	timeOf := func(line, from string) time.Duration {
+		t.Helper()
+		i := strings.Index(line, from)
+		if i < 0 {
+			t.Fatalf("no %q in %q", from, line)
+		}
+		s := line[i+len(from):]
+		if j := strings.IndexAny(s, ") "); j >= 0 {
+			s = s[:j]
+		}
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		return d
+	}
+	for _, q := range []string{
+		"SELECT a.grp, COUNT(*), SUM(b.val) FROM big a JOIN big b ON b.grp = a.grp GROUP BY a.grp",
+		"SELECT a.id + b.id FROM big a JOIN big b ON b.grp = a.grp",
+		"SELECT grp + 1, COUNT(*) FROM big GROUP BY grp",
+	} {
+		lines := explainLines(t, sess, "EXPLAIN ANALYZE "+q)
+		stmt := timeOf(lines[1], "time=")
+		for _, l := range lines[2:] {
+			if d := timeOf(l, "time="); d > stmt {
+				t.Errorf("%s: %q reports %v, above the statement's %v", q, strings.TrimSpace(l), d, stmt)
 			}
 		}
 	}

@@ -408,10 +408,11 @@ func TestSetAndShowWorkMem(t *testing.T) {
 }
 
 // TestParallelPlanCacheHitWithSpool is the prepared-cache half of the
-// out-of-core work: a parallel plan whose join result rides a shared
-// spool must be cacheable — repeated bound executions hit the cache and
-// replay the spool against fresh bindings instead of serving stale
-// rows (or bypassing the cache entirely, as before).
+// out-of-core work: a parallel plan whose fragments share state — a
+// spool of an aggregate's output, or the one build side of hash-join
+// clones — must be cacheable: repeated bound executions hit the cache
+// and replay the shared state against fresh bindings instead of
+// serving stale rows (or bypassing the cache entirely, as before).
 func TestParallelPlanCacheHitWithSpool(t *testing.T) {
 	oldMorsels := exec.MinMorselRows
 	exec.MinMorselRows = 64
@@ -422,50 +423,57 @@ func TestParallelPlanCacheHitWithSpool(t *testing.T) {
 	mustSet(t, s, "SET parallelism = 4")
 	ctx := context.Background()
 
-	// The projection over a join is the spool shape: the join runs once
-	// into a spool and the projection fans out over its parts.
-	q := "SELECT e.dst + $1 FROM edges e JOIN ranks r ON e.src = r.id"
-	explain, err := s.QueryContext(ctx, "EXPLAIN SELECT e.dst + 0 FROM edges e JOIN ranks r ON e.src = r.id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plan strings.Builder
-	for i := 0; i < explain.Len(); i++ {
-		plan.WriteString(explain.Value(i, 0).S)
-		plan.WriteByte('\n')
-	}
-	if !strings.Contains(plan.String(), "Spool") {
-		t.Fatalf("fixture no longer plans a spool at workers=4:\n%s", plan.String())
-	}
-
-	run := func(arg int64) *Rows {
-		t.Helper()
-		rows, _, err := s.RunStreamBound(ctx, q, vals(storage.Int64(arg)))
+	for _, c := range []struct{ q, shape string }{
+		// The projection over an aggregate is the spool shape: the
+		// aggregate runs once into a spool and the projection fans out
+		// over its parts.
+		{"SELECT id + $1 FROM big GROUP BY id", "Spool"},
+		// The projection over a join fuses into join clones over probe
+		// morsels, all probing one shared build.
+		{"SELECT e.dst + $1 FROM edges e JOIN ranks r ON e.src = r.id", "HashJoin"},
+	} {
+		explain, err := s.QueryContext(ctx, "EXPLAIN "+strings.Replace(c.q, "$1", "0", 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rows.Materialize(); err != nil {
+		var plan strings.Builder
+		for i := 0; i < explain.Len(); i++ {
+			plan.WriteString(explain.Value(i, 0).S)
+			plan.WriteByte('\n')
+		}
+		if !strings.Contains(plan.String(), "Gather") || !strings.Contains(plan.String(), c.shape) {
+			t.Fatalf("fixture no longer plans a Gather over a %s at workers=4:\n%s", c.shape, plan.String())
+		}
+
+		run := func(arg int64) *Rows {
+			t.Helper()
+			rows, _, err := s.RunStreamBound(ctx, c.q, vals(storage.Int64(arg)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rows.Materialize(); err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		}
+		first := run(0)
+		hits0 := db.PreparedStats().Hits
+		second := run(0)
+		if db.PreparedStats().Hits <= hits0 {
+			t.Fatalf("%s: second execution of a parallel plan missed the cache: %+v", c.q, db.PreparedStats())
+		}
+		if err := diffRows(c.q, second, first); err != nil {
 			t.Fatal(err)
 		}
-		return rows
-	}
-	first := run(0)
-	hits0 := db.PreparedStats().Hits
-	second := run(0)
-	if db.PreparedStats().Hits <= hits0 {
-		t.Fatalf("second execution of a spooled parallel plan missed the cache: %+v", db.PreparedStats())
-	}
-	if err := diffRows(q, second, first); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh bindings must replay the base, not serve the spooled drain.
-	shifted := run(1000)
-	if shifted.Len() != first.Len() {
-		t.Fatalf("rebound run: %d rows, want %d", shifted.Len(), first.Len())
-	}
-	for i := 0; i < first.Len(); i++ {
-		if shifted.Value(i, 0).I != first.Value(i, 0).I+1000 {
-			t.Fatalf("row %d: %d, want %d", i, shifted.Value(i, 0).I, first.Value(i, 0).I+1000)
+		// Fresh bindings must replay the base, not serve the shared drain.
+		shifted := run(1000)
+		if shifted.Len() != first.Len() {
+			t.Fatalf("%s: rebound run: %d rows, want %d", c.q, shifted.Len(), first.Len())
+		}
+		for i := 0; i < first.Len(); i++ {
+			if shifted.Value(i, 0).I != first.Value(i, 0).I+1000 {
+				t.Fatalf("%s: row %d: %d, want %d", c.q, i, shifted.Value(i, 0).I, first.Value(i, 0).I+1000)
+			}
 		}
 	}
 }

@@ -14,11 +14,12 @@ import (
 // pipeline, so rendering the physical tree verbatim would print the
 // same Filter/Scan stack once per fragment. Explain instead walks SETS
 // of structurally identical clones: the Gather line reports the
-// fan-out, and each level below it is one line whose counters are the
+// fan-out, and each level below it is one line whose row counts are the
 // sums across the clones — which makes ANALYZE row counts identical at
 // any worker count (the clones partition the same rows the serial plan
-// sees). SpoolPart clones dedupe to the one shared spooled operator,
-// and ctxOperator wrappers are transparent.
+// sees) — and whose time is the slowest clone's. SpoolPart clones
+// dedupe to the one shared spooled operator, join clones to their one
+// shared build side, and ctxOperator wrappers are transparent.
 
 // Explain renders the plan tree rooted at op, one node per line,
 // indented two spaces per level. With analyze, each line carries the
@@ -101,24 +102,22 @@ func childSets(ops []Operator) [][]Operator {
 			}
 		}
 		return sets
-	case *HashJoin:
+	case *HashJoin, *NestedLoopJoin:
+		// Clones share one build side and its right input: descend into
+		// each distinct right input once.
 		var lefts, rights []Operator
+		seen := make(map[*joinBuild]bool)
 		for _, op := range ops {
-			if j, ok := op.(*HashJoin); ok {
-				lefts = append(lefts, j.Left)
-				rights = append(rights, j.Right)
+			if j, ok := op.(clonedJoin); ok {
+				l, r := j.inputs()
+				lefts = append(lefts, l)
+				if b := j.build(); !seen[b] {
+					seen[b] = true
+					rights = append(rights, r)
+				}
 			}
 		}
 		return [][]Operator{rights, lefts} // build side first, like the execution order
-	case *NestedLoopJoin:
-		var lefts, rights []Operator
-		for _, op := range ops {
-			if j, ok := op.(*NestedLoopJoin); ok {
-				lefts = append(lefts, j.Left)
-				rights = append(rights, j.Right)
-			}
-		}
-		return [][]Operator{rights, lefts}
 	}
 	var kids []Operator
 	for _, op := range ops {
@@ -190,9 +189,6 @@ func describeSet(ops []Operator) string {
 		s := fmt.Sprintf("HashJoin %s (%s)", joinTypeName(o.Type), strings.Join(conds, ", "))
 		if o.Residual != nil {
 			s += fmt.Sprintf(" residual (%v)", o.Residual)
-		}
-		if o.Streaming {
-			s += " [streaming]"
 		}
 		return s + workersNote(o.Workers)
 	case *NestedLoopJoin:
@@ -268,45 +264,25 @@ func workersNote(w int) string {
 	return ""
 }
 
-// statsSuffix sums the counters across a clone set — the rows of a
-// logical node are partitioned over its clones, so the sums match the
-// serial plan's counts exactly. Clone wall times also sum (total
-// operator time, which for concurrent clones legitimately exceeds the
-// statement's wall clock).
+// statsSuffix renders a clone set's merged counters (see setReport).
 func statsSuffix(ops []Operator) string {
-	var rows, batches, nanos, spillBytes, spillRuns int64
-	for _, op := range ops {
-		if st := StatsOf(op); st != nil {
-			rows += st.Rows.Load()
-			batches += st.Batches.Load()
-			nanos += st.Nanos.Load()
-			spillBytes += st.SpillBytes.Load()
-			spillRuns += st.SpillRuns.Load()
-		}
-	}
-	if _, ok := ops[0].(*SpoolPart); ok {
-		// Sibling parts share one spool; count each spool's overflow once.
-		seen := make(map[*spool]bool)
-		for _, op := range ops {
-			if p, ok := op.(*SpoolPart); ok && !seen[p.sp] {
-				seen[p.sp] = true
-				b, r := p.SpillStats()
-				spillBytes += b
-				spillRuns += r
-			}
-		}
-	}
+	r := setReport(ops)
 	s := fmt.Sprintf(" (rows=%d batches=%d time=%s)",
-		rows, batches, time.Duration(nanos).Round(time.Microsecond))
-	if spillRuns > 0 {
-		s += fmt.Sprintf(" spilled=%dB/%druns", spillBytes, spillRuns)
+		r.Rows, r.Batches, time.Duration(r.Nanos).Round(time.Microsecond))
+	if r.SpillRuns > 0 {
+		s += fmt.Sprintf(" spilled=%dB/%druns", r.SpillBytes, r.SpillRuns)
 	}
 	if _, ok := ops[0].(*HashJoin); ok {
+		// Clones share one build: count it once, and sum their probes.
 		var build, probe int64
+		seen := make(map[*joinBuild]bool)
 		for _, op := range ops {
-			if jj, ok := op.(*HashJoin); ok {
-				b, p := jj.BuildProbeRows()
-				build += b
+			if j, ok := op.(*HashJoin); ok {
+				b, p := j.BuildProbeRows()
+				if !seen[j.build()] {
+					seen[j.build()] = true
+					build += b
+				}
 				probe += p
 			}
 		}
@@ -331,8 +307,8 @@ type OpReport struct {
 }
 
 // StatsReport walks the plan like Explain does — clone sets collapse
-// to one logical node whose counters are the sums across clones — and
-// returns the per-node reports.
+// to one logical node (see setReport) — and returns the per-node
+// reports.
 func StatsReport(op Operator) []OpReport {
 	var out []OpReport
 	reportSet([]Operator{op}, 0, &out)
@@ -344,31 +320,40 @@ func reportSet(ops []Operator, depth int, out *[]OpReport) {
 	if len(ops) == 0 {
 		return
 	}
-	r := OpReport{Name: describeSet(ops), Depth: depth}
-	for _, op := range ops {
-		if st := StatsOf(op); st != nil {
-			r.Rows += st.Rows.Load()
-			r.Batches += st.Batches.Load()
-			r.Nanos += st.Nanos.Load()
-			r.SpillBytes += st.SpillBytes.Load()
-			r.SpillRuns += st.SpillRuns.Load()
-		}
-	}
-	if _, ok := ops[0].(*SpoolPart); ok {
-		seen := make(map[*spool]bool)
-		for _, op := range ops {
-			if p, ok := op.(*SpoolPart); ok && !seen[p.sp] {
-				seen[p.sp] = true
-				b, rn := p.SpillStats()
-				r.SpillBytes += b
-				r.SpillRuns += rn
-			}
-		}
-	}
+	r := setReport(ops)
+	r.Name, r.Depth = describeSet(ops), depth
 	*out = append(*out, r)
 	for _, kids := range childSets(ops) {
 		reportSet(kids, depth+1, out)
 	}
+}
+
+// setReport merges the counters of a clone set. The clones partition
+// the logical node's rows, so rows, batches and spill sum to the serial
+// plan's counts exactly. They run concurrently, so the node's time is
+// the slowest clone's, which stays within the statement's wall clock.
+// Sibling spool parts share one spool, whose overflow counts once.
+func setReport(ops []Operator) OpReport {
+	var r OpReport
+	for _, op := range ops {
+		if st := StatsOf(op); st != nil {
+			r.Rows += st.Rows.Load()
+			r.Batches += st.Batches.Load()
+			r.Nanos = max(r.Nanos, st.Nanos.Load())
+			r.SpillBytes += st.SpillBytes.Load()
+			r.SpillRuns += st.SpillRuns.Load()
+		}
+	}
+	seen := make(map[*spool]bool)
+	for _, op := range ops {
+		if p, ok := op.(*SpoolPart); ok && !seen[p.sp] {
+			seen[p.sp] = true
+			b, rn := p.SpillStats()
+			r.SpillBytes += b
+			r.SpillRuns += rn
+		}
+	}
+	return r
 }
 
 // Summary is the compact single-line plan shape recorded by the

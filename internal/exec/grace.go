@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"sync/atomic"
+
 	"repro/internal/storage"
 )
 
@@ -52,24 +54,34 @@ func (j *HashJoin) graceOutSchema() storage.Schema {
 	return storage.NewSchema(cols...)
 }
 
-// openGrace runs the partition and probe phases; afterwards Next merges
-// the result runs by row index.
-func (j *HashJoin) openGrace() error {
-	rruns, err := j.partitionRight()
+// openGrace partitions the probe input and probes each partition
+// against the build's partition run of the same hash bits; afterwards
+// Next merges the result runs by row index. A spilled join runs
+// serially, as an unsplit one would: the first clone of a cloned join
+// partitions every clone's probe input, in fragment order, and the
+// other clones emit nothing — per-clone Grace joins would each re-read
+// every build partition and compete for the one grant.
+func (j *HashJoin) openGrace(b *joinBuild) error {
+	ins := []Operator{j.Left}
+	if b.clones != nil {
+		if b.clones[0] != clonedJoin(j) {
+			j.ldone = true
+			return nil
+		}
+		ins = ins[:0]
+		for _, c := range b.clones {
+			left, _ := c.inputs()
+			ins = append(ins, left)
+		}
+	}
+	lruns, err := j.partitionLeft(ins)
 	if err != nil {
 		return err
 	}
-	lruns, err := j.partitionLeft()
-	if err != nil {
-		closeRuns(rruns[:])
-		return err
-	}
-	j.mt.releaseAll()
 	var results []*storage.SpillRun
 	for k := 0; k < spillParts; k++ {
-		if err := j.graceProbe(lruns[k], rruns[k], 1, &results); err != nil {
+		if err := j.graceProbe(lruns[k], b.runs[k], 1, &results); err != nil {
 			closeRuns(lruns[k+1:])
-			closeRuns(rruns[k+1:])
 			closeRuns(results)
 			return err
 		}
@@ -90,9 +102,9 @@ func closeRuns(runs []*storage.SpillRun) {
 }
 
 // partitionRight routes the buffered build prefix plus the rest of the
-// right stream into level-0 partition runs. NULL-key rows are dropped
-// here — they can never match.
-func (j *HashJoin) partitionRight() ([spillParts]*storage.SpillRun, error) {
+// right stream into level-0 partition runs, counting the streamed rows
+// in rows. NULL-key rows are dropped here — they can never match.
+func (j *HashJoin) partitionRight(prefix *storage.Batch, rows *atomic.Int64) ([spillParts]*storage.SpillRun, error) {
 	p := spillPartitioner{fs: j.fs(), schema: j.Right.Schema()}
 	var kh keyHashes
 	route := func(b *storage.Batch) error {
@@ -111,9 +123,8 @@ func (j *HashJoin) partitionRight() ([spillParts]*storage.SpillRun, error) {
 		j.Right.Close()
 		return [spillParts]*storage.SpillRun{}, err
 	}
-	pos := 0
-	for {
-		b := NextChunk(j.rdata, &pos, j.rdata.Len())
+	for pos := 0; ; {
+		b := NextChunk(prefix, &pos, prefix.Len())
 		if b == nil {
 			break
 		}
@@ -129,7 +140,7 @@ func (j *HashJoin) partitionRight() ([spillParts]*storage.SpillRun, error) {
 		if b == nil {
 			break
 		}
-		j.buildRows.Add(int64(b.Len()))
+		rows.Add(int64(b.Len()))
 		if err := route(b); err != nil {
 			return fail(err)
 		}
@@ -138,62 +149,66 @@ func (j *HashJoin) partitionRight() ([spillParts]*storage.SpillRun, error) {
 		p.abort()
 		return [spillParts]*storage.SpillRun{}, err
 	}
-	j.rdata = nil
-	j.mt.releaseAll() // the buffered prefix lives on disk now
 	return p.finish(&j.stats)
 }
 
-// partitionLeft streams the whole left input into level-0 partition
-// runs, appending each row's global input index as the last column.
-// NULL-key rows of a left join ride partition 0 (they match nothing and
-// come back NULL-padded); under an inner join they are dropped.
-func (j *HashJoin) partitionLeft() ([spillParts]*storage.SpillRun, error) {
+// partitionLeft streams the left inputs, one after another, into
+// level-0 partition runs, appending each row's global input index as
+// the last column. NULL-key rows of a left join ride partition 0 (they
+// match nothing and come back NULL-padded); under an inner join they
+// are dropped.
+func (j *HashJoin) partitionLeft(ins []Operator) ([spillParts]*storage.SpillRun, error) {
 	ext := withIdx(j.Left.Schema())
 	p := spillPartitioner{fs: j.fs(), schema: ext}
-	if err := j.Left.Open(); err != nil {
-		return [spillParts]*storage.SpillRun{}, err
-	}
-	fail := func(err error) ([spillParts]*storage.SpillRun, error) {
-		p.abort()
-		j.Left.Close()
-		return [spillParts]*storage.SpillRun{}, err
-	}
 	var kh keyHashes
 	offset := int64(0)
+	for _, in := range ins {
+		if err := j.partitionInput(in, &p, &kh, &offset, ext); err != nil {
+			p.abort()
+			return [spillParts]*storage.SpillRun{}, err
+		}
+	}
+	return p.finish(&j.stats)
+}
+
+// partitionInput routes one left input into p, advancing offset.
+func (j *HashJoin) partitionInput(in Operator, p *spillPartitioner, kh *keyHashes, offset *int64, ext storage.Schema) error {
+	if err := in.Open(); err != nil {
+		return err
+	}
 	for {
-		b, err := j.Left.Next()
+		b, err := in.Next()
 		if err != nil {
-			return fail(err)
+			in.Close()
+			return err
 		}
 		if b == nil {
-			break
+			return in.Close()
 		}
 		j.probeRows.Add(int64(b.Len()))
 		kh.of(b, j.LeftKeys)
 		for k, rows := range kh.route(0, j.Type == LeftJoin) {
 			if len(rows) > 0 {
-				if err := p.add(k, tagRows(b, rows, offset, ext)); err != nil {
-					return fail(err)
+				if err := p.add(k, tagRows(b, rows, *offset, ext)); err != nil {
+					in.Close()
+					return err
 				}
 			}
 		}
-		offset += int64(b.Len())
+		*offset += int64(b.Len())
 	}
-	if err := j.Left.Close(); err != nil {
-		p.abort()
-		return [spillParts]*storage.SpillRun{}, err
-	}
-	return p.finish(&j.stats)
 }
 
 // graceProbe joins one left partition against its right partition,
 // appending an index-sorted result run to results. Both input runs are
-// closed before it returns. A right partition that does not fit the
-// grant recurses one level; at the deepest level it proceeds
-// unreserved.
+// closed before it returns, except a level-1 right run, which belongs
+// to the build. A right partition that does not fit the grant
+// recurses one level; at the deepest level it proceeds unreserved.
 func (j *HashJoin) graceProbe(lrun, rrun *storage.SpillRun, level int, results *[]*storage.SpillRun) error {
 	defer lrun.Close()
-	defer rrun.Close()
+	if level > 1 {
+		defer rrun.Close()
+	}
 	if lrun == nil || lrun.Rows() == 0 {
 		return nil // no probe rows: neither matches nor pads can exist
 	}
@@ -219,7 +234,7 @@ func (j *HashJoin) graceProbe(lrun, rrun *storage.SpillRun, level int, results *
 			}
 		}
 	}
-	table := buildJoinTable(rpart, j.RightKeys, 1, nil)
+	table := newJoinTable(rpart, j.RightKeys, j.exactKeys(), 1, nil)
 	oschema := j.graceOutSchema()
 	w, err := storage.NewRunWriter(j.fs(), oschema)
 	if err != nil {
@@ -240,13 +255,12 @@ func (j *HashJoin) graceProbe(lrun, rrun *storage.SpillRun, level int, results *
 		nl := len(b.Cols) - 1
 		idxs := b.Cols[nl]
 		j.setProbeSide(&side, &storage.Batch{Schema: ls, Cols: b.Cols[:nl]}, table)
-		for lo := 0; lo < b.Len(); {
-			out, lrows, next, err := j.probeChunk(&side, lo, b.Len(), table)
+		for side.row < b.Len() {
+			out, lrows, err := j.probe(&side, table)
 			if err != nil {
 				w.Abort()
 				return err
 			}
-			lo = next
 			if out.Len() == 0 {
 				continue
 			}

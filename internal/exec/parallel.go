@@ -15,9 +15,9 @@ import (
 // source; a Gather runs the fragments on goroutines and merges their
 // batches through bounded channels, emitting them in fragment order so
 // a parallel plan produces exactly the rows — in exactly the order — of
-// its serial counterpart. HashJoin and HashAggregate parallelize
-// internally (see join.go, aggregate.go); the planner decides where
-// fragments are inserted.
+// its serial counterpart. A join is cloned per probe morsel over one
+// shared build side; HashAggregate parallelizes internally (see
+// aggregate.go); the planner decides where fragments are inserted.
 
 // MinMorselRows is the row count below which splitting a source is not
 // worth the goroutine and channel overhead. A source is divided into at
@@ -63,15 +63,15 @@ type gatherItem struct {
 // workers claim fragment indexes in order, which keeps the assigned
 // set a contiguous prefix — the consumer can therefore never wait on a
 // fragment that no worker will reach (no deadlock at any pool size).
+// When the budget grants no extra worker, the entitlement is the
+// caller's own goroutine: the fragments run one after another inside
+// Next, with no pool, channels or hand-offs between goroutines.
 type Gather struct {
 	Fragments []Operator
 	// Budget is the shared extra-worker budget (nil = unlimited).
 	Budget *sched.Budget
 
-	// spools are the shared incremental spools feeding SpoolPart
-	// fragments; Close aborts them so blocked parts (and the spool
-	// producer goroutine) unwind before the pool is joined.
-	spools []*spool
+	fragShared
 
 	chans   []chan gatherItem
 	stop    chan struct{}
@@ -80,7 +80,20 @@ type Gather struct {
 	cur     int
 	wg      sync.WaitGroup
 	running bool
+	inline  bool // no slot granted: fragments run inside Next
+	curOpen bool // inline: fragment cur is open
 	stats   OpStats
+}
+
+// fragShared is the state a Gather's fragments share.
+type fragShared struct {
+	// spools feed SpoolPart fragments; Close aborts them so blocked
+	// parts (and the spool producer goroutine) unwind before the pool
+	// is joined.
+	spools []*spool
+	// builds are the build sides of join clones; Close releases them
+	// once the pool has exited, so the next Open rebuilds.
+	builds []*joinBuild
 }
 
 // Schema implements Operator.
@@ -105,15 +118,19 @@ func (g *Gather) open() error {
 	for _, sp := range g.spools {
 		sp.rearm() // clear a prior Close's abort before workers start
 	}
-	g.stop = make(chan struct{})
 	g.cur = 0
+	g.running = true
+	g.granted = g.Budget.TryAcquire(len(g.Fragments) - 1)
+	g.inline = g.granted == 0
+	if g.inline {
+		return nil
+	}
+	g.stop = make(chan struct{})
 	g.next.Store(0)
 	g.chans = make([]chan gatherItem, len(g.Fragments))
 	for i := range g.Fragments {
 		g.chans[i] = make(chan gatherItem, gatherBuffer)
 	}
-	g.running = true
-	g.granted = g.Budget.TryAcquire(len(g.Fragments) - 1)
 	pool := 1 + g.granted
 	g.wg.Add(pool)
 	for w := 0; w < pool; w++ {
@@ -179,6 +196,9 @@ func (g *Gather) Next() (*storage.Batch, error) {
 }
 
 func (g *Gather) nextBatch() (*storage.Batch, error) {
+	if g.inline {
+		return g.nextInline()
+	}
 	for g.cur < len(g.chans) {
 		it, ok := <-g.chans[g.cur]
 		if !ok {
@@ -193,6 +213,28 @@ func (g *Gather) nextBatch() (*storage.Batch, error) {
 	return nil, nil
 }
 
+// nextInline drives the fragments in order on the caller's goroutine,
+// opening and closing each the way a pool worker does.
+func (g *Gather) nextInline() (*storage.Batch, error) {
+	for g.cur < len(g.Fragments) {
+		frag := g.Fragments[g.cur]
+		if !g.curOpen {
+			if err := frag.Open(); err != nil {
+				return nil, err
+			}
+			g.curOpen = true
+		}
+		b, err := frag.Next()
+		if err != nil || b != nil {
+			return b, err
+		}
+		g.curOpen = false
+		frag.Close()
+		g.cur++
+	}
+	return nil, nil
+}
+
 // Close implements Operator: it signals all fragments to stop, aborts
 // any shared spools (waking parts blocked on them), waits for the pool
 // to exit, and returns the borrowed budget slots.
@@ -202,11 +244,20 @@ func (g *Gather) Close() error {
 		return nil
 	}
 	g.running = false
-	close(g.stop)
+	if g.curOpen {
+		g.Fragments[g.cur].Close()
+		g.curOpen = false
+	}
+	if g.stop != nil {
+		close(g.stop)
+	}
 	for _, sp := range g.spools {
 		sp.abort()
 	}
 	g.wg.Wait()
+	for _, b := range g.builds {
+		b.release()
+	}
 	g.Budget.Release(g.granted)
 	g.granted = 0
 	g.chans = nil
@@ -614,11 +665,11 @@ func (p *SpoolPart) Close() error {
 // Parallelize rewrites op into a Gather over per-morsel fragment
 // clones when op is a stack of stateless operators (Filter, Project)
 // over a splittable source — a TableScan, a BatchSource, an existing
-// Gather (whose fragments are adopted and re-wrapped), or a join/
-// aggregate whose output is spooled. It returns op unchanged when
-// workers < 2 or no profitable split exists. The rewrite preserves row
-// order exactly (see Gather), so serial and parallel plans produce
-// identical results.
+// Gather (whose fragments are adopted and re-wrapped), a join whose
+// probe input splits, or an aggregate whose output is spooled. It
+// returns op unchanged when workers < 2 or no profitable split exists.
+// The rewrite preserves row order exactly (see Gather), so serial and
+// parallel plans produce identical results.
 func Parallelize(op Operator, workers int) Operator {
 	return ParallelizeBudget(op, workers, nil)
 }
@@ -637,20 +688,29 @@ func ParallelizeMem(op Operator, workers int, budget *sched.Budget, mem *sched.M
 	if workers < 2 {
 		return op
 	}
-	var spools []*spool
-	frags, ok := splitFragment(op, workers, 0, &spools, mem)
+	var sh fragShared
+	frags, ok := splitFragment(op, workers, 0, &sh, mem)
 	if !ok || len(frags) < 2 {
 		return op
 	}
-	return &Gather{Fragments: frags, Budget: budget, spools: spools}
+	return &Gather{Fragments: frags, Budget: budget, fragShared: sh}
 }
 
-// splitFragment clones the stateless operator stack rooted at op into
-// per-morsel fragments, recording any shared spools it creates (or
-// adopts) in *spools so the owning Gather can abort them on Close.
-// depth counts the stateless operators above op: a bare source with
-// nothing to compute is not worth a Gather.
-func splitFragment(op Operator, workers, depth int, spools *[]*spool, mem *sched.MemBudget) ([]Operator, bool) {
+// clonedJoin is a join that splitFragment clones once per probe morsel:
+// HashJoin and NestedLoopJoin.
+type clonedJoin interface {
+	Operator
+	inputs() (left, right Operator)
+	build() *joinBuild
+	clone(left Operator, b *joinBuild) clonedJoin
+}
+
+// splitFragment clones the operator stack rooted at op into per-morsel
+// fragments, recording any state the fragments share (spools, join
+// builds) that it creates or adopts in *sh for the owning Gather.
+// depth counts the operators above op: a bare source with nothing to
+// compute is not worth a Gather.
+func splitFragment(op Operator, workers, depth int, sh *fragShared, mem *sched.MemBudget) ([]Operator, bool) {
 	switch o := op.(type) {
 	case *TableScan:
 		if depth == 0 || o.NoSplit {
@@ -714,12 +774,13 @@ func splitFragment(op Operator, workers, depth int, spools *[]*spool, mem *sched
 		}
 		return out, true
 	case *Gather:
-		// Already parallel: adopt its fragments (and spools) so the
-		// caller's stateless stack is fused into each of them.
-		*spools = append(*spools, o.spools...)
+		// Already parallel: adopt its fragments (and shared state) so
+		// the caller's stack is fused into each of them.
+		sh.spools = append(sh.spools, o.spools...)
+		sh.builds = append(sh.builds, o.builds...)
 		return o.Fragments, true
 	case *Filter:
-		kids, ok := splitFragment(o.Input, workers, depth+1, spools, mem)
+		kids, ok := splitFragment(o.Input, workers, depth+1, sh, mem)
 		if !ok {
 			return nil, false
 		}
@@ -729,7 +790,7 @@ func splitFragment(op Operator, workers, depth int, spools *[]*spool, mem *sched
 		}
 		return out, true
 	case *Project:
-		kids, ok := splitFragment(o.Input, workers, depth+1, spools, mem)
+		kids, ok := splitFragment(o.Input, workers, depth+1, sh, mem)
 		if !ok {
 			return nil, false
 		}
@@ -738,7 +799,24 @@ func splitFragment(op Operator, workers, depth int, spools *[]*spool, mem *sched
 			out[i] = &Project{Input: k, Exprs: o.Exprs, Out: o.Out}
 		}
 		return out, true
-	case *HashJoin, *NestedLoopJoin, *HashAggregate:
+	case clonedJoin:
+		// One join clone per probe morsel, every clone reading one
+		// shared build side that the first clone to open builds.
+		left, _ := o.inputs()
+		kids, ok := splitFragment(left, workers, depth+1, sh, mem)
+		if !ok {
+			return nil, false
+		}
+		b := &joinBuild{}
+		sh.builds = append(sh.builds, b)
+		out := make([]Operator, len(kids))
+		for i, k := range kids {
+			c := o.clone(k, b)
+			b.clones = append(b.clones, c)
+			out[i] = c
+		}
+		return out, true
+	case *HashAggregate:
 		// The base cannot be split, but its output can: run it once
 		// into a spool and divide the result into morsels, so the
 		// Filter/Project stack above still runs on all workers.
@@ -746,7 +824,7 @@ func splitFragment(op Operator, workers, depth int, spools *[]*spool, mem *sched
 			return nil, false
 		}
 		sp := &spool{input: op, parts: workers, mem: mem, mt: memTracker{mem: mem}}
-		*spools = append(*spools, sp)
+		sh.spools = append(sh.spools, sp)
 		out := make([]Operator, workers)
 		for i := range out {
 			out[i] = &SpoolPart{sp: sp, schema: op.Schema(), part: i, parts: workers}

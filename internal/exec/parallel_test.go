@@ -3,9 +3,11 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/sched"
 	"repro/internal/storage"
 )
 
@@ -159,6 +161,47 @@ func TestGatherPropagatesFragmentError(t *testing.T) {
 	}
 }
 
+// TestGatherInlineWithoutWorkers: when the budget grants no extra
+// worker, a Gather runs its fragments on the caller's goroutine (no
+// pool goroutine is started) and still emits the serial rows in order,
+// stops at a fragment's error, and survives an early Close + reopen.
+func TestGatherInlineWithoutWorkers(t *testing.T) {
+	lowMorselRows(t)
+	tb := testTable(t, "t", 500, 1)
+	want := mustDrain(t, pipeline(tb))
+	budget := sched.NewBudget(1)
+	if budget.TryAcquire(1) != 1 {
+		t.Fatal("could not exhaust the budget")
+	}
+	g, ok := ParallelizeBudget(pipeline(tb), 4, budget).(*Gather)
+	if !ok {
+		t.Fatal("expected a Gather")
+	}
+	before := runtime.NumGoroutine()
+	if err := g.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if g.PoolSize() != 1 || runtime.NumGoroutine() != before {
+		t.Fatalf("pool %d, goroutines %d -> %d: want an inline Gather", g.PoolSize(), before, runtime.NumGoroutine())
+	}
+	if b, err := g.Next(); err != nil || b == nil {
+		t.Fatalf("first batch: %v, %v", b, err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameBatches(t, "inline", mustDrain(t, g), want)
+	if budget.InUse() != 1 {
+		t.Fatalf("budget in use %d after Close, want the 1 held outside", budget.InUse())
+	}
+
+	schema := storage.NewSchema(storage.Col("x", storage.TypeInt64))
+	eg := &Gather{Budget: budget, Fragments: []Operator{&errOp{schema: schema}, &errOp{schema: schema}}}
+	if _, err := Drain(eg); err == nil || err.Error() != "boom" {
+		t.Fatalf("err = %v, want boom", err)
+	}
+}
+
 func makeJoin(left, right *storage.Table, jt JoinType, residual expr.Expr, workers int) *HashJoin {
 	return &HashJoin{
 		Left: NewTableScan(left), Right: NewTableScan(right),
@@ -203,24 +246,29 @@ func TestParallelHashJoinSlowPath(t *testing.T) {
 	}
 }
 
+// TestParallelSlowJoinNoMatches: join clones whose residual never
+// holds serve an empty result after one pass over the probe side — no
+// clone probes twice or falls back to a serial re-probe.
 func TestParallelSlowJoinNoMatches(t *testing.T) {
 	lowMorselRows(t)
 	left := testTable(t, "l", 400, 12)
 	right := testTable(t, "r", 50, 13)
-	// Residual that never holds: the parallel probe must serve its
-	// (empty) result rather than falling back to a serial re-probe.
 	never := gt(&expr.ColumnRef{Name: "val", Index: 2, Typ: storage.TypeFloat64}, 1e18)
-	j := makeJoin(left, right, InnerJoin, never, 8)
-	if err := j.Open(); err != nil {
-		t.Fatal(err)
+	op := Parallelize(makeJoin(left, right, InnerJoin, never, 8), 8)
+	g, ok := op.(*Gather)
+	if !ok {
+		t.Fatalf("join over a splittable probe should clone under a Gather, got %T", op)
 	}
-	defer j.Close()
-	if j.slowOut == nil {
-		t.Fatal("parallel slow probe left slowOut nil; Next would re-probe serially")
+	if b := mustDrain(t, g); b.Len() != 0 {
+		t.Fatalf("never-true residual produced %d rows", b.Len())
 	}
-	b, err := j.Next()
-	if err != nil || b != nil {
-		t.Fatalf("empty join Next = (%v, %v), want (nil, nil)", b, err)
+	var probe int64
+	for _, f := range g.Fragments {
+		_, p := f.(*HashJoin).BuildProbeRows()
+		probe += p
+	}
+	if probe != int64(left.NumRows()) {
+		t.Fatalf("clones probed %d rows, want %d (one pass)", probe, left.NumRows())
 	}
 }
 
@@ -295,7 +343,7 @@ func TestSpoolSplitOverJoin(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		op := build(workers)
 		if _, ok := op.(*Gather); !ok {
-			t.Fatalf("workers=%d: filter over join should spool-split, got %T", workers, op)
+			t.Fatalf("workers=%d: filter over join should split, got %T", workers, op)
 		}
 		sameBatches(t, fmt.Sprintf("workers=%d", workers), mustDrain(t, op), want)
 	}

@@ -11,14 +11,14 @@ import (
 // carries an optional *sched.MemBudget (the statement's grant from the
 // engine pool) and reserves through a memTracker before it buffers. A
 // denied reservation is the spill signal: Sort cuts a sorted run,
-// HashJoin switches to the Grace partitioned path (or, when only its
-// probe side overflows, streams on from the buffered prefix),
-// HashAggregate narrows its fold window or — when group state is denied
-// — turns hybrid, spilling the rows of groups that are not resident,
-// and the spool overflows its retained batch list to disk. No operator
-// re-reads its input to change course. Operators with no spill path
-// (Distinct's seen-set, NestedLoopJoin's build side) fail the statement
-// with ErrOutOfMemoryBudget instead — a clean error, not an OOM.
+// HashJoin's build switches to the Grace partitioned path (its probe
+// side streams and reserves nothing), HashAggregate narrows its fold
+// window or — when group state is denied — turns hybrid, spilling the
+// rows of groups that are not resident, and the spool overflows its
+// retained batch list to disk. No operator re-reads its input to
+// change course. Operators with no spill path (Distinct's seen-set,
+// NestedLoopJoin's build side) fail the statement with
+// ErrOutOfMemoryBudget instead — a clean error, not an OOM.
 //
 // Each spilling operator keeps a small working floor regardless of the
 // budget (one input batch, or one partition's build side at the deepest

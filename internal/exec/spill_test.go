@@ -122,15 +122,19 @@ func TestHashJoinGraceByteIdentical(t *testing.T) {
 	if want.Len() == 0 {
 		t.Fatal("degenerate join fixture")
 	}
+	// Cloned over probe morsels, the spilled join still runs once.
+	lowMorselRows(t)
 	for _, workers := range []int{1, 2, 8} {
-		j := mk(workers, sched.NewMemBudget(spillTestBudget))
-		got, err := Drain(j)
+		op := Parallelize(mk(workers, sched.NewMemBudget(spillTestBudget)), workers)
+		got, err := Drain(op)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameBatches(t, fmt.Sprintf("grace join workers=%d", workers), got, want)
-		if j.stats.SpillRuns.Load() == 0 {
-			t.Fatalf("workers=%d: 64KB join did not partition to disk", workers)
+		var runs int64
+		forEachStats(op, func(s *OpStats) { runs += s.SpillRuns.Load() })
+		if runs == 0 || runs > 3*spillParts {
+			t.Fatalf("workers=%d: 64KB join wrote %d spill runs, want 1..%d", workers, runs, 3*spillParts)
 		}
 	}
 }
@@ -205,32 +209,38 @@ func TestHashAggregateSpillByteIdentical(t *testing.T) {
 	}
 }
 
-func TestSpoolOverflowByteIdentical(t *testing.T) {
-	l, r := joinInputs(t, 10000)
-	mkJoin := func(mem *sched.MemBudget) Operator {
-		j := &HashJoin{
-			Left: NewTableScan(l), Right: NewTableScan(r),
-			LeftKeys: []int{0}, RightKeys: []int{0}, Type: InnerJoin, Mem: mem,
-		}
-		p, err := NewProject(j, []expr.Expr{
-			&expr.ColumnRef{Name: "lv", Index: 1, Typ: storage.TypeInt64},
-			&expr.ColumnRef{Name: "rs", Index: 3, Typ: storage.TypeString},
-		}, []string{"lv", "rs"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+// spooledAgg projects a grouped aggregate with one group per row of l —
+// a base that a parallel plan spools (a join would be cloned instead).
+func spooledAgg(t *testing.T, l *storage.Table, mem *sched.MemBudget) Operator {
+	t.Helper()
+	agg := &HashAggregate{
+		Input:   NewTableScan(l),
+		GroupBy: []expr.Expr{colRef(l.Schema(), "lv")},
+		Aggs:    []*expr.Aggregate{{Kind: expr.AggCountStar}},
+		Names:   []string{"lv", "n"}, Mem: mem,
 	}
-	want, err := Drain(mkJoin(nil))
+	p, err := NewProject(agg, []expr.Expr{
+		&expr.ColumnRef{Name: "lv", Index: 0, Typ: storage.TypeInt64},
+		&expr.ColumnRef{Name: "n", Index: 1, Typ: storage.TypeInt64},
+	}, []string{"lv", "n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestSpoolOverflowByteIdentical(t *testing.T) {
+	l, _ := joinInputs(t, 10000)
+	want, err := Drain(spooledAgg(t, l, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
 		mem := sched.NewMemBudget(spillTestBudget)
-		op := ParallelizeMem(mkJoin(mem), workers, nil, mem)
+		op := ParallelizeMem(spooledAgg(t, l, mem), workers, nil, mem)
 		g, ok := op.(*Gather)
 		if !ok {
-			t.Fatalf("workers=%d: project-over-join did not parallelize (%T)", workers, op)
+			t.Fatalf("workers=%d: project-over-aggregate did not parallelize (%T)", workers, op)
 		}
 		got, err := Drain(g)
 		if err != nil {
@@ -244,7 +254,7 @@ func TestSpoolOverflowByteIdentical(t *testing.T) {
 			sp.mu.Unlock()
 		}
 		if spilled == 0 {
-			t.Fatalf("workers=%d: 64KB spool of a ~%d-row join result stayed in memory", workers, want.Len())
+			t.Fatalf("workers=%d: 64KB spool of a %d-row aggregate result stayed in memory", workers, want.Len())
 		}
 	}
 }
@@ -252,19 +262,9 @@ func TestSpoolOverflowByteIdentical(t *testing.T) {
 func TestSpoolReopenAfterOverflow(t *testing.T) {
 	// A Gather over a spilled spool must serve a second Open from the
 	// retained run without re-running the base operator.
-	l, r := joinInputs(t, 6000)
+	l, _ := joinInputs(t, 6000)
 	mem := sched.NewMemBudget(spillTestBudget)
-	j := &HashJoin{
-		Left: NewTableScan(l), Right: NewTableScan(r),
-		LeftKeys: []int{0}, RightKeys: []int{0}, Type: InnerJoin, Mem: mem,
-	}
-	p, err := NewProject(j, []expr.Expr{
-		&expr.ColumnRef{Name: "lv", Index: 1, Typ: storage.TypeInt64},
-	}, []string{"lv"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := ParallelizeMem(p, 4, nil, mem)
+	op := ParallelizeMem(spooledAgg(t, l, mem), 4, nil, mem)
 	first, err := Drain(op)
 	if err != nil {
 		t.Fatal(err)
@@ -300,6 +300,7 @@ func TestNestedLoopJoinBuildOutOfMemoryBudget(t *testing.T) {
 }
 
 func TestNestedLoopJoinParallelByteIdentical(t *testing.T) {
+	lowMorselRows(t)
 	l, r := joinInputs(t, 400)
 	on := func() expr.Expr {
 		lt, err := expr.NewBinary(expr.OpLt,
@@ -315,10 +316,13 @@ func TestNestedLoopJoinParallelByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := Drain(&NestedLoopJoin{
-			Left: NewTableScan(l), Right: NewTableScan(r),
-			Type: InnerJoin, On: on(), Workers: workers,
-		})
+		op := Parallelize(&NestedLoopJoin{
+			Left: NewTableScan(l), Right: NewTableScan(r), Type: InnerJoin, On: on(),
+		}, workers)
+		if _, ok := op.(*Gather); !ok {
+			t.Fatalf("workers=%d: NLJ over a splittable probe should clone under a Gather, got %T", workers, op)
+		}
+		got, err := Drain(op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,8 +481,8 @@ func TestSpillPathsOpenInputOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameBatches(t, "probe-side overflow", got, want)
-	if !j.streamSpill || left.opens != 1 {
-		t.Errorf("probe-side overflow: streamed=%v, left opened %d times (want true, 1)", j.streamSpill, left.opens)
+	if left.opens != 1 {
+		t.Errorf("probe-side overflow: left opened %d times, want 1", left.opens)
 	}
 	if _, probe := j.BuildProbeRows(); probe != int64(l.NumRows()) {
 		t.Errorf("probe rows = %d, want %d", probe, l.NumRows())

@@ -103,51 +103,84 @@ func TestLimitShortCircuitParallelScan(t *testing.T) {
 	}
 }
 
-// TestLimitStreamingHashJoin asserts the streaming probe pulls O(limit)
-// rows from the probe side and produces exactly the rows of the
-// materialized serial probe.
+// TestLimitStreamingHashJoin: a LIMIT 10 over a hash join pulls at
+// most two probe batches, at any worker count — the join has one probe
+// path, so a LIMIT does not change how it runs — and returns exactly the
+// first rows of the full join, which itself reads the probe side once.
 func TestLimitStreamingHashJoin(t *testing.T) {
 	data := streamData(t, 200*storage.BatchSize)
 	right := streamData(t, 50) // k column matches ids 0..49
-	build := func(streaming bool, count *atomic.Int64) Operator {
-		var left Operator = &countingSource{data: data, parts: 1, count: count}
-		return &Limit{N: 10, Input: &HashJoin{
-			Left: left, Right: &BatchSource{Data: right},
-			LeftKeys: []int{1}, RightKeys: []int{0},
-			Type: InnerJoin, Streaming: streaming,
-		}}
+	join := func(workers int, count *atomic.Int64) *HashJoin {
+		return &HashJoin{
+			Left: &countingSource{data: data, parts: 1, count: count}, Right: &BatchSource{Data: right},
+			LeftKeys: []int{1}, RightKeys: []int{0}, Type: InnerJoin, Workers: workers,
+		}
 	}
-	var scount, mcount atomic.Int64
-	got := mustDrain(t, build(true, &scount))
-	want := mustDrain(t, build(false, &mcount))
-	sameBatches(t, "streaming vs materialized", got, want)
-	if got.Len() != 10 {
-		t.Fatalf("got %d rows, want 10", got.Len())
-	}
-	if c := scount.Load(); c > 2*storage.BatchSize {
-		t.Fatalf("streaming probe pulled %d rows for LIMIT 10, want <= %d", c, 2*storage.BatchSize)
-	}
-	if c := mcount.Load(); c != int64(data.Len()) {
-		t.Fatalf("materialized probe read %d rows, expected full drain %d", c, data.Len())
+	for _, workers := range []int{1, 2} {
+		var lcount, fcount atomic.Int64
+		got := mustDrain(t, &Limit{N: 10, Input: join(workers, &lcount)})
+		full := mustDrain(t, join(workers, &fcount))
+		label := fmt.Sprintf("workers=%d", workers)
+		sameBatches(t, label+": LIMIT 10 vs the full join's first rows", got, full.Slice(0, 10))
+		if got.Len() != 10 {
+			t.Fatalf("%s: got %d rows, want 10", label, got.Len())
+		}
+		if c := lcount.Load(); c > 2*storage.BatchSize {
+			t.Fatalf("%s: LIMIT 10 pulled %d probe rows, want <= %d", label, c, 2*storage.BatchSize)
+		}
+		if c := fcount.Load(); c != int64(data.Len()) {
+			t.Fatalf("%s: full join read %d probe rows, want %d", label, c, data.Len())
+		}
 	}
 }
 
-// TestStreamingJoinFullParity drains streaming and materialized joins
-// completely — inner and left, nullable multi-type keys — and demands
-// byte-identical results.
+// TestStreamingJoinFullParity drains hash joins completely — inner and
+// left, nullable keys of two types, with and without a residual, cloned
+// over probe morsels at workers 1, 2 and 8 — and demands results
+// byte-identical to the NestedLoopJoin oracle over the same ON.
 func TestStreamingJoinFullParity(t *testing.T) {
+	lowMorselRows(t)
 	left := testTable(t, "l", 700, 21)
 	right := testTable(t, "r", 90, 22)
+	ls := left.Schema()
+	out := joinSchema(ls, right.Schema())
+	ref := func(i int) *expr.ColumnRef {
+		return &expr.ColumnRef{Name: out.Cols[i].Name, Index: i, Typ: out.Cols[i].Type}
+	}
+	and := func(a, b expr.Expr) expr.Expr {
+		e, err := expr.NewBinary(expr.OpAnd, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	eq := func(l, r int) expr.Expr {
+		e, err := expr.NewBinary(expr.OpEq, ref(l), ref(ls.Len()+r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	// grp (INTEGER) and tag (VARCHAR) are both nullable.
+	keys := and(eq(1, 1), eq(3, 3))
+	residual := gt(ref(ls.Len()+2), 0) // r.val > 0
 	for _, jt := range []JoinType{InnerJoin, LeftJoin} {
-		build := func(streaming bool) Operator {
-			return &HashJoin{
-				Left: NewTableScan(left), Right: NewTableScan(right),
-				LeftKeys: []int{1}, RightKeys: []int{1}, // grp: nullable key
-				Type: jt, Streaming: streaming,
+		for _, res := range []expr.Expr{nil, residual} {
+			on := keys
+			if res != nil {
+				on = and(keys, res)
+			}
+			want := mustDrain(t, &NestedLoopJoin{Left: NewTableScan(left), Right: NewTableScan(right), Type: jt, On: on})
+			for _, workers := range []int{1, 2, 8} {
+				j := &HashJoin{
+					Left: NewTableScan(left), Right: NewTableScan(right),
+					LeftKeys: []int{1, 3}, RightKeys: []int{1, 3},
+					Type: jt, Residual: res, Workers: workers,
+				}
+				label := fmt.Sprintf("type=%d residual=%v workers=%d", jt, res != nil, workers)
+				sameBatches(t, label, mustDrain(t, Parallelize(j, workers)), want)
 			}
 		}
-		sameBatches(t, fmt.Sprintf("join type %d", jt),
-			mustDrain(t, build(true)), mustDrain(t, build(false)))
 	}
 }
 
@@ -168,7 +201,7 @@ func TestSpoolStreamsAndBoundsProduction(t *testing.T) {
 				Pred:  alwaysTrue(data.Schema),
 			}
 		}
-		g := &Gather{Fragments: frags, spools: []*spool{sp}}
+		g := &Gather{Fragments: frags, fragShared: fragShared{spools: []*spool{sp}}}
 		if n > 0 {
 			return &Limit{Input: g, N: n}
 		}
@@ -433,6 +466,40 @@ func TestCancelMidStreamReleasesBudget(t *testing.T) {
 		}
 		if inUse := budget.InUse(); inUse != 0 {
 			t.Fatalf("%s: %d budget slots leaked after cancel", name, inUse)
+		}
+	}
+}
+
+// TestHashJoinMemoryBound: a join under COUNT(*) holds its build side
+// and O(batch) of probe per fragment, never the probe side — under an
+// unlimited grant the reservation high-water mark stays within the
+// build's bytes plus 8 probe batches, at workers 1 and 2.
+func TestHashJoinMemoryBound(t *testing.T) {
+	lowMorselRows(t)
+	data := streamData(t, 256*storage.BatchSize)
+	build := streamData(t, 100) // ids 0..99 cover every probe k (0..49)
+	buildBytes := storage.BatchBytes(build)
+	batchBytes := storage.BatchBytes(data.Slice(0, storage.BatchSize))
+	for _, workers := range []int{1, 2} {
+		mem := sched.NewMemBudget(0)
+		j := &HashJoin{
+			Left: &BatchSource{Data: data}, Right: &BatchSource{Data: build},
+			LeftKeys: []int{1}, RightKeys: []int{0}, Type: InnerJoin, Workers: workers, Mem: mem,
+		}
+		in := ParallelizeMem(j, workers, nil, mem)
+		if _, ok := in.(*Gather); ok != (workers > 1) {
+			t.Fatalf("workers=%d: join planned as %T", workers, in)
+		}
+		out := mustDrain(t, &HashAggregate{
+			Input: in, Aggs: []*expr.Aggregate{{Kind: expr.AggCountStar}},
+			Names: []string{"n"}, Workers: workers, Mem: mem,
+		})
+		if n := out.Cols[0].Value(0).I; n != int64(data.Len()) {
+			t.Fatalf("workers=%d: COUNT(*) = %d, want %d", workers, n, data.Len())
+		}
+		if hw, bound := mem.HighWater(), buildBytes+8*batchBytes; hw > bound {
+			t.Fatalf("workers=%d: high-water %d bytes, want <= %d (build %d + 8 probe batches of %d)",
+				workers, hw, bound, buildBytes, batchBytes)
 		}
 	}
 }

@@ -284,8 +284,8 @@ func walkOps(op exec.Operator, visit func(exec.Operator)) {
 }
 
 // TestLimitKeepsPlanSerial asserts the planner's early-exit rule: a
-// LIMIT (without ORDER BY) plans its whole subtree serial and
-// streaming — no Gathers, and streaming joins — while the same query
+// LIMIT (without ORDER BY) plans its whole subtree serial — no Gathers,
+// and a hash join that stops its probe early — while the same query
 // without LIMIT (or with ORDER BY, whose sort drains anyway) stays
 // parallel.
 func TestLimitKeepsPlanSerial(t *testing.T) {
@@ -301,26 +301,27 @@ func TestLimitKeepsPlanSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 200; i++ {
+	for i := int64(0); i < 4*storage.BatchSize; i++ {
 		if err := big.AppendRow(storage.Int64(i), storage.Float64(float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	plan := func(q string) exec.Operator {
+	planAt := func(workers int, q string) exec.Operator {
 		t.Helper()
 		st, err := sql.Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := New(cat, expr.NewRegistry())
-		p.Parallelism = 8
+		p.Parallelism = workers
 		op, err := p.PlanSelect(st.(*sql.SelectStmt))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return op
 	}
+	plan := func(q string) exec.Operator { return planAt(8, q) }
 	countGathers := func(op exec.Operator) int {
 		n := 0
 		walkOps(op, func(o exec.Operator) {
@@ -341,16 +342,30 @@ func TestLimitKeepsPlanSerial(t *testing.T) {
 		t.Fatal("ORDER BY LIMIT must stay parallel (the sort drains its input anyway)")
 	}
 
-	// Joins under a LIMIT stream their probe side.
-	op := plan("SELECT a.id FROM big a JOIN big b ON a.id = b.id LIMIT 5")
-	streaming := 0
-	walkOps(op, func(o exec.Operator) {
-		if j, ok := o.(*exec.HashJoin); ok && j.Streaming {
-			streaming++
+	// A hash join under a LIMIT stops pulling its probe side after at
+	// most two batches.
+	for _, workers := range []int{1, 2} {
+		op := planAt(workers, "SELECT a.id FROM big a JOIN big b ON a.id = b.id LIMIT 5")
+		if n := countGathers(op); n != 0 {
+			t.Fatalf("workers=%d: join under LIMIT planned %d Gathers, want 0", workers, n)
 		}
-	})
-	if streaming == 0 {
-		t.Fatal("hash join under LIMIT should be planned streaming")
+		out, err := exec.Drain(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var joins, probe int64
+		walkOps(op, func(o exec.Operator) {
+			if j, ok := o.(*exec.HashJoin); ok {
+				_, p := j.BuildProbeRows()
+				joins, probe = joins+1, probe+p
+			}
+		})
+		if out.Len() != 5 || joins != 1 {
+			t.Fatalf("workers=%d: %d rows from %d hash joins, want 5 from 1", workers, out.Len(), joins)
+		}
+		if probe > 2*storage.BatchSize {
+			t.Fatalf("workers=%d: join under LIMIT 5 probed %d rows, want <= %d", workers, probe, 2*storage.BatchSize)
+		}
 	}
 
 	// Blocking aggregates cannot short-circuit: LIMIT over GROUP BY

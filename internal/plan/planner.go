@@ -115,10 +115,10 @@ type planCtx struct {
 	params *Params
 	routes []Route
 	// serial marks the subtree under a LIMIT (with no blocking ORDER
-	// BY): operators there are planned serial and streaming — no
-	// Gathers, spools or materializing probes — so the LIMIT pulls
-	// O(limit) rows from the sources instead of paying for a full
-	// parallel drain. Early exit beats parallelism there.
+	// BY): operators there are planned serial — no Gathers or spools —
+	// so the LIMIT pulls O(limit) rows from the sources instead of
+	// paying for a full parallel drain. Early exit beats parallelism
+	// there.
 	serial bool
 }
 
@@ -534,13 +534,12 @@ func (c *planCtx) joinStep(lop exec.Operator, ls *Scope, rop exec.Operator, rs *
 			LeftKeys: lkeys, RightKeys: rkeys,
 			Type: jt, Residual: res,
 			Workers: c.workers, Budget: c.p.Budget, Mem: c.mem,
-			Streaming: c.serial,
 		}, sc, rest, nil
 	}
 	if res == nil && jt == exec.InnerJoin {
 		jt = exec.CrossJoin
 	}
-	return &exec.NestedLoopJoin{Left: lop, Right: rop, Type: jt, On: res, Workers: c.workers, Budget: c.p.Budget, Mem: c.mem}, sc, rest, nil
+	return &exec.NestedLoopJoin{Left: lop, Right: rop, Type: jt, On: res, Mem: c.mem}, sc, rest, nil
 }
 
 // planCore lowers one SELECT core; it returns the operator and the
