@@ -10,10 +10,9 @@ import (
 	"fmt"
 	"log"
 
-	vertexica "repro"
+	"strconv"
 
-	"repro/internal/algorithms"
-	"repro/internal/pipeline"
+	vertexica "repro"
 )
 
 func main() {
@@ -70,32 +69,60 @@ func main() {
 	}
 	fmt.Printf("SSSP from most-clustered vertex %d reaches %d vertices\n", src, reach)
 
-	// --- relational pre-processing + pipeline (Figure 3's dataflow) ---
-	// Scope the analysis to "family" edges, run PageRank on the
-	// subgraph, and post-process with a histogram — selection →
-	// algorithm → aggregation.
-	p := pipeline.New(
-		&pipeline.Subgraph{Target: "family_net", EdgeWhere: "etype = 'family'"},
-		&pipeline.VertexProgramStage{
-			Label:   "pagerank",
-			Program: algorithms.NewPageRank(10),
-			Init:    func(int64) string { return "" },
-			Key:     "ranks",
-		},
-		&pipeline.TopK{InputKey: "ranks", K: 3, Key: "top"},
-		&pipeline.Histogram{InputKey: "ranks", Buckets: 5, Key: "hist"},
-	)
-	pc, err := p.Run(ctx, vx.DB(), g.Core())
+	// --- Figure 3's dataflow: selection → algorithm → aggregation ---
+	// Scope the analysis to "family" edges, run PageRank on that
+	// subgraph, and post-process the ranks in SQL.
+	fam, err := vx.CreateGraph("family_net")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nfamily-only subgraph pipeline:", pc.Trace)
-	for _, s := range pc.Values["top"].([]pipeline.Scored) {
-		fmt.Printf("  top vertex %4d rank %.5f\n", s.ID, s.Score)
+	for _, q := range []string{
+		`INSERT INTO family_net_edge
+		 SELECT src, dst, weight, etype, created FROM soc_edge WHERE etype = 'family'`,
+		// The graph is symmetric: every kept vertex is a kept edge's source.
+		`INSERT INTO family_net_vertex
+		 SELECT DISTINCT v.id, v.value, FALSE
+		 FROM soc_vertex AS v JOIN family_net_edge AS e ON v.id = e.src`,
+	} {
+		if _, _, err := vx.SQL(q); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if _, _, err := fam.PageRank(ctx, 10); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\nfamily-only subgraph:", fam)
+	top, _, err := vx.SQL(`SELECT id, CAST(value AS DOUBLE) AS rank
+		FROM family_net_vertex ORDER BY rank DESC, id LIMIT 3`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i := 0; i < top.Len(); i++ {
+		fmt.Printf("  top vertex %4d rank %.5f\n", top.Value(i, 0).I, top.Value(i, 1).F)
+	}
+	// A 5-bucket histogram of the ranks: bucket width from MIN/MAX, the
+	// top rank folded into the last bucket.
+	const buckets = 5
+	span, _, err := vx.SQL(`SELECT MIN(CAST(value AS DOUBLE)), MAX(CAST(value AS DOUBLE)) FROM family_net_vertex`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	lo, hi := span.Value(0, 0).F, span.Value(0, 1).F
+	width := (hi - lo) / buckets
+	hist, _, err := vx.SQL(fmt.Sprintf(`
+		SELECT b, COUNT(*) AS n FROM (
+			SELECT CASE WHEN r >= %[2]s THEN %[4]d
+			            ELSE CAST(FLOOR((r - %[1]s) / %[3]s) AS INTEGER) END AS b
+			FROM (SELECT CAST(value AS DOUBLE) AS r FROM family_net_vertex) AS ranks
+		) AS bucketed
+		GROUP BY b ORDER BY b`, sqlFloat(lo), sqlFloat(hi), sqlFloat(width), buckets-1))
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println("  rank distribution:")
-	for _, b := range pc.Values["hist"].([]pipeline.Bucket) {
-		fmt.Printf("    [%.5f, %.5f): %d\n", b.Lo, b.Hi, b.Count)
+	for i := 0; i < hist.Len(); i++ {
+		b := float64(hist.Value(i, 0).I)
+		fmt.Printf("    [%.5f, %.5f): %d\n", lo+b*width, lo+(b+1)*width, hist.Value(i, 1).I)
 	}
 
 	// --- ad-hoc relational post-processing over metadata (§3.4) ---
@@ -112,3 +139,6 @@ func main() {
 			rows.Value(i, 0), rows.Value(i, 1), rows.Value(i, 2).AsFloat())
 	}
 }
+
+// sqlFloat renders f as a SQL numeric literal.
+func sqlFloat(f float64) string { return strconv.FormatFloat(f, 'f', -1, 64) }

@@ -5,16 +5,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
-// Persistence: a full-database snapshot file (columnar, using the
-// storage encodings — delta/RLE for integers, dictionary for strings)
+// Persistence: a full-database snapshot file (columnar: each table's
+// rows are one storage column frame, the frame wire batches and spill
+// runs use — delta/RLE for integers, dictionary for strings)
 // plus a statement-granularity write-ahead log. Open loads the snapshot
 // and replays the WAL; Checkpoint rewrites the snapshot and truncates
 // the WAL. This is the engine-level durability story the paper cites as
@@ -114,167 +117,58 @@ func (db *DB) writeSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	if err := db.encodeSnapshot(w); err != nil {
-		f.Close()
-		return err
+	err = db.encodeSnapshot(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeUvarint(w io.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
 	return err
 }
 
-func writeBytes(w io.Writer, b []byte) error {
-	if err := writeUvarint(w, uint64(len(b))); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
-func writeString(w io.Writer, s string) error { return writeBytes(w, []byte(s)) }
-
+// encodeSnapshot writes the magic, the table count, then per table its
+// name, schema, partition metadata and rows as one column frame
+// (storage.AppendBatch) — one write per table.
 func (db *DB) encodeSnapshot(w io.Writer) error {
-	var magic [4]byte
-	binary.LittleEndian.PutUint32(magic[:], snapshotMagicV2)
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
 	names := db.cat.Names()
-	if err := writeUvarint(w, uint64(len(names))); err != nil {
-		return err
-	}
+	var b wire.Buffer
+	b.B = binary.LittleEndian.AppendUint32(b.B, snapshotMagicV2)
+	b.PutUvarint(uint64(len(names)))
 	for _, name := range names {
 		t, err := db.cat.Get(name)
 		if err != nil {
 			return err
 		}
-		if err := encodeTable(w, t); err != nil {
+		b.PutString(t.Name())
+		wire.AppendSchema(&b, t.Schema())
+		// V2: partition metadata. keyCol is stored +1 so 0 means "none".
+		b.PutUvarint(uint64(t.NumShards()))
+		b.PutUvarint(uint64(t.ShardKey() + 1))
+		if b.B, err = storage.AppendBatch(b.B, t.Data()); err != nil {
 			return fmt.Errorf("table %s: %w", name, err)
 		}
+		if _, err := w.Write(b.B); err != nil {
+			return err
+		}
+		b.B = b.B[:0]
 	}
 	return nil
 }
 
-func encodeTable(w io.Writer, t *storage.Table) error {
-	if err := writeString(w, t.Name()); err != nil {
-		return err
-	}
-	schema := t.Schema()
-	if err := writeUvarint(w, uint64(schema.Len())); err != nil {
-		return err
-	}
-	for _, c := range schema.Cols {
-		if err := writeString(w, c.Name); err != nil {
-			return err
-		}
-		flags := uint64(c.Type) << 1
-		if c.NotNull {
-			flags |= 1
-		}
-		if err := writeUvarint(w, flags); err != nil {
-			return err
-		}
-	}
-	// V2: partition metadata. keyCol is stored +1 so 0 means "none".
-	if err := writeUvarint(w, uint64(t.NumShards())); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(t.ShardKey()+1)); err != nil {
-		return err
-	}
-	data := t.Data()
-	n := data.Len()
-	if err := writeUvarint(w, uint64(n)); err != nil {
-		return err
-	}
-	for _, col := range data.Cols {
-		if err := encodeColumn(w, col, n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func encodeColumn(w io.Writer, col storage.Column, n int) error {
-	// Null bitmap first.
-	nulls := storage.NullsOf(col)
-	words := nulls.Words()
-	if err := writeUvarint(w, uint64(len(words))); err != nil {
-		return err
-	}
-	var wb [8]byte
-	for _, word := range words {
-		binary.LittleEndian.PutUint64(wb[:], word)
-		if _, err := w.Write(wb[:]); err != nil {
-			return err
-		}
-	}
-	switch c := col.(type) {
-	case *storage.Int64Column:
-		return writeBytes(w, storage.EncodeInt64(c.Int64s()))
-	case *storage.Float64Column:
-		return writeBytes(w, storage.EncodeFloat64Plain(c.Float64s()))
-	case *storage.StringColumn:
-		return writeBytes(w, storage.EncodeStringDict(c.Strings()))
-	case *storage.BoolColumn:
-		ints := make([]int64, n)
-		for i, b := range c.Bools() {
-			if b {
-				ints[i] = 1
-			}
-		}
-		return writeBytes(w, storage.EncodeInt64RLE(ints))
-	default:
-		return fmt.Errorf("engine: cannot encode column type %T", col)
-	}
-}
-
-func readUvarint(r *bufio.Reader) (uint64, error) { return binary.ReadUvarint(r) }
-
-func readBytes(r *bufio.Reader) ([]byte, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	b, err := readBytes(r)
-	return string(b), err
-}
+// maxTableRows bounds the row count a snapshot table may claim.
+const maxTableRows = math.MaxInt32
 
 func (db *DB) loadSnapshot(path string) error {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return err
+	if len(data) < 4 {
+		return fmt.Errorf("bad snapshot magic")
 	}
 	var version int
-	switch binary.LittleEndian.Uint32(magic[:]) {
+	switch binary.LittleEndian.Uint32(data) {
 	case snapshotMagicV1:
 		version = 1 // pre-sharding snapshot: every table single-shard
 	case snapshotMagicV2:
@@ -282,70 +176,40 @@ func (db *DB) loadSnapshot(path string) error {
 	default:
 		return fmt.Errorf("bad snapshot magic")
 	}
-	nt, err := readUvarint(r)
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nt; i++ {
+	r := &wire.Reader{B: data[4:]}
+	nt := r.Uvarint()
+	for i := uint64(0); i < nt && r.Err == nil; i++ {
 		if err := db.decodeTable(r, version); err != nil {
 			return err
 		}
 	}
-	return nil
+	return r.Err
 }
 
-func (db *DB) decodeTable(r *bufio.Reader, version int) error {
-	name, err := readString(r)
+func (db *DB) decodeTable(r *wire.Reader, version int) error {
+	name := r.String()
+	schema, err := wire.ReadSchema(r)
 	if err != nil {
 		return err
-	}
-	nc, err := readUvarint(r)
-	if err != nil {
-		return err
-	}
-	cols := make([]storage.ColumnDef, nc)
-	for i := range cols {
-		cname, err := readString(r)
-		if err != nil {
-			return err
-		}
-		flags, err := readUvarint(r)
-		if err != nil {
-			return err
-		}
-		cols[i] = storage.ColumnDef{Name: cname, Type: storage.Type(flags >> 1), NotNull: flags&1 != 0}
 	}
 	nShards, keyCol := 1, -1
 	if version >= 2 {
-		ns, err := readUvarint(r)
-		if err != nil {
-			return err
+		nShards, keyCol = int(r.Uvarint()), int(r.Uvarint())-1
+		if r.Err != nil {
+			return r.Err
 		}
-		kc, err := readUvarint(r)
-		if err != nil {
-			return err
-		}
-		nShards, keyCol = int(ns), int(kc)-1
 		if nShards < 1 || nShards > 1<<16 {
 			return fmt.Errorf("table %s: bad shard count %d", name, nShards)
 		}
-		if nShards > 1 && (keyCol < 0 || keyCol >= int(nc)) {
+		if keyCol < -1 || keyCol >= schema.Len() || (nShards > 1 && keyCol < 0) {
 			return fmt.Errorf("table %s: bad partition column %d", name, keyCol)
 		}
 	}
-	n, err := readUvarint(r)
+	batch, rest, err := storage.DecodeBatch(r.B, schema, maxTableRows)
 	if err != nil {
-		return err
+		return fmt.Errorf("table %s: %w", name, err)
 	}
-	schema := storage.NewSchema(cols...)
-	batch := &storage.Batch{Schema: schema, Cols: make([]storage.Column, nc)}
-	for i := range batch.Cols {
-		col, err := decodeColumn(r, cols[i].Type, int(n))
-		if err != nil {
-			return fmt.Errorf("table %s column %s: %w", name, cols[i].Name, err)
-		}
-		batch.Cols[i] = col
-	}
+	r.B = rest
 	// Replace re-partitions the concatenated rows by the same hash that
 	// produced them, so the rebuilt table has the identical per-shard
 	// layout (and therefore identical scan order) as before the save.
@@ -355,77 +219,6 @@ func (db *DB) decodeTable(r *bufio.Reader, version int) error {
 	}
 	db.cat.Put(t)
 	return nil
-}
-
-func decodeColumn(r *bufio.Reader, typ storage.Type, n int) (storage.Column, error) {
-	nw, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	var nulls *storage.Bitmap
-	if nw > 0 {
-		words := make([]uint64, nw)
-		var wb [8]byte
-		for i := range words {
-			if _, err := io.ReadFull(r, wb[:]); err != nil {
-				return nil, err
-			}
-			words[i] = binary.LittleEndian.Uint64(wb[:])
-		}
-		nulls = storage.BitmapFromWords(words, n)
-	}
-	payload, err := readBytes(r)
-	if err != nil {
-		return nil, err
-	}
-	var col storage.Column
-	switch typ {
-	case storage.TypeInt64:
-		var vals []int64
-		if len(payload) > 0 && storage.Encoding(payload[0]) == storage.EncRLE {
-			vals, err = storage.DecodeInt64RLEMax(payload, n)
-		} else {
-			vals, err = storage.DecodeInt64Delta(payload)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if vals == nil {
-			vals = []int64{}
-		}
-		col = storage.NewInt64Column(vals)
-	case storage.TypeFloat64:
-		vals, err := storage.DecodeFloat64Plain(payload)
-		if err != nil {
-			return nil, err
-		}
-		col = storage.NewFloat64Column(vals)
-	case storage.TypeString:
-		vals, err := storage.DecodeStringDict(payload)
-		if err != nil {
-			return nil, err
-		}
-		col = storage.NewStringColumn(vals)
-	case storage.TypeBool:
-		ints, err := storage.DecodeInt64RLEMax(payload, n)
-		if err != nil {
-			return nil, err
-		}
-		bools := make([]bool, len(ints))
-		for i, v := range ints {
-			bools[i] = v != 0
-		}
-		col = storage.NewBoolColumn(bools)
-	default:
-		return nil, fmt.Errorf("unknown column type %d", typ)
-	}
-	if col.Len() != n {
-		return nil, fmt.Errorf("column has %d rows, expected %d", col.Len(), n)
-	}
-	if nulls != nil {
-		storage.SetNulls(col, nulls)
-	}
-	return col, nil
 }
 
 // --- WAL ---

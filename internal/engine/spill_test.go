@@ -335,6 +335,50 @@ func TestSpillDifferentialCorpus(t *testing.T) {
 	}
 }
 
+// TestSpillLowCardinalityKeys: RLE packs a run of equal keys into a
+// few bytes, so a spill frame of a low-cardinality column holds far
+// more rows than bytes. Sort runs and Grace join partitions of such a
+// column must read back intact at workers 1, 2 and 8.
+func TestSpillLowCardinalityKeys(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE t (k INTEGER, v INTEGER)", "CREATE TABLE keys (k INTEGER)")
+	tab, err := db.Catalog().Get("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 20000; n++ {
+		if err := tab.AppendRow(storage.Int64(int64(n%3)), storage.Int64(int64(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys, err := db.Catalog().Get("keys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 3; k++ {
+		if err := keys.AppendRow(storage.Int64(int64(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{
+		"SELECT k FROM t ORDER BY k",
+		// The build side is t's single k column: a Grace join spills it
+		// partitioned by the 3-valued key.
+		"SELECT keys.k FROM keys JOIN t ON keys.k = t.k",
+	} {
+		want := sessionQuery(t, db, q, 1, 0)
+		if want.Len() != 20000 {
+			t.Fatalf("%s: %d rows, want 20000", q, want.Len())
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got := sessionQuery(t, db, q, workers, forceSpillWorkMem)
+			if err := diffRows(fmt.Sprintf("workers=%d %s", workers, q), got, want); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
 func TestOutOfMemoryBudgetError(t *testing.T) {
 	db := outOfCoreDB(t)
 	s := db.NewSession()

@@ -112,11 +112,6 @@ func (b *Bitmap) Words() []uint64 {
 	return b.words
 }
 
-// BitmapFromWords reconstructs a bitmap from serialized words.
-func BitmapFromWords(words []uint64, n int) *Bitmap {
-	return &Bitmap{words: append([]uint64(nil), words...), n: n}
-}
-
 // Slice returns a new bitmap holding bits [from, to).
 func (b *Bitmap) Slice(from, to int) *Bitmap {
 	out := NewBitmap(to - from)

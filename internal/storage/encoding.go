@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Column encodings. A Vertica-style column store keeps columns
@@ -83,31 +84,37 @@ func DecodeInt64RLE(data []byte) ([]int64, error) {
 }
 
 // DecodeInt64RLEMax reverses EncodeInt64RLE, rejecting input that
-// expands to more than max values as corrupt. Run lengths are
-// validated against the remaining budget before any allocation grows,
-// so a hostile length header cannot OOM the decoder.
+// expands to more than max values as corrupt. A first pass validates
+// the runs and sums their lengths against the budget, so a hostile
+// length header cannot OOM the decoder and the output is allocated
+// once, at its exact size.
 func DecodeInt64RLEMax(data []byte, max int) ([]int64, error) {
 	if len(data) == 0 || Encoding(data[0]) != EncRLE || max < 0 {
 		return nil, errCorrupt
 	}
 	data = data[1:]
-	var out []int64
-	for len(data) > 0 {
-		run, n := binary.Uvarint(data)
-		if n <= 0 || run == 0 {
+	total := 0
+	for p := data; len(p) > 0; {
+		run, n := binary.Uvarint(p)
+		if n <= 0 || run == 0 || run > uint64(max-total) {
 			return nil, errCorrupt
 		}
+		p = p[n:]
+		if _, n = binary.Varint(p); n <= 0 {
+			return nil, errCorrupt
+		}
+		p = p[n:]
+		total += int(run)
+	}
+	out := make([]int64, total)
+	for i := 0; len(data) > 0; {
+		run, n := binary.Uvarint(data)
 		data = data[n:]
 		v, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, errCorrupt
-		}
 		data = data[n:]
-		if run > uint64(max-len(out)) {
-			return nil, errCorrupt
-		}
-		for k := uint64(0); k < run; k++ {
-			out = append(out, v)
+		end := i + int(run)
+		for ; i < end; i++ {
+			out[i] = v
 		}
 	}
 	return out, nil
@@ -136,7 +143,15 @@ func DecodeInt64Delta(data []byte) ([]int64, error) {
 		return nil, errCorrupt
 	}
 	data = data[1:]
-	var out []int64
+	// Each varint ends in exactly one byte below 0x80: counting them
+	// sizes the output once, bounded by the input.
+	count := 0
+	for _, c := range data {
+		if c < 0x80 {
+			count++
+		}
+	}
+	out := make([]int64, 0, count)
 	prev := int64(0)
 	for len(data) > 0 {
 		d, n := binary.Varint(data)
@@ -154,6 +169,10 @@ func DecodeInt64Delta(data []byte) ([]int64, error) {
 // dictionary followed by varint codes. Ideal for the edge `type`
 // metadata column ("family" / "friend" / "classmate").
 func EncodeStringDict(vals []string) []byte {
+	return appendStringDict(nil, vals)
+}
+
+func appendStringDict(buf []byte, vals []string) []byte {
 	dict := make(map[string]uint64)
 	var order []string
 	codes := make([]uint64, len(vals))
@@ -166,20 +185,15 @@ func EncodeStringDict(vals []string) []byte {
 		}
 		codes[i] = c
 	}
-	buf := []byte{byte(EncDict)}
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(order)))
-	buf = append(buf, tmp[:n]...)
+	buf = append(buf, byte(EncDict))
+	buf = binary.AppendUvarint(buf, uint64(len(order)))
 	for _, s := range order {
-		n = binary.PutUvarint(tmp[:], uint64(len(s)))
-		buf = append(buf, tmp[:n]...)
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
 	}
-	n = binary.PutUvarint(tmp[:], uint64(len(codes)))
-	buf = append(buf, tmp[:n]...)
+	buf = binary.AppendUvarint(buf, uint64(len(codes)))
 	for _, c := range codes {
-		n = binary.PutUvarint(tmp[:], c)
-		buf = append(buf, tmp[:n]...)
+		buf = binary.AppendUvarint(buf, c)
 	}
 	return buf
 }
@@ -239,12 +253,13 @@ func DecodeStringDict(data []byte) ([]string, error) {
 // EncodeFloat64Plain stores float64 values as fixed-width little-endian
 // words; floats rarely compress and Vertica stores them plain too.
 func EncodeFloat64Plain(vals []float64) []byte {
-	buf := make([]byte, 1, 1+8*len(vals))
-	buf[0] = byte(EncPlain)
-	var tmp [8]byte
+	return appendFloat64Plain(make([]byte, 0, 1+8*len(vals)), vals)
+}
+
+func appendFloat64Plain(buf []byte, vals []float64) []byte {
+	buf = append(buf, byte(EncPlain))
 	for _, v := range vals {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		buf = append(buf, tmp[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf
 }
@@ -291,14 +306,39 @@ func CompressedSize(vals []int64) (enc Encoding, size int) {
 
 // EncodeInt64 encodes an int64 column under whichever of RLE and delta
 // is smaller (RLE on a tie): one sizing pass, then one encode into an
-// exactly sized buffer. Spill frames, wire batches and snapshots all
-// encode their INTEGER columns through it.
+// exactly sized buffer. Column frames encode their INTEGER columns
+// through it.
 func EncodeInt64(vals []int64) []byte {
+	return appendInt64(nil, vals)
+}
+
+func appendInt64(buf []byte, vals []int64) []byte {
 	enc, size := CompressedSize(vals)
+	buf = slices.Grow(buf, size)
 	if enc == EncRLE {
-		return appendInt64RLE(make([]byte, 0, size), vals)
+		return appendInt64RLE(buf, vals)
 	}
-	return appendInt64Delta(make([]byte, 0, size), vals)
+	return appendInt64Delta(buf, vals)
+}
+
+// appendBoolRLE appends bools as the 0/1 RLE segment EncodeInt64RLE
+// writes for the same values as integers.
+func appendBoolRLE(buf []byte, vals []bool) []byte {
+	buf = append(buf, byte(EncRLE))
+	for i := 0; i < len(vals); {
+		j := i + 1
+		for j < len(vals) && vals[j] == vals[i] {
+			j++
+		}
+		buf = binary.AppendUvarint(buf, uint64(j-i))
+		var v int64
+		if vals[i] {
+			v = 1
+		}
+		buf = binary.AppendVarint(buf, v)
+		i = j
+	}
+	return buf
 }
 
 // uvarintLen is the length of binary.AppendUvarint's encoding of x.

@@ -9,23 +9,13 @@ import (
 )
 
 // Spill runs: the on-disk format for out-of-core execution. A run is a
-// sequence of frames, one encoded batch per frame, written through the
-// same RLE/delta/dict codecs that compress table segments — so the
-// spill path reuses their capped, fuzz-tested decoders instead of
-// growing a second serialization surface. Frame metadata (offsets, row
-// counts) lives in memory with the run handle; the file itself is just
-// concatenated length-prefixed frames, read back with pread so several
+// sequence of frames, one column frame (frame.go) per batch — the same
+// frame wire batches and snapshot tables use, so the spill path reuses
+// its capped, fuzz-tested decoder instead of growing a serialization
+// surface of its own. Frame metadata (offsets, row counts) lives in
+// memory with the run handle; the file itself is just concatenated
+// uvarint-length-prefixed frames, read back with pread so several
 // consumers can walk one run concurrently.
-//
-// Frame layout (after the uvarint payload-length prefix):
-//
-//	uvarint rows
-//	per column: uvarint segLen, seg bytes, uvarint nullsLen, nulls bytes
-//
-// int64 columns take the better of RLE/delta (the segment's leading tag
-// byte says which), float64 is plain fixed-width, strings are
-// dictionary-coded, bools ride as 0/1 int64 RLE, and null bitmaps as
-// 0/1 int64 RLE with zero length meaning "no nulls".
 
 // SpillFile is what a run writes to and reads from. *os.File satisfies
 // it; test filesystems return failing implementations to exercise the
@@ -125,203 +115,29 @@ func BatchBytes(b *Batch) int64 {
 // EncodeSpillBatch encodes one batch as a spill frame payload (without
 // the outer length prefix the run writer adds).
 func EncodeSpillBatch(b *Batch) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	buf := make([]byte, 0, 64)
-	n := binary.PutUvarint(tmp[:], uint64(b.Len()))
-	buf = append(buf, tmp[:n]...)
-	for _, c := range b.Cols {
-		seg := encodeSpillColumn(c)
-		n = binary.PutUvarint(tmp[:], uint64(len(seg)))
-		buf = append(buf, tmp[:n]...)
-		buf = append(buf, seg...)
-		nulls := encodeSpillNulls(c)
-		n = binary.PutUvarint(tmp[:], uint64(len(nulls)))
-		buf = append(buf, tmp[:n]...)
-		buf = append(buf, nulls...)
+	buf, err := AppendBatch(nil, b)
+	if err != nil {
+		panic(err)
 	}
 	return buf
 }
 
-func encodeSpillColumn(c Column) []byte {
-	switch col := c.(type) {
-	case *Int64Column:
-		return EncodeInt64(col.vals)
-	case *Float64Column:
-		return EncodeFloat64Plain(col.vals)
-	case *StringColumn:
-		return EncodeStringDict(col.vals)
-	case *BoolColumn:
-		vals := make([]int64, len(col.vals))
-		for i, v := range col.vals {
-			if v {
-				vals[i] = 1
-			}
-		}
-		return EncodeInt64RLE(vals)
-	default:
-		panic(fmt.Sprintf("storage: cannot spill column type %T", c))
-	}
-}
-
-func encodeSpillNulls(c Column) []byte {
-	nulls := NullsOf(c)
-	if nulls == nil || !nulls.Any() {
-		return nil
-	}
-	vals := make([]int64, c.Len())
-	for i := range vals {
-		if nulls.Get(i) {
-			vals[i] = 1
-		}
-	}
-	return EncodeInt64RLE(vals)
-}
-
 // DecodeSpillBatch decodes a spill frame payload against the schema it
-// was written with. Every length is validated against the declared row
-// count before allocation, so truncated or hostile frames fail with
-// errCorrupt instead of over-allocating — the same contract as the
-// segment decoders underneath.
+// was written with.
 func DecodeSpillBatch(data []byte, schema Schema) (*Batch, error) {
-	rows64, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, errCorrupt
-	}
-	data = data[n:]
-	// A row consumes at least one encoded byte somewhere; a frame
-	// claiming more rows than bytes remaining is corrupt. Schemas with
-	// zero columns carry no evidence either way, so cap those too.
-	if rows64 > uint64(len(data))*8+1 || rows64 > maxRLEElements {
-		return nil, errCorrupt
-	}
-	rows := int(rows64)
-	out := &Batch{Schema: schema, Cols: make([]Column, schema.Len())}
-	for ci, sc := range schema.Cols {
-		seg, rest, err := spillSegment(data)
-		if err != nil {
-			return nil, err
-		}
-		data = rest
-		col, err := decodeSpillColumn(seg, sc.Type, rows)
-		if err != nil {
-			return nil, err
-		}
-		nullsSeg, rest, err := spillSegment(data)
-		if err != nil {
-			return nil, err
-		}
-		data = rest
-		if len(nullsSeg) > 0 {
-			flags, err := DecodeInt64RLEMax(nullsSeg, rows)
-			if err != nil {
-				return nil, err
-			}
-			if len(flags) != rows {
-				return nil, errCorrupt
-			}
-			bm := NewBitmap(rows)
-			any := false
-			for i, f := range flags {
-				switch f {
-				case 0:
-				case 1:
-					bm.Set(i)
-					any = true
-				default:
-					return nil, errCorrupt
-				}
-			}
-			if any {
-				SetNulls(col, bm)
-			}
-		}
-		out.Cols[ci] = col
-	}
-	if len(data) != 0 {
-		return nil, errCorrupt
-	}
-	return out, nil
+	return decodeSpillFrame(data, schema, maxRLEElements)
 }
 
-// spillSegment splits one length-prefixed segment off data.
-func spillSegment(data []byte) (seg, rest []byte, err error) {
-	l, n := binary.Uvarint(data)
-	if n <= 0 || l > uint64(len(data)-n) {
-		return nil, nil, errCorrupt
-	}
-	return data[n : n+int(l)], data[n+int(l):], nil
-}
-
-func decodeSpillColumn(seg []byte, t Type, rows int) (Column, error) {
-	switch t {
-	case TypeInt64:
-		vals, err := decodeSpillInt64(seg, rows)
-		if err != nil {
-			return nil, err
-		}
-		return &Int64Column{vals: vals}, nil
-	case TypeFloat64:
-		vals, err := DecodeFloat64Plain(seg)
-		if err != nil {
-			return nil, err
-		}
-		if len(vals) != rows {
-			return nil, errCorrupt
-		}
-		return &Float64Column{vals: vals}, nil
-	case TypeString:
-		vals, err := DecodeStringDict(seg)
-		if err != nil {
-			return nil, err
-		}
-		if len(vals) != rows {
-			return nil, errCorrupt
-		}
-		return &StringColumn{vals: vals}, nil
-	case TypeBool:
-		raw, err := decodeSpillInt64(seg, rows)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]bool, len(raw))
-		for i, v := range raw {
-			switch v {
-			case 0:
-			case 1:
-				vals[i] = true
-			default:
-				return nil, errCorrupt
-			}
-		}
-		return &BoolColumn{vals: vals}, nil
-	default:
-		return nil, errCorrupt
-	}
-}
-
-func decodeSpillInt64(seg []byte, rows int) ([]int64, error) {
-	if len(seg) == 0 {
-		return nil, errCorrupt
-	}
-	var (
-		vals []int64
-		err  error
-	)
-	switch Encoding(seg[0]) {
-	case EncRLE:
-		vals, err = DecodeInt64RLEMax(seg, rows)
-	case EncDelta:
-		vals, err = DecodeInt64Delta(seg)
-	default:
-		return nil, errCorrupt
+// decodeSpillFrame decodes one whole frame of at most maxRows rows.
+func decodeSpillFrame(data []byte, schema Schema, maxRows int) (*Batch, error) {
+	b, rest, err := DecodeBatch(data, schema, maxRows)
+	if err == nil && len(rest) != 0 {
+		err = errCorrupt
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(vals) != rows {
-		return nil, errCorrupt
-	}
-	return vals, nil
+	return b, nil
 }
 
 // frameMeta locates one frame inside a run file.
@@ -339,6 +155,7 @@ type RunWriter struct {
 	off    int64
 	frames []frameMeta
 	rows   int64
+	buf    []byte // reused frame encode buffer
 }
 
 // NewRunWriter opens a fresh run on fs for batches of the given schema.
@@ -358,7 +175,11 @@ func (w *RunWriter) Write(b *Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	payload := EncodeSpillBatch(b)
+	payload, err := AppendBatch(w.buf[:0], b)
+	if err != nil {
+		return err
+	}
+	w.buf = payload
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], uint64(len(payload)))
 	if _, err := w.f.Write(tmp[:n]); err != nil {
@@ -398,12 +219,16 @@ func (w *RunWriter) Bytes() int64 { return w.off }
 // writer keeps appending (the spool streams its disk overflow this
 // way); the caller serializes access to the frame metadata itself.
 func (w *RunWriter) ReadFrame(i int) (*Batch, error) {
-	fm := w.frames[i]
+	return readFrame(w.f, w.schema, w.frames[i])
+}
+
+// readFrame reads and decodes one frame, bounded by its recorded rows.
+func readFrame(f SpillFile, schema Schema, fm frameMeta) (*Batch, error) {
 	buf := make([]byte, fm.size)
-	if _, err := w.f.ReadAt(buf, fm.off); err != nil {
+	if _, err := f.ReadAt(buf, fm.off); err != nil {
 		return nil, fmt.Errorf("storage: read spill run: %w", err)
 	}
-	b, err := DecodeSpillBatch(buf, w.schema)
+	b, err := decodeSpillFrame(buf, schema, fm.rows)
 	if err != nil {
 		return nil, fmt.Errorf("storage: read spill run: %w", err)
 	}
@@ -458,16 +283,7 @@ func (r *SpillRun) Schema() Schema { return r.schema }
 
 // ReadFrame decodes frame i.
 func (r *SpillRun) ReadFrame(i int) (*Batch, error) {
-	fm := r.frames[i]
-	buf := make([]byte, fm.size)
-	if _, err := r.f.ReadAt(buf, fm.off); err != nil {
-		return nil, fmt.Errorf("storage: read spill run: %w", err)
-	}
-	b, err := DecodeSpillBatch(buf, r.schema)
-	if err != nil {
-		return nil, fmt.Errorf("storage: read spill run: %w", err)
-	}
-	return b, nil
+	return readFrame(r.f, r.schema, r.frames[i])
 }
 
 // Close releases the run's file (removing it, for the OS filesystem).

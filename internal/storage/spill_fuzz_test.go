@@ -6,8 +6,10 @@ import (
 
 // Fuzzers for the spill-frame decoder, mirroring the segment-decoder
 // fuzzers in encoding_fuzz_test.go: DecodeSpillBatch must never panic
-// or allocate proportionally to a hostile header on arbitrary bytes,
-// and must round-trip anything EncodeSpillBatch produces.
+// or decode more rows than its cap on arbitrary bytes, and must
+// round-trip anything EncodeSpillBatch produces. A spill frame is the
+// shared column frame (frame.go), so FuzzDecodeBatch covers the same
+// decoder under random schemas and wire/snapshot seeds.
 
 func fuzzSpillSchemas() []Schema {
 	return []Schema{
@@ -27,17 +29,29 @@ func FuzzDecodeSpillBatch(f *testing.F) {
 	f.Add(EncodeSpillBatch(seed))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // absurd row count
+	constant := NewBatch(fuzzSpillSchemas()[0])
+	for i := 0; i < 1024; i++ {
+		_ = constant.AppendRow(Int64(7))
+	}
+	f.Add(EncodeSpillBatch(constant)) // 1 024 rows in a few bytes of RLE
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, schema := range fuzzSpillSchemas() {
 			b, err := DecodeSpillBatch(data, schema)
 			if err != nil {
 				continue
 			}
-			// Allocation-safety invariant: decoded rows are bounded by the
-			// evidence in the input (schemas with columns need at least one
-			// encoded byte somewhere per row).
-			if schema.Len() > 0 && b.Len() > len(data)*8+1 {
-				t.Fatalf("decoded %d rows from %d bytes", b.Len(), len(data))
+			// Allocation-safety invariant: no frame decodes past the
+			// decoder's row cap, and every column holds exactly the
+			// frame's rows. Rows are not bounded by input bytes: a valid
+			// RLE segment holds a constant column of any length in a few
+			// bytes (the last seed).
+			if b.Len() > maxRLEElements {
+				t.Fatalf("decoded %d rows from %d bytes (cap %d)", b.Len(), len(data), maxRLEElements)
+			}
+			for c, col := range b.Cols {
+				if col.Len() != b.Len() {
+					t.Fatalf("column %d holds %d rows in a %d-row frame", c, col.Len(), b.Len())
+				}
 			}
 			// Whatever decoded must re-encode and decode to the same rows.
 			rt, err := DecodeSpillBatch(EncodeSpillBatch(b), schema)

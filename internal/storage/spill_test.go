@@ -73,6 +73,42 @@ func TestSpillBatchRoundTrip(t *testing.T) {
 	requireSameRows(t, got, want)
 }
 
+// TestSpillConstantColumnRoundTrip: a constant column RLE-encodes to a
+// few bytes however many rows it holds, so its frames carry far more
+// rows than bytes and must still decode, alone and through a run.
+func TestSpillConstantColumnRoundTrip(t *testing.T) {
+	for _, rows := range []int{100, BatchSize} {
+		want := NewBatch(NewSchema(Col("k", TypeInt64)))
+		for i := 0; i < rows; i++ {
+			if err := want.AppendRow(Int64(7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := DecodeSpillBatch(EncodeSpillBatch(want), want.Schema)
+		if err != nil {
+			t.Fatalf("%d rows: %v", rows, err)
+		}
+		requireSameRows(t, got, want)
+		w, err := NewRunWriter(nil, want.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(want); err != nil {
+			t.Fatal(err)
+		}
+		run, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = run.ReadFrame(0)
+		run.Close()
+		if err != nil {
+			t.Fatalf("%d rows through a run: %v", rows, err)
+		}
+		requireSameRows(t, got, want)
+	}
+}
+
 func TestSpillRunRoundTrip(t *testing.T) {
 	w, err := NewRunWriter(nil, spillSchema())
 	if err != nil {

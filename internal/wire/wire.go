@@ -1,9 +1,9 @@
 // Package wire is the Vertexica client/server protocol: length-
 // prefixed frames over a byte stream, with result batches serialized
-// column-wise using the storage package's column encodings (RLE /
-// delta varint for integers, dictionary for strings, plain words for
-// floats) — the same encodings the snapshot format uses, so results
-// ship compressed exactly as they rest on disk.
+// column-wise in the storage column frame (RLE / delta varint for
+// integers, dictionary for strings, plain words for floats) — the same
+// frame spill runs and snapshots use, so results ship compressed
+// exactly as they rest on disk.
 //
 // Frame layout:
 //

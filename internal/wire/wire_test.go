@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -200,6 +201,108 @@ func TestBatchHostileNullBitmap(t *testing.T) {
 	b.PutUvarint(1 << 61) // hostile word count: *8 wraps to 0
 	if _, err := ReadBatch(&Reader{B: b.B}, schema); err == nil {
 		t.Fatal("hostile null-bitmap word count accepted")
+	}
+}
+
+// TestBatchShortNullBitmap: a frame whose null bitmap has fewer words
+// than its rows need reads the missing words as "no nulls" instead of
+// indexing past them.
+func TestBatchShortNullBitmap(t *testing.T) {
+	schema := storage.NewSchema(storage.Col("x", storage.TypeInt64))
+	vals := make([]int64, 200)
+	var b Buffer
+	b.PutUvarint(200) // row count
+	b.PutUvarint(1)   // one null word covers rows 0..63 only
+	b.B = append(b.B, 0x01, 0, 0, 0, 0, 0, 0, 0)
+	b.PutBytes(storage.EncodeInt64(vals))
+	got, err := ReadBatch(&Reader{B: b.B}, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := got.Cols[0].Value(0); !v.Null {
+		t.Fatalf("row 0 = %v, want NULL", v)
+	}
+	if v := got.Cols[0].Value(150); v.Null || v.I != 0 {
+		t.Fatalf("row 150 = %v, want 0", v)
+	}
+}
+
+// TestBatchRowCountLimit: a frame claiming more rows than MaxFrameSize
+// is rejected before any column is read.
+func TestBatchRowCountLimit(t *testing.T) {
+	schema := storage.NewSchema(storage.Col("x", storage.TypeInt64))
+	var b Buffer
+	b.PutUvarint(MaxFrameSize + 1)
+	b.PutUvarint(0)
+	b.PutBytes([]byte{byte(storage.EncRLE), 0xff, 0xff, 0xff, 0x1f, 0x00})
+	if _, err := ReadBatch(&Reader{B: b.B}, schema); err == nil {
+		t.Fatal("frame over MaxFrameSize rows accepted")
+	}
+}
+
+// pinnedBatch is the fixed batch whose RowsBatch bytes are pinned in
+// testdata/rows_batch.bin: delta and RLE integers, floats, strings and
+// booleans, with NULLs in every type.
+func pinnedBatch(t *testing.T) *storage.Batch {
+	t.Helper()
+	schema := storage.NewSchema(
+		storage.NotNullCol("id", storage.TypeInt64),
+		storage.Col("grp", storage.TypeInt64),
+		storage.Col("score", storage.TypeFloat64),
+		storage.Col("name", storage.TypeString),
+		storage.Col("flag", storage.TypeBool),
+	)
+	names := []string{"ann", "bob", "cy"}
+	b := storage.NewBatch(schema)
+	for i := 0; i < 150; i++ {
+		vals := []storage.Value{
+			storage.Int64(int64(i * 3)),
+			storage.Int64(int64(i / 50)),
+			storage.Float64(float64(i) / 8),
+			storage.Str(names[i%3]),
+			storage.Bool(i%4 < 2),
+		}
+		if i%23 == 0 {
+			vals[1] = storage.Null(storage.TypeInt64)
+		}
+		if i%7 == 3 {
+			vals[2] = storage.Null(storage.TypeFloat64)
+		}
+		if i%11 == 4 {
+			vals[3] = storage.Null(storage.TypeString)
+		}
+		if i%13 == 6 {
+			vals[4] = storage.Null(storage.TypeBool)
+		}
+		if err := b.AppendRow(vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// TestBatchBytesPinned: the RowsBatch encoding of a fixed batch is
+// byte-for-byte the protocol's recorded encoding, so clients built
+// against earlier servers keep decoding it.
+func TestBatchBytesPinned(t *testing.T) {
+	want, err := os.ReadFile("testdata/rows_batch.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pinnedBatch(t)
+	var b Buffer
+	if err := AppendBatch(&b, data); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.B, want) {
+		t.Fatalf("RowsBatch bytes changed: %d bytes, pinned %d", len(b.B), len(want))
+	}
+	got, err := ReadBatch(&Reader{B: want}, data.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !EqualBatches(got, data) {
+		t.Fatal("pinned bytes do not decode to the pinned batch")
 	}
 }
 
