@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -110,7 +111,8 @@ var graphVerbs = map[string]graphVerb{
 			return floatMapBatch("rank", ranks), rs, err
 		},
 		explain: func(a *verbArgs, opts Options) ([]string, error) {
-			return core.ExplainRun(a.g.g, fmt.Sprintf("pagerank iterations=%d", a.ints[0]), opts)
+			return core.ExplainRun(a.g.g, fmt.Sprintf("pagerank iterations=%d", a.ints[0]),
+				algorithms.NewPageRank(int(a.ints[0])), opts)
 		},
 	},
 	"pagerank_sql": {
@@ -130,7 +132,8 @@ var graphVerbs = map[string]graphVerb{
 			return floatMapBatch("dist", dists), rs, err
 		},
 		explain: func(a *verbArgs, opts Options) ([]string, error) {
-			return core.ExplainRun(a.g.g, fmt.Sprintf("sssp source=%d unit_weights=%v", a.ints[0], a.ints[1] != 0), opts)
+			return core.ExplainRun(a.g.g, fmt.Sprintf("sssp source=%d unit_weights=%v", a.ints[0], a.ints[1] != 0),
+				&algorithms.SSSP{Source: a.ints[0], UnitWeights: a.ints[1] != 0}, opts)
 		},
 	},
 	"sssp_sql": {
@@ -150,7 +153,7 @@ var graphVerbs = map[string]graphVerb{
 			return intMapBatch("component", labels), rs, err
 		},
 		explain: func(a *verbArgs, opts Options) ([]string, error) {
-			return core.ExplainRun(a.g.g, "components", opts)
+			return core.ExplainRun(a.g.g, "components", algorithms.ConnectedComponents{}, opts)
 		},
 	},
 	"components_sql": {

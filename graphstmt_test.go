@@ -50,7 +50,7 @@ func TestExplainGraphVerb(t *testing.T) {
 		"40 vertices",
 		"hash partitions",
 		"input cache: edge side built once",
-		"combiner: enabled",
+		"combiner: SUM over DOUBLE, folded per destination partition",
 		"write-back: update in place when <10%",
 		"schedule: up to",
 	)
@@ -63,7 +63,7 @@ func TestExplainGraphVerb(t *testing.T) {
 
 	stmt = "EXPLAIN SSSP social 0 1"
 	wantContains(t, stmt, explainVerb(t, vx, stmt),
-		"sssp source=0 unit_weights=true", "vertex-centric")
+		"sssp source=0 unit_weights=true", "vertex-centric", "combiner: MIN over DOUBLE")
 
 	stmt = "EXPLAIN PAGERANK_SQL social 3"
 	wantContains(t, stmt, explainVerb(t, vx, stmt),
@@ -75,7 +75,7 @@ func TestExplainGraphVerb(t *testing.T) {
 
 	stmt = "EXPLAIN COMPONENTS social"
 	wantContains(t, stmt, explainVerb(t, vx, stmt),
-		`components on graph "social" (vertex-centric)`)
+		`components on graph "social" (vertex-centric)`, "combiner: MIN over BIGINT")
 
 	stmt = "EXPLAIN COMPONENTS_SQL social"
 	wantContains(t, stmt, explainVerb(t, vx, stmt),
@@ -102,6 +102,7 @@ func TestExplainAnalyzeGraphVerb(t *testing.T) {
 		"executed: supersteps=",
 		"cache: builds=",
 		"superstep  1:",
+		"(input=", " compute=", " fold=",
 		"result: 40 rows",
 	)
 

@@ -17,14 +17,7 @@ type ConnectedComponents struct{}
 // Combiner implements core.HasCombiner: candidate labels combine by
 // minimum.
 func (ConnectedComponents) Combiner() core.Combiner {
-	return func(_ int64, a, b string) (string, bool) {
-		la, _ := strconv.ParseInt(a, 10, 64)
-		lb, _ := strconv.ParseInt(b, 10, 64)
-		if la <= lb {
-			return a, true
-		}
-		return b, true
-	}
+	return core.Combiner{Kind: core.AggregateMin, Int: true}
 }
 
 // Compute implements core.VertexProgram.
@@ -64,9 +57,16 @@ func RunConnectedComponents(ctx context.Context, g *core.Graph, opts core.Option
 	if err != nil {
 		return nil, nil, err
 	}
+	labels, err := labelValues(g)
+	return labels, stats, err
+}
+
+// labelValues decodes every vertex value as an int64 label; a value
+// that does not parse labels the vertex with its own id.
+func labelValues(g *core.Graph) (map[int64]int64, error) {
 	vals, err := g.VertexValues()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out := make(map[int64]int64, len(vals))
 	for id, s := range vals {
@@ -76,5 +76,5 @@ func RunConnectedComponents(ctx context.Context, g *core.Graph, opts core.Option
 		}
 		out[id] = l
 	}
-	return out, stats, nil
+	return out, nil
 }

@@ -89,17 +89,6 @@ func RunLabelPropagation(ctx context.Context, g *core.Graph, maxRounds int, opts
 	if err != nil {
 		return nil, nil, err
 	}
-	vals, err := g.VertexValues()
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make(map[int64]int64, len(vals))
-	for id, s := range vals {
-		l, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			l = id
-		}
-		out[id] = l
-	}
-	return out, stats, nil
+	labels, err := labelValues(g)
+	return labels, stats, err
 }

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -42,11 +43,7 @@ func (p *PageRank) Aggregators() []core.AggregatorSpec {
 }
 
 // Combiner implements core.HasCombiner: partial rank contributions sum.
-func (p *PageRank) Combiner() core.Combiner {
-	return func(_ int64, a, b string) (string, bool) {
-		return formatFloat(parseFloat(a, 0) + parseFloat(b, 0)), true
-	}
-}
+func (p *PageRank) Combiner() core.Combiner { return core.Combiner{Kind: core.AggregateSum} }
 
 // Compute implements core.VertexProgram.
 func (p *PageRank) Compute(ctx *core.VertexContext, msgs []core.Message) error {
@@ -65,7 +62,7 @@ func (p *PageRank) Compute(ctx *core.VertexContext, msgs []core.Message) error {
 	}
 	old := parseFloat(ctx.GetVertexValue(), 0)
 	ctx.ModifyVertexValue(formatFloat(rank))
-	if err := ctx.Aggregate("delta", abs(rank-old)); err != nil {
+	if err := ctx.Aggregate("delta", math.Abs(rank-old)); err != nil {
 		return err
 	}
 
@@ -83,13 +80,6 @@ func (p *PageRank) Compute(ctx *core.VertexContext, msgs []core.Message) error {
 		ctx.SendMessageToAllNeighbors(formatFloat(rank / float64(deg)))
 	}
 	return nil
-}
-
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }
 
 // RunPageRank resets the graph and runs PageRank, returning the final

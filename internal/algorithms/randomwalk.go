@@ -27,11 +27,7 @@ func (r *RandomWalkRestart) restart() float64 {
 }
 
 // Combiner implements core.HasCombiner: probability mass sums.
-func (r *RandomWalkRestart) Combiner() core.Combiner {
-	return func(_ int64, a, b string) (string, bool) {
-		return formatFloat(parseFloat(a, 0) + parseFloat(b, 0)), true
-	}
-}
+func (r *RandomWalkRestart) Combiner() core.Combiner { return core.Combiner{Kind: core.AggregateSum} }
 
 // Compute implements core.VertexProgram.
 func (r *RandomWalkRestart) Compute(ctx *core.VertexContext, msgs []core.Message) error {

@@ -19,15 +19,7 @@ type SSSP struct {
 
 // Combiner implements core.HasCombiner: candidate distances combine by
 // minimum.
-func (s *SSSP) Combiner() core.Combiner {
-	return func(_ int64, a, b string) (string, bool) {
-		da, db := parseFloat(a, inf), parseFloat(b, inf)
-		if da <= db {
-			return a, true
-		}
-		return b, true
-	}
-}
+func (s *SSSP) Combiner() core.Combiner { return core.Combiner{Kind: core.AggregateMin} }
 
 // Compute implements core.VertexProgram.
 func (s *SSSP) Compute(ctx *core.VertexContext, msgs []core.Message) error {

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/storage"
 )
 
@@ -37,8 +36,6 @@ type Options struct {
 // Update Vs Replace). Each superstep picks its path from the fraction
 // it actually changed.
 const updateThreshold = 0.10
-
-func (o Options) withDefaults() Options { return o.withDefaultsSharded(1) }
 
 // withDefaultsSharded resolves defaults knowing the graph's shard count
 // (the vertex table's; CreateGraphSharded gives all three tables the
@@ -76,6 +73,12 @@ type SuperstepStats struct {
 	SkippedParts int  // quiescent partitions not dispatched to workers
 	SkippedVerts int  // halted vertices inside skipped partitions
 	Duration     time.Duration
+
+	// Phases of Duration: assembling the partition inputs, running
+	// Compute (workers route their outboxes as they go), sorting and
+	// combining each destination partition, and writing back the
+	// vertex and message tables.
+	InputTime, ComputeTime, FoldTime, WriteTime time.Duration
 }
 
 // RunStats summarizes a full run of a vertex program.
@@ -144,9 +147,10 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		snap.Release()
 	}
 
-	var combiner Combiner
+	var combiner *Combiner
 	if hc, ok := c.Program.(HasCombiner); ok {
-		combiner = hc.Combiner()
+		comb := hc.Combiner()
+		combiner = &comb
 	}
 	aggKinds := make(map[string]AggregatorKind)
 	if ha, ok := c.Program.(HasAggregators); ok {
@@ -207,24 +211,27 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		for _, p := range parts {
 			inputRows += p.Len()
 		}
+		computeStart := time.Now()
 
-		// 2. Run workers in parallel over the partitions.
+		// 2. Run workers in parallel over the partitions. Each routes
+		// its outgoing messages to their destination partitions.
 		res, err := c.runWorkers(ctx, parts, step, numVerts, opts, aggPrev, aggKinds)
 		if err != nil {
 			return stats, err
 		}
 		stats.DanglingMessages += int64(res.dangling)
+		foldStart := time.Now()
 
-		// 3. Combine messages across workers. Combining folds float
-		// values, so the fold order must not depend on which worker
-		// produced which message: sort first, making the combined
-		// values — and therefore the whole run — bit-identical at any
-		// worker count or budget.
-		outMsgs := res.msgs
-		if combiner != nil {
-			sortMessages(outMsgs)
-			outMsgs = combineMessages(outMsgs, combiner)
+		// 3. Sort, and combine, each destination partition's messages
+		// in parallel. Sorting on (dst, src, value) first makes the
+		// fold order independent of which worker produced which
+		// message, so combined floats — and therefore the whole run —
+		// are bit-identical at any worker count or budget.
+		runs, err := foldMessages(g.DB.WorkerBudget(), opts.Workers, res.routed, combiner, step)
+		if err != nil {
+			return stats, err
 		}
+		writeStart := time.Now()
 
 		// 4. Write back vertex state via Update-vs-Replace.
 		updated, usedReplace, err := c.writeVertices(vt, rowOf, res.updates)
@@ -233,7 +240,8 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		}
 
 		// 5. Replace the message table with the new superstep's messages.
-		if err := c.writeMessages(outMsgs); err != nil {
+		sent, err := c.writeMessages(runs)
+		if err != nil {
 			return stats, err
 		}
 
@@ -243,7 +251,7 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		ss := SuperstepStats{
 			Superstep:    step,
 			Computed:     res.computed,
-			MessagesOut:  len(outMsgs),
+			MessagesOut:  sent,
 			Updated:      updated,
 			UsedReplace:  usedReplace,
 			InputRows:    inputRows,
@@ -251,14 +259,18 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 			SkippedParts: skippedParts,
 			SkippedVerts: skippedVerts,
 			Duration:     time.Since(stepStart),
+			InputTime:    computeStart.Sub(stepStart),
+			ComputeTime:  foldStart.Sub(computeStart),
+			FoldTime:     writeStart.Sub(foldStart),
+			WriteTime:    time.Since(writeStart),
 		}
 		stats.Steps = append(stats.Steps, ss)
 		stats.Supersteps = step + 1
 		stats.TotalComputed += int64(res.computed)
-		stats.TotalMessages += int64(len(outMsgs))
+		stats.TotalMessages += int64(sent)
 
 		// 7. Halt when no messages remain and every vertex voted halt.
-		if len(outMsgs) == 0 && res.allHalted {
+		if sent == 0 && res.allHalted {
 			break
 		}
 	}
@@ -274,123 +286,75 @@ type vertexUpdate struct {
 	changed bool // value or halted differs from the pre-superstep state
 }
 
-// workerResult accumulates one worker's outputs. Aggregator values are
-// NOT folded here — they are recorded per partition (see runWorkers)
-// so the cross-partition float fold happens in partition order,
-// independent of which worker ran which partition.
-type workerResult struct {
+// partResult is one input partition's output. Whatever folds floats
+// across partitions (aggregates, messages) is kept per partition and
+// merged in partition order, independent of which worker ran which
+// partition.
+type partResult struct {
 	updates  []vertexUpdate
-	msgs     []Message
+	routed   [][]Message        // outgoing messages by destination partition
+	aggs     map[string]float64 // aggregator contributions
 	computed int
 	dangling int
 	halted   int
 	seen     int
 }
 
-// mergedResult is the barrier-merged output of all workers.
+// mergedResult is the barrier-merged output of all partitions.
 type mergedResult struct {
 	updates   []vertexUpdate
-	msgs      []Message
+	routed    [][][]Message // by destination partition, then input partition
 	aggs      []map[string]float64
 	computed  int
 	dangling  int
 	allHalted bool
 }
 
-// runWorkers fans the partitions out to a worker pool and merges the
-// results at the synchronization barrier. The pool keeps one worker as
-// the run's own entitlement and draws up to opts.Workers-1 extras from
-// the engine's global worker budget, so a vertex-centric run and
-// concurrent SQL statements share cores instead of oversubscribing
-// them; results are partition-deterministic, so the pool size never
-// changes the outcome. A panic inside a vertex program is recovered
-// and surfaced as an error. Workers observe ctx between partitions
-// (and periodically within one), so cancelling mid-superstep aborts
-// the superstep instead of running it to the barrier.
+// runWorkers runs the partitions on the run's own goroutine plus up to
+// opts.Workers-1 extras drawn from the engine's global worker budget,
+// so a vertex-centric run and concurrent SQL statements share cores
+// instead of oversubscribing them, and merges the results at the
+// synchronization barrier; results are partition-deterministic, so the
+// pool size never changes the outcome. A panic inside a vertex program
+// is recovered and surfaced as an error. Partitions observe ctx before
+// they start and periodically within, so cancelling mid-superstep
+// aborts the superstep instead of running it to the barrier.
 func (c *Coordinator) runWorkers(ctx context.Context, parts []*storage.Batch, step int, numVerts int64,
 	opts Options, aggPrev map[string]float64, aggKinds map[string]AggregatorKind) (*mergedResult, error) {
 
-	type partWork struct {
-		idx  int
-		part *storage.Batch
-	}
-	partCh := make(chan partWork, len(parts))
-	for i, p := range parts {
-		partCh <- partWork{idx: i, part: p}
-	}
-	close(partCh)
-
-	budget := c.Graph.DB.WorkerBudget()
-	want := opts.Workers
-	if want > len(parts) {
-		want = len(parts)
-	}
-	extra := 0
-	if want > 1 {
-		extra = budget.TryAcquire(want - 1)
-	}
-	defer budget.Release(extra)
-	pool := 1 + extra
-
-	// Aggregator values are recorded per partition (each slot written
-	// by exactly one worker) and merged in partition order below, so
-	// float aggregates are bit-identical at any pool size.
-	aggsByPart := make([]map[string]float64, len(parts))
-	results := make([]*workerResult, pool)
-	errs := make([]error, pool)
-	var wg sync.WaitGroup
-	for w := 0; w < pool; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w] = fmt.Errorf("core: worker %d: vertex program panicked: %v", w, r)
-				}
-			}()
-			res := &workerResult{}
-			results[w] = res
-			for pw := range partCh {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				aggs := make(map[string]float64)
-				if err := c.runPartition(ctx, pw.part, step, numVerts, aggPrev, aggKinds, res, aggs); err != nil {
-					errs[w] = err
-					return
-				}
-				if len(aggs) > 0 {
-					aggsByPart[pw.idx] = aggs
-				}
+	results := make([]partResult, len(parts))
+	errs := make([]error, len(parts))
+	sched.ForEach(c.Graph.DB.WorkerBudget(), len(parts), opts.Workers, func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("core: partition %d: vertex program panicked: %v", i, r)
 			}
-		}(w)
-	}
-	wg.Wait()
+		}()
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			results[i] = partResult{routed: make([][]Message, opts.Partitions), aggs: make(map[string]float64)}
+			errs[i] = c.runPartition(ctx, parts[i], step, numVerts, aggPrev, aggKinds, &results[i])
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	merged := &mergedResult{}
-	haltedSeen := 0
-	totalSeen := 0
+	merged := &mergedResult{routed: make([][][]Message, opts.Partitions)}
+	haltedSeen, totalSeen := 0, 0
 	for _, r := range results {
-		if r == nil {
-			continue
-		}
 		merged.updates = append(merged.updates, r.updates...)
-		merged.msgs = append(merged.msgs, r.msgs...)
+		for p, msgs := range r.routed {
+			merged.routed[p] = append(merged.routed[p], msgs)
+		}
+		if len(r.aggs) > 0 {
+			merged.aggs = append(merged.aggs, r.aggs)
+		}
 		merged.computed += r.computed
 		merged.dangling += r.dangling
 		haltedSeen += r.halted
 		totalSeen += r.seen
-	}
-	for _, aggs := range aggsByPart {
-		if aggs != nil {
-			merged.aggs = append(merged.aggs, aggs)
-		}
 	}
 	merged.allHalted = haltedSeen == totalSeen
 	return merged, nil
@@ -416,15 +380,18 @@ func ctxErr(ctx context.Context) error {
 const cancelCheckEvery = 64
 
 // runPartition executes the vertex program serially over one partition
-// — the worker "UDF" of Figure 1. Aggregator contributions fold into
-// aggs (the partition's own map, merged across partitions in
-// deterministic partition order by the caller).
+// — the worker "UDF" of Figure 1 — routing each vertex's outbox to its
+// destination partitions as it goes.
 func (c *Coordinator) runPartition(ctx context.Context, part *storage.Batch, step int, numVerts int64,
-	aggPrev map[string]float64, aggKinds map[string]AggregatorKind, res *workerResult, aggs map[string]float64) error {
+	aggPrev map[string]float64, aggKinds map[string]AggregatorKind, res *partResult) error {
 
 	units, dangling := parseUnionPartition(part)
 	res.dangling += dangling
 
+	// One context, outbox and pair of aggregator maps serve every
+	// vertex of the partition, reset between vertices.
+	vc := &VertexContext{}
+	aggCur := make(map[string]float64)
 	for i := range units {
 		if i%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -438,17 +405,17 @@ func (c *Coordinator) runPartition(ctx context.Context, part *storage.Batch, ste
 			res.halted++
 			continue
 		}
-		sortEdges(u.edges)
-		vc := &VertexContext{
+		clear(aggCur)
+		*vc = VertexContext{
 			id:        u.id,
 			superstep: step,
 			value:     u.value,
 			halted:    u.halted,
 			outEdges:  u.edges,
 			numVerts:  numVerts,
+			outbox:    vc.outbox[:0],
 			aggPrev:   aggPrev,
-			aggCur:    make(map[string]float64),
-			aggSeen:   make(map[string]bool),
+			aggCur:    aggCur,
 			aggKind:   aggKinds,
 		}
 		if err := c.Program.Compute(vc, u.msgs); err != nil {
@@ -465,19 +432,21 @@ func (c *Coordinator) runPartition(ctx context.Context, part *storage.Batch, ste
 			halted:  newHalted,
 			changed: vc.valueChanged || newHalted != u.halted,
 		})
-		res.msgs = append(res.msgs, vc.outbox...)
+		for _, m := range vc.outbox {
+			p := storage.HashInt64(m.Dst) % uint64(len(res.routed))
+			res.routed[p] = append(res.routed[p], m)
+		}
 		for name, v := range vc.aggCur {
-			if cur, ok := aggs[name]; ok {
-				aggs[name] = foldAggregate(aggKinds[name], cur, v)
-			} else {
-				aggs[name] = v
+			if cur, ok := res.aggs[name]; ok {
+				v = foldAggregate(aggKinds[name], cur, v)
 			}
+			res.aggs[name] = v
 		}
 	}
 	return nil
 }
 
-func foldAggregate(kind AggregatorKind, a, b float64) float64 {
+func foldAggregate[T int64 | float64](kind AggregatorKind, a, b T) T {
 	switch kind {
 	case AggregateSum:
 		return a + b
@@ -497,35 +466,13 @@ func foldAggregate(kind AggregatorKind, a, b float64) float64 {
 
 func mergeAggregates(parts []map[string]float64, kinds map[string]AggregatorKind) map[string]float64 {
 	out := make(map[string]float64)
-	seen := make(map[string]bool)
 	for _, m := range parts {
 		for name, v := range m {
-			if !seen[name] {
-				seen[name] = true
-				out[name] = v
-				continue
+			if cur, ok := out[name]; ok {
+				v = foldAggregate(kinds[name], cur, v)
 			}
-			out[name] = foldAggregate(kinds[name], out[name], v)
+			out[name] = v
 		}
-	}
-	return out
-}
-
-// combineMessages merges messages per destination with the program's
-// combiner (Pregel message combining).
-func combineMessages(msgs []Message, combine Combiner) []Message {
-	byDst := make(map[int64]int, len(msgs))
-	out := make([]Message, 0, len(msgs))
-	for _, m := range msgs {
-		if i, ok := byDst[m.Dst]; ok {
-			if merged, mok := combine(m.Dst, out[i].Value, m.Value); mok {
-				out[i].Value = merged
-				out[i].Src = -1 // combined messages lose their single source
-				continue
-			}
-		}
-		byDst[m.Dst] = len(out)
-		out = append(out, m)
 	}
 	return out
 }
@@ -602,40 +549,22 @@ func (c *Coordinator) writeVertices(vt *storage.Table, rowOf map[int64]int,
 	return len(changed), true, nil
 }
 
-// sortMessages orders messages by (dst, src, value) — the canonical
-// order used both for the message table and for the pre-combine sort
-// that keeps float message combining deterministic.
-func sortMessages(msgs []Message) {
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].Dst != msgs[j].Dst {
-			return msgs[i].Dst < msgs[j].Dst
-		}
-		if msgs[i].Src != msgs[j].Src {
-			return msgs[i].Src < msgs[j].Src
-		}
-		return msgs[i].Value < msgs[j].Value
-	})
-}
-
-// writeMessages replaces the message table contents with the new
-// superstep's messages (sorted for determinism). Sorting and batch
-// assembly happen before the exclusive latch is taken, so concurrent
-// readers stall only for the table swap itself.
-func (c *Coordinator) writeMessages(msgs []Message) error {
+// writeMessages replaces the message table with the superstep's
+// messages: a merge of the destination partitions' sorted runs, built
+// column by column in (dst, src, value) row order before the exclusive
+// latch is taken, so concurrent readers stall only for the table swap.
+func (c *Coordinator) writeMessages(runs [][]Message) (int, error) {
 	mt, err := c.Graph.DB.Catalog().Get(c.Graph.MessageTable())
 	if err != nil {
-		return err
+		return 0, err
 	}
-	sortMessages(msgs)
-	b := storage.NewBatch(MessageSchema())
-	for _, m := range msgs {
-		if err := b.AppendRow(storage.Int64(m.Src), storage.Int64(m.Dst), storage.Str(m.Value)); err != nil {
-			return err
-		}
-	}
+	src, dst, val := mergeRuns(runs)
+	b := &storage.Batch{Schema: MessageSchema(), Cols: []storage.Column{
+		storage.NewInt64Column(src), storage.NewInt64Column(dst), storage.NewStringColumn(val),
+	}}
 	c.Graph.DB.LockExclusive()
 	defer c.Graph.DB.UnlockExclusive()
-	return mt.Replace(b)
+	return len(dst), mt.Replace(b)
 }
 
 // Run is the package-level convenience: build a coordinator and run.

@@ -317,26 +317,6 @@ func TestSetVertexValues(t *testing.T) {
 	}
 }
 
-func TestCombineMessages(t *testing.T) {
-	sum := func(_ int64, a, b string) (string, bool) {
-		x, _ := strconv.Atoi(a)
-		y, _ := strconv.Atoi(b)
-		return strconv.Itoa(x + y), true
-	}
-	msgs := []Message{{Dst: 1, Value: "1"}, {Dst: 2, Value: "5"}, {Dst: 1, Value: "2"}, {Dst: 1, Value: "3"}}
-	out := combineMessages(msgs, sum)
-	if len(out) != 2 {
-		t.Fatalf("combined to %d messages, want 2", len(out))
-	}
-	byDst := map[int64]string{}
-	for _, m := range out {
-		byDst[m.Dst] = m.Value
-	}
-	if byDst[1] != "6" || byDst[2] != "5" {
-		t.Errorf("combined values wrong: %v", byDst)
-	}
-}
-
 func TestAggregatorUndeclaredErrors(t *testing.T) {
 	g := chainGraph(t, 2)
 	if _, err := Run(context.Background(), g, badAgg{}, Options{}); err == nil {

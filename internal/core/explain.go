@@ -26,9 +26,10 @@ func ResolveOptions(g *Graph, opts Options) (Options, int, error) {
 	return opts.withDefaultsSharded(shards), shards, nil
 }
 
-// ExplainRun renders the superstep schedule for running program (a
-// display name like "pagerank iterations=10") on g under opts.
-func ExplainRun(g *Graph, program string, opts Options) ([]string, error) {
+// ExplainRun renders the superstep schedule for running prog, shown
+// as program (a display name like "pagerank iterations=10"), on g
+// under opts.
+func ExplainRun(g *Graph, program string, prog VertexProgram, opts Options) ([]string, error) {
 	o, shards, err := ResolveOptions(g, opts)
 	if err != nil {
 		return nil, err
@@ -60,14 +61,17 @@ func ExplainRun(g *Graph, program string, opts Options) ([]string, error) {
 	if o.DisableInputCache {
 		cache = "  input cache: disabled — full union re-assembled every superstep, no partition skipping"
 	}
-	lines = append(lines, cache,
-		"  combiner: enabled (messages merged per destination before delivery)",
+	combiner := "  combiner: none (every message delivered, sorted per destination partition)"
+	if hc, ok := prog.(HasCombiner); ok {
+		combiner = fmt.Sprintf("  combiner: %s, folded per destination partition", hc.Combiner())
+	}
+	lines = append(lines, cache, combiner,
 		fmt.Sprintf("  write-back: update in place when <%d%% of tuples changed, else replace the table",
 			int(updateThreshold*100)),
 		fmt.Sprintf("  schedule: up to %d supersteps; each superstep:", o.MaxSupersteps),
 		"    1. assemble partition inputs (cached edge side + fresh vertex/message rows)",
 		fmt.Sprintf("    2. dispatch active partitions to %d workers; Compute runs per vertex", o.Workers),
-		"    3. combine and route emitted messages into the message table",
+		"    3. sort (and combine) each destination partition's messages in parallel, merge them into the message table",
 		"    4. write back changed vertex values (update vs replace)",
 		"  halt: every vertex halted and no messages pending, or the superstep bound",
 	)
@@ -123,9 +127,11 @@ func ExplainStats(rs *RunStats) []string {
 			wb = "replace"
 		}
 		lines = append(lines, fmt.Sprintf(
-			"  superstep %2d: computed=%d messages=%d updated=%d input_rows=%d cache=%s write=%s skipped=%d/%d time=%s",
+			"  superstep %2d: computed=%d messages=%d updated=%d input_rows=%d cache=%s write=%s skipped=%d/%d time=%s (input=%s compute=%s fold=%s write=%s)",
 			st.Superstep, st.Computed, st.MessagesOut, st.Updated, st.InputRows,
-			src, wb, st.SkippedParts, st.SkippedVerts, st.Duration.Round(time.Microsecond)))
+			src, wb, st.SkippedParts, st.SkippedVerts, st.Duration.Round(time.Microsecond),
+			st.InputTime.Round(time.Microsecond), st.ComputeTime.Round(time.Microsecond),
+			st.FoldTime.Round(time.Microsecond), st.WriteTime.Round(time.Microsecond)))
 	}
 	return lines
 }

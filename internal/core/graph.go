@@ -368,33 +368,3 @@ func (g *Graph) ResetForRun(initial func(id int64) string) error {
 	mt.Truncate()
 	return nil
 }
-
-// OutEdges returns all out-edges grouped by source (a helper for the
-// baselines and tests; the runtime itself reads edges through the
-// table-union input path).
-func (g *Graph) OutEdges() (map[int64][]Edge, error) {
-	snap, err := g.DB.AcquireSnapshot(g.EdgeTable())
-	if err != nil {
-		return nil, err
-	}
-	defer snap.Release()
-	t, err := snap.Table(g.EdgeTable())
-	if err != nil {
-		return nil, err
-	}
-	data := t.Data()
-	srcs := data.Cols[0].(*storage.Int64Column).Int64s()
-	dsts := data.Cols[1].(*storage.Int64Column).Int64s()
-	out := make(map[int64][]Edge)
-	for i := range srcs {
-		e := Edge{
-			Src:     srcs[i],
-			Dst:     dsts[i],
-			Weight:  data.Cols[2].Value(i).F,
-			Type:    data.Cols[3].Value(i).S,
-			Created: data.Cols[4].Value(i).I,
-		}
-		out[e.Src] = append(out[e.Src], e)
-	}
-	return out, nil
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sched"
 	"repro/internal/storage"
@@ -10,10 +11,11 @@ import (
 // Input assembly for one superstep, the paper's Table-Unions
 // optimization (§2.3): the vertex, edge and message tables are renamed
 // to a common schema, concatenated with UNION ALL, hash partitioned on
-// the vertex id, and each partition is sorted on (id, kind). Workers
-// parse the tuple kinds apart. A vertex with m messages and e out-edges
-// contributes m+e+1 rows, where a vertex ⟕ message ⟕ edge join would
-// produce m×e.
+// the vertex id, and each partition is sorted on (id, kind, i1), which
+// hands each vertex its out-edges by dst (ties in edge-table order: the
+// sort is stable) and its messages by src. Workers parse the tuple
+// kinds apart. A vertex with m messages and e out-edges contributes
+// m+e+1 rows, where a vertex ⟕ message ⟕ edge join would produce m×e.
 
 // Tuple kinds inside the union's common schema.
 const (
@@ -31,9 +33,9 @@ type workUnit struct {
 	edges  []Edge
 }
 
-// unionSortKeys is the (id, kind) ordering every union partition —
+// unionSortKeys is the (id, kind, i1) ordering every union partition —
 // cached or not — is sorted on.
-var unionSortKeys = []storage.SortKey{{Col: 0}, {Col: 1}}
+var unionSortKeys = []storage.SortKey{{Col: 0}, {Col: 1}, {Col: 2}}
 
 // unionInputSQL renders the common-schema UNION ALL over the three
 // graph tables — the coordinator literally drives standard SQL, as in
@@ -62,8 +64,8 @@ UNION ALL SELECT dst, 2, COALESCE(src, -1), 0.0, value, 0 FROM %s`,
 		g.VertexTable(), g.MessageTable())
 }
 
-// inputCache holds the immutable edge side of the union input,
-// hash-partitioned on src and sorted on (id, kind), built once per run
+// inputCache holds the immutable edge side of the union input, hash-
+// partitioned on src and sorted on (id, kind, dst), built once per run
 // in Coordinator.Run. parts is dense — one slot per partition, nil for
 // partitions with no edges — so a partition's cached edge run lines up
 // with the same partition of the per-superstep vertex+message run.
@@ -81,32 +83,15 @@ func buildEdgeCache(g *Graph, partitions, workers int) (*inputCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := g.DB.Query(edgeInputSQL(g))
+	data, err := queryInput(g, "edge", edgeInputSQL(g))
 	if err != nil {
-		return nil, fmt.Errorf("core: edge input: %w", err)
+		return nil, err
 	}
-	data, err := rows.Materialize()
-	if err != nil {
-		return nil, fmt.Errorf("core: edge input: %w", err)
-	}
-	ids := data.Cols[0].(*storage.Int64Column).Int64s()
-	pidx := storage.PartitionInt64(ids, partitions)
-	cache := &inputCache{
-		parts:       make([]*storage.Batch, partitions),
+	return &inputCache{
+		parts:       partitionAndSort(data, partitions, workers, g.DB.WorkerBudget()),
 		partitions:  partitions,
 		edgeVersion: version,
-	}
-	var nonEmpty []int
-	for p, idx := range pidx {
-		if len(idx) > 0 {
-			nonEmpty = append(nonEmpty, p)
-		}
-	}
-	sched.ForEach(g.DB.WorkerBudget(), len(nonEmpty), workers, func(i int) {
-		p := nonEmpty[i]
-		cache.parts[p] = storage.SortBatch(data.Gather(pidx[p]), unionSortKeys)
-	})
-	return cache, nil
+	}, nil
 }
 
 // cachedInputResult is what buildCachedUnionInput hands the coordinator
@@ -124,13 +109,9 @@ type cachedInputResult struct {
 // non-halted vertices are skipped entirely — Pregel semantics guarantee
 // none of their vertices would compute (active-partition skipping).
 func buildCachedUnionInput(g *Graph, cache *inputCache, step, workers int) (*cachedInputResult, error) {
-	rows, err := g.DB.Query(vertexMessageInputSQL(g))
+	data, err := queryInput(g, "vertex+message", vertexMessageInputSQL(g))
 	if err != nil {
-		return nil, fmt.Errorf("core: vertex+message input: %w", err)
-	}
-	data, err := rows.Materialize()
-	if err != nil {
-		return nil, fmt.Errorf("core: vertex+message input: %w", err)
+		return nil, err
 	}
 	ids := data.Cols[0].(*storage.Int64Column).Int64s()
 	kinds := data.Cols[1].(*storage.Int64Column).Int64s()
@@ -176,36 +157,43 @@ func buildCachedUnionInput(g *Graph, cache *inputCache, step, workers int) (*cac
 }
 
 // buildUnionInput assembles, partitions and sorts the superstep input
-// via the union path. It returns one sorted batch per partition.
+// via the union path. It returns one sorted batch per non-empty
+// partition.
 func buildUnionInput(g *Graph, partitions, workers int) ([]*storage.Batch, error) {
-	rows, err := g.DB.Query(unionInputSQL(g))
+	data, err := queryInput(g, "union", unionInputSQL(g))
 	if err != nil {
-		return nil, fmt.Errorf("core: union input: %w", err)
+		return nil, err
 	}
-	data, err := rows.Materialize()
-	if err != nil {
-		return nil, fmt.Errorf("core: union input: %w", err)
-	}
-	return partitionAndSort(data, partitions, workers, g.DB.WorkerBudget()), nil
+	parts := partitionAndSort(data, partitions, workers, g.DB.WorkerBudget())
+	return slices.DeleteFunc(parts, func(b *storage.Batch) bool { return b == nil }), nil
 }
 
-// partitionAndSort hash-partitions the union on its id column and sorts
-// each partition on (id, kind) — the paper's Vertex Batching
-// optimization. Partition-local gather+sort runs on the worker pool,
-// since in Vertexica that work happens inside each worker UDF's input
-// feed.
-func partitionAndSort(data *storage.Batch, partitions, workers int, budget *sched.Budget) []*storage.Batch {
-	ids := data.Cols[0].(*storage.Int64Column).Int64s()
-	parts := storage.PartitionInt64(ids, partitions)
-	nonEmpty := make([][]int, 0, len(parts))
-	for _, idx := range parts {
-		if len(idx) > 0 {
-			nonEmpty = append(nonEmpty, idx)
+// queryInput runs one input-assembly query and materializes its rows.
+func queryInput(g *Graph, what, sql string) (*storage.Batch, error) {
+	rows, err := g.DB.Query(sql)
+	if err == nil {
+		var data *storage.Batch
+		if data, err = rows.Materialize(); err == nil {
+			return data, nil
 		}
 	}
-	out := make([]*storage.Batch, len(nonEmpty))
-	sched.ForEach(budget, len(nonEmpty), workers, func(i int) {
-		out[i] = storage.SortBatch(data.Gather(nonEmpty[i]), unionSortKeys)
+	return nil, fmt.Errorf("core: %s input: %w", what, err)
+}
+
+// partitionAndSort hash-partitions rows in the union's schema on their
+// id column and sorts each partition on (id, kind, i1) — the paper's
+// Vertex Batching optimization — returning one batch per partition, nil
+// where a partition is empty. Partition-local gather+sort runs on the
+// worker pool, since in Vertexica that work happens inside each worker
+// UDF's input feed.
+func partitionAndSort(data *storage.Batch, partitions, workers int, budget *sched.Budget) []*storage.Batch {
+	ids := data.Cols[0].(*storage.Int64Column).Int64s()
+	pidx := storage.PartitionInt64(ids, partitions)
+	out := make([]*storage.Batch, partitions)
+	sched.ForEach(budget, partitions, workers, func(p int) {
+		if len(pidx[p]) > 0 {
+			out[p] = storage.SortBatch(data.Gather(pidx[p]), unionSortKeys)
+		}
 	})
 	return out
 }
@@ -222,6 +210,18 @@ func parseUnionPartition(b *storage.Batch) (units []workUnit, dangling int) {
 	s1 := b.Cols[4].(*storage.StringColumn).Strings()
 	i2 := b.Cols[5].(*storage.Int64Column).Int64s()
 
+	// Every unit's edges and messages are capped windows of one array
+	// each, sized by a first pass over the kinds.
+	ne, nm := 0, 0
+	for _, k := range kinds {
+		switch k {
+		case kindEdge:
+			ne++
+		case kindMessage:
+			nm++
+		}
+	}
+	edges, msgs := make([]Edge, 0, ne), make([]Message, 0, nm)
 	for i := 0; i < n; {
 		j := i
 		id := ids[i]
@@ -230,6 +230,7 @@ func parseUnionPartition(b *storage.Batch) (units []workUnit, dangling int) {
 		}
 		u := workUnit{id: id}
 		sawVertex := false
+		e0, m0 := len(edges), len(msgs)
 		for k := i; k < j; k++ {
 			switch kinds[k] {
 			case kindVertex:
@@ -237,13 +238,15 @@ func parseUnionPartition(b *storage.Batch) (units []workUnit, dangling int) {
 				u.halted = i1[k] != 0
 				u.value = s1[k]
 			case kindEdge:
-				u.edges = append(u.edges, Edge{
+				edges = append(edges, Edge{
 					Src: id, Dst: i1[k], Weight: f1[k], Type: s1[k], Created: i2[k],
 				})
 			case kindMessage:
-				u.msgs = append(u.msgs, Message{Src: i1[k], Dst: id, Value: s1[k]})
+				msgs = append(msgs, Message{Src: i1[k], Dst: id, Value: s1[k]})
 			}
 		}
+		u.edges = edges[e0:len(edges):len(edges)]
+		u.msgs = msgs[m0:len(msgs):len(msgs)]
 		if sawVertex {
 			units = append(units, u)
 		} else {

@@ -57,7 +57,6 @@ func checkFixtureUnits(t *testing.T, units map[int64]workUnit, path string) {
 	if len(u1.edges) != 2 {
 		t.Fatalf("%s: vertex 1 edges = %d, want 2", path, len(u1.edges))
 	}
-	sortEdges(u1.edges)
 	if u1.edges[0].Dst != 2 || u1.edges[0].Weight != 0.5 || u1.edges[0].Type != "friend" || u1.edges[0].Created != 42 {
 		t.Errorf("%s: edge metadata lost: %+v", path, u1.edges[0])
 	}

@@ -8,10 +8,7 @@
 // Unions, Parallel Workers, Vertex Batching, and Update-vs-Replace.
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Edge is one out-edge as seen by a vertex program, including the
 // metadata attributes the paper's datasets carry (weight, creation
@@ -43,10 +40,25 @@ type VertexProgram interface {
 	Compute(ctx *VertexContext, msgs []Message) error
 }
 
-// Combiner merges two messages headed to the same destination vertex
-// (Pregel's message combiner, e.g. sum for PageRank, min for SSSP).
-// Returning ok=false keeps the messages separate.
-type Combiner func(dst int64, a, b string) (merged string, ok bool)
+// Combiner declares how the messages headed to one destination vertex
+// merge before delivery (Pregel's message combiner, e.g. SUM for
+// PageRank, MIN for SSSP): Kind over the values read as DOUBLE, or as
+// BIGINT when Int is set. A destination with one message receives it
+// unchanged; several fold, in (src, value) order, into one message
+// from src -1. A value that does not parse fails the run.
+type Combiner struct {
+	Kind AggregatorKind
+	Int  bool
+}
+
+// String names the combiner, e.g. "SUM over DOUBLE".
+func (c Combiner) String() string {
+	typ := "DOUBLE"
+	if c.Int {
+		typ = "BIGINT"
+	}
+	return [...]string{"SUM", "MIN", "MAX"}[c.Kind] + " over " + typ
+}
 
 // AggregatorKind enumerates the global aggregators supported.
 type AggregatorKind uint8
@@ -92,7 +104,6 @@ type VertexContext struct {
 
 	aggPrev map[string]float64 // previous superstep's aggregate values
 	aggCur  map[string]float64 // this vertex's contributions
-	aggSeen map[string]bool
 	aggKind map[string]AggregatorKind
 }
 
@@ -117,7 +128,8 @@ func (c *VertexContext) ModifyVertexValue(v string) {
 	}
 }
 
-// GetOutEdges returns the vertex's out-edges.
+// GetOutEdges returns the vertex's out-edges ordered by destination,
+// parallel edges in edge-table order.
 func (c *VertexContext) GetOutEdges() []Edge { return c.outEdges }
 
 // OutDegree returns the number of out-edges.
@@ -146,23 +158,10 @@ func (c *VertexContext) Aggregate(name string, v float64) error {
 	if !ok {
 		return fmt.Errorf("core: vertex %d aggregated to undeclared aggregator %q", c.id, name)
 	}
-	if !c.aggSeen[name] {
-		c.aggSeen[name] = true
-		c.aggCur[name] = v
-		return nil
+	if cur, ok := c.aggCur[name]; ok {
+		v = foldAggregate(kind, cur, v)
 	}
-	switch kind {
-	case AggregateSum:
-		c.aggCur[name] += v
-	case AggregateMin:
-		if v < c.aggCur[name] {
-			c.aggCur[name] = v
-		}
-	case AggregateMax:
-		if v > c.aggCur[name] {
-			c.aggCur[name] = v
-		}
-	}
+	c.aggCur[name] = v
 	return nil
 }
 
@@ -171,9 +170,4 @@ func (c *VertexContext) Aggregate(name string, v float64) error {
 func (c *VertexContext) AggregatedValue(name string) (float64, bool) {
 	v, ok := c.aggPrev[name]
 	return v, ok
-}
-
-// sortEdges orders edges by destination for deterministic iteration.
-func sortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool { return es[i].Dst < es[j].Dst })
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -28,7 +29,11 @@ const (
 	walFile         = "wal.sql"
 	snapshotMagicV1 = uint32(0x56585831) // "VXX1": no partition metadata
 	snapshotMagicV2 = uint32(0x56585832) // "VXX2": + per-table shard count and key
+	snapshotMagicV3 = uint32(0x56585833) // "VXX3": V2 body + CRC-32C trailer
 )
+
+// castagnoli is the CRC-32C table of the snapshot trailer.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Open returns a database persisted under dir, creating it if empty and
 // recovering (snapshot + WAL replay) if files exist.
@@ -129,11 +134,13 @@ func (db *DB) writeSnapshot(path string) error {
 
 // encodeSnapshot writes the magic, the table count, then per table its
 // name, schema, partition metadata and rows as one column frame
-// (storage.AppendBatch) — one write per table.
+// (storage.AppendBatch) — one write per table — and last the CRC-32C
+// of every byte before it, little-endian.
 func (db *DB) encodeSnapshot(w io.Writer) error {
 	names := db.cat.Names()
 	var b wire.Buffer
-	b.B = binary.LittleEndian.AppendUint32(b.B, snapshotMagicV2)
+	var crc uint32
+	b.B = binary.LittleEndian.AppendUint32(b.B, snapshotMagicV3)
 	b.PutUvarint(uint64(len(names)))
 	for _, name := range names {
 		t, err := db.cat.Get(name)
@@ -148,12 +155,15 @@ func (db *DB) encodeSnapshot(w io.Writer) error {
 		if b.B, err = storage.AppendBatch(b.B, t.Data()); err != nil {
 			return fmt.Errorf("table %s: %w", name, err)
 		}
+		crc = crc32.Update(crc, castagnoli, b.B)
 		if _, err := w.Write(b.B); err != nil {
 			return err
 		}
 		b.B = b.B[:0]
 	}
-	return nil
+	crc = crc32.Update(crc, castagnoli, b.B) // an empty catalog leaves the header here
+	_, err := w.Write(binary.LittleEndian.AppendUint32(b.B, crc))
+	return err
 }
 
 // maxTableRows bounds the row count a snapshot table may claim.
@@ -173,6 +183,13 @@ func (db *DB) loadSnapshot(path string) error {
 		version = 1 // pre-sharding snapshot: every table single-shard
 	case snapshotMagicV2:
 		version = 2
+	case snapshotMagicV3:
+		version = 3
+		n := len(data) - 4
+		if n < 4 || crc32.Checksum(data[:n], castagnoli) != binary.LittleEndian.Uint32(data[n:]) {
+			return fmt.Errorf("snapshot checksum mismatch")
+		}
+		data = data[:n]
 	default:
 		return fmt.Errorf("bad snapshot magic")
 	}
@@ -182,6 +199,9 @@ func (db *DB) loadSnapshot(path string) error {
 		if err := db.decodeTable(r, version); err != nil {
 			return err
 		}
+	}
+	if r.Err == nil && len(r.B) > 0 {
+		return fmt.Errorf("snapshot: %d bytes after the last table", len(r.B))
 	}
 	return r.Err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -88,7 +89,8 @@ func requireSameTables(t *testing.T, got, want *DB) {
 
 // TestSnapshotFixtureLoads: a V2 snapshot written by an earlier build
 // loads into the tables its script creates, and checkpointing them
-// again reproduces the file byte for byte.
+// again writes the same body under the V3 magic, followed by the
+// CRC-32C of every byte before it.
 func TestSnapshotFixtureLoads(t *testing.T) {
 	fixture, err := os.ReadFile("testdata/snapshot_v2.vxc")
 	if err != nil {
@@ -109,8 +111,46 @@ func TestSnapshotFixtureLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again, fixture) {
-		t.Fatalf("re-checkpointed snapshot differs from the fixture (%d vs %d bytes)", len(again), len(fixture))
+	want3 := binary.LittleEndian.AppendUint32(nil, snapshotMagicV3)
+	want3 = append(want3, fixture[4:]...)
+	want3 = binary.LittleEndian.AppendUint32(want3, crc32.Checksum(want3, crc32.MakeTable(crc32.Castagnoli)))
+	if !bytes.Equal(again, want3) {
+		t.Fatalf("re-checkpointed snapshot is not the fixture under V3 with its trailer (%d vs %d bytes)", len(again), len(want3))
+	}
+}
+
+// TestSnapshotAnyFlippedByteFailsOpen: with the checksum trailer, no
+// single corrupted byte of a snapshot — magic, body or trailer — opens.
+func TestSnapshotAnyFlippedByteFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db,
+		"CREATE TABLE s (id INTEGER NOT NULL, name VARCHAR, score DOUBLE, ok BOOLEAN) PARTITION BY HASH(id) SHARDS 2",
+		"INSERT INTO s VALUES (1, 'a', 0.5, TRUE), (2, NULL, 2.25, NULL), (3, 'c', NULL, FALSE)",
+	)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened, _, err := openSnapshot(t, snap); err != nil {
+		t.Fatalf("intact snapshot: %v", err)
+	} else {
+		reopened.Close()
+	}
+	for off := range snap {
+		bad := bytes.Clone(snap)
+		bad[off] ^= 0xFF
+		if db, _, err := openSnapshot(t, bad); err == nil {
+			db.Close()
+			t.Errorf("snapshot with byte %d of %d flipped opened", off, len(snap))
+		}
 	}
 }
 
@@ -174,4 +214,23 @@ func TestOpenRejectsCorruptSnapshot(t *testing.T) {
 			t.Errorf("%s: corrupt snapshot opened", name)
 		}
 	}
+}
+
+// TestEmptyCheckpointReopens: checkpointing a database with no tables
+// writes the header and trailer, so the directory opens again.
+func TestEmptyCheckpointReopens(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	db, err = Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after an empty checkpoint: %v", err)
+	}
+	db.Close()
 }
