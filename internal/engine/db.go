@@ -247,7 +247,7 @@ func (db *DB) SetWorkerBudget(n int) { db.budget.Resize(n) }
 func (db *DB) WorkerBudget() *sched.Budget { return db.budget }
 
 // SetMemoryBudget caps the total bytes the executor may hold in
-// blocking operators (sorts, hash tables, aggregate state, spools)
+// blocking operators (sorts, hash tables, aggregate state)
 // across all concurrent statements. Operators that would exceed it
 // spill to disk and produce byte-identical results; operators with no
 // spill path fail cleanly with an out-of-memory-budget error. n <= 0

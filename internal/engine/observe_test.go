@@ -73,11 +73,9 @@ func TestExplainGolden(t *testing.T) {
 		}},
 		{"EXPLAIN SELECT src, COUNT(*) FROM ev GROUP BY src", []string{
 			"plan (workers=2, mode=snapshot, plan-cache=miss)",
-			"Gather (fragments=2)",
-			"  Project (src, COUNT(*))",
-			"    Spool (parts=2)",
-			"      HashAggregate (src, COUNT(*)) [workers=2]",
-			"        Scan ev [4 shards]",
+			"Project (src, COUNT(*))",
+			"  HashAggregate (src, COUNT(*)) [workers=2]",
+			"    Scan ev [4 shards]",
 		}},
 		{"EXPLAIN SELECT n.label FROM ev e JOIN nv n ON n.id = e.dst WHERE e.src = 1 ORDER BY n.label LIMIT 2", []string{
 			"plan (workers=2, mode=snapshot, plan-cache=miss)",
@@ -158,7 +156,7 @@ func TestExplainPlanCacheHit(t *testing.T) {
 // explainRowCounts extracts per-operator output rows from an ANALYZE
 // rendering: operator name (first token of the trimmed line) → summed
 // rows. Structure varies with the worker count (serial plans have no
-// Gather/Spool), but every logical operator's row flow must not.
+// Gather), but every logical operator's row flow must not.
 func explainRowCounts(t *testing.T, lines []string) (map[string]int64, int64) {
 	t.Helper()
 	counts := map[string]int64{}
@@ -208,9 +206,9 @@ func TestExplainAnalyzeRowsInvariance(t *testing.T) {
 		if executed != baseExecuted {
 			t.Errorf("workers=%d: executed rows = %d, want %d", workers, executed, baseExecuted)
 		}
-		// Parallel plans add plumbing (Gather, Spool) a serial plan has
-		// no use for; the logical operators they share must move
-		// identical row counts.
+		// Parallel plans add plumbing (Gather) a serial plan has no use
+		// for; the logical operators they share must move identical row
+		// counts.
 		for op, n := range base {
 			if counts[op] != n {
 				t.Errorf("workers=%d: %s rows = %d, want %d (workers=1)", workers, op, counts[op], n)
@@ -297,8 +295,8 @@ func TestPlanCacheNormalization(t *testing.T) {
 		rowLines(t, rows)
 	}
 
-	// A serial single-table shape: parallel plans spool and are not
-	// cacheable, which would mask the normalization under test.
+	// A single-table shape: the spellings differ only in the text the
+	// normalization under test folds away.
 	before := db.PreparedStats()
 	runQ("SELECT * FROM nv WHERE label = 'a'")
 	runQ("select  *   from nv where label = 'a'")

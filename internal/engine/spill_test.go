@@ -316,6 +316,74 @@ func TestExplainAnalyzeScansReadOnce(t *testing.T) {
 	}
 }
 
+// TestProjectOverAggregateReadsAggregate: a projection over a GROUP BY
+// with one group per row reads the aggregate's output directly. Under
+// the 64KB grant at workers 2 and 8 its rows match workers 1 byte for
+// byte, no Gather sits above the HashAggregate, the statement's spill
+// runs are the aggregate's own, and a cached re-execution — a second
+// Open of the same operator tree — returns the same rows.
+func TestProjectOverAggregateReadsAggregate(t *testing.T) {
+	db := outOfCoreDB(t)
+	const q = "SELECT id + 0 FROM fact GROUP BY id"
+	want := sessionQuery(t, db, q, 1, 0)
+	spillRuns := func(line string) int64 {
+		var bytes, runs int64
+		if i := strings.Index(line, "spilled="); i >= 0 {
+			fmt.Sscanf(line[i:], "spilled=%dB/%druns", &bytes, &runs)
+		}
+		return runs
+	}
+	for _, workers := range []int{2, 8} {
+		s := observeSession(t, db, workers)
+		mustSet(t, s, fmt.Sprintf("SET work_mem = %d", forceSpillWorkMem))
+
+		plan := explainLines(t, s, "EXPLAIN ANALYZE "+q)
+		agg := -1
+		var aggRuns, stmtRuns int64
+		for i, line := range plan {
+			if strings.HasPrefix(strings.TrimSpace(line), "HashAggregate") {
+				agg, aggRuns = i, spillRuns(line)
+			}
+			stmtRuns += spillRuns(line)
+		}
+		if agg < 0 {
+			t.Fatalf("workers=%d: no HashAggregate in\n%s", workers, strings.Join(plan, "\n"))
+		}
+		for _, line := range plan[:agg] {
+			if strings.Contains(line, "Gather") {
+				t.Fatalf("workers=%d: Gather above the aggregate:\n%s", workers, strings.Join(plan, "\n"))
+			}
+		}
+		if aggRuns == 0 || stmtRuns != aggRuns {
+			t.Fatalf("workers=%d: statement spilled %d runs, the aggregate %d; want the aggregate's own, at least 1:\n%s",
+				workers, stmtRuns, aggRuns, strings.Join(plan, "\n"))
+		}
+
+		run := func() *Rows {
+			t.Helper()
+			rows, _, err := s.RunStreamBound(context.Background(), q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rows.Materialize(); err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		}
+		first := run()
+		hits := db.PreparedStats().Hits
+		second := run()
+		if db.PreparedStats().Hits <= hits {
+			t.Fatalf("workers=%d: re-execution missed the plan cache: %+v", workers, db.PreparedStats())
+		}
+		for i, got := range []*Rows{first, second} {
+			if err := diffRows(fmt.Sprintf("workers=%d run %d", workers, i+1), got, want); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestSpillDifferentialCorpus force-spills the whole parallel feature
 // corpus and compares byte-for-byte against unlimited memory at
 // workers 1, 2 and 8.
@@ -451,13 +519,13 @@ func TestSetAndShowWorkMem(t *testing.T) {
 	}
 }
 
-// TestParallelPlanCacheHitWithSpool is the prepared-cache half of the
-// out-of-core work: a parallel plan whose fragments share state — a
-// spool of an aggregate's output, or the one build side of hash-join
-// clones — must be cacheable: repeated bound executions hit the cache
-// and replay the shared state against fresh bindings instead of
-// serving stale rows (or bypassing the cache entirely, as before).
-func TestParallelPlanCacheHitWithSpool(t *testing.T) {
+// TestParallelPlanCacheHitRebinds is the prepared-cache half of the
+// out-of-core work: a parallel plan — an aggregate's partitioned fold,
+// or hash-join clones sharing one build side — must be cacheable:
+// repeated bound executions hit the cache and replay against fresh
+// bindings instead of serving stale rows (or bypassing the cache
+// entirely).
+func TestParallelPlanCacheHitRebinds(t *testing.T) {
 	oldMorsels := exec.MinMorselRows
 	exec.MinMorselRows = 64
 	defer func() { exec.MinMorselRows = oldMorsels }()
@@ -467,14 +535,16 @@ func TestParallelPlanCacheHitWithSpool(t *testing.T) {
 	mustSet(t, s, "SET parallelism = 4")
 	ctx := context.Background()
 
-	for _, c := range []struct{ q, shape string }{
-		// The projection over an aggregate is the spool shape: the
-		// aggregate runs once into a spool and the projection fans out
-		// over its parts.
-		{"SELECT id + $1 FROM big GROUP BY id", "Spool"},
+	for _, c := range []struct {
+		q     string
+		shape []string
+	}{
+		// The projection over an aggregate reads the output of a
+		// partitioned fold.
+		{"SELECT id + $1 FROM big GROUP BY id", []string{"HashAggregate", "[workers=4]"}},
 		// The projection over a join fuses into join clones over probe
 		// morsels, all probing one shared build.
-		{"SELECT e.dst + $1 FROM edges e JOIN ranks r ON e.src = r.id", "HashJoin"},
+		{"SELECT e.dst + $1 FROM edges e JOIN ranks r ON e.src = r.id", []string{"Gather", "HashJoin"}},
 	} {
 		explain, err := s.QueryContext(ctx, "EXPLAIN "+strings.Replace(c.q, "$1", "0", 1))
 		if err != nil {
@@ -485,8 +555,10 @@ func TestParallelPlanCacheHitWithSpool(t *testing.T) {
 			plan.WriteString(explain.Value(i, 0).S)
 			plan.WriteByte('\n')
 		}
-		if !strings.Contains(plan.String(), "Gather") || !strings.Contains(plan.String(), c.shape) {
-			t.Fatalf("fixture no longer plans a Gather over a %s at workers=4:\n%s", c.shape, plan.String())
+		for _, want := range c.shape {
+			if !strings.Contains(plan.String(), want) {
+				t.Fatalf("fixture no longer plans %q at workers=4:\n%s", want, plan.String())
+			}
 		}
 
 		run := func(arg int64) *Rows {
@@ -509,7 +581,7 @@ func TestParallelPlanCacheHitWithSpool(t *testing.T) {
 		if err := diffRows(c.q, second, first); err != nil {
 			t.Fatal(err)
 		}
-		// Fresh bindings must replay the base, not serve the shared drain.
+		// Fresh bindings must replay the plan, not serve stale rows.
 		shifted := run(1000)
 		if shifted.Len() != first.Len() {
 			t.Fatalf("%s: rebound run: %d rows, want %d", c.q, shifted.Len(), first.Len())

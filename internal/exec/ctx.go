@@ -43,7 +43,7 @@ func (r *CtxRef) load() context.Context {
 
 // WithContext wraps op so that iteration fails fast once ctx is
 // cancelled. The wrap is recursive: blocking operators (joins,
-// aggregates, sorts, spools) drain their children inside Open, so the
+// aggregates, sorts) drain their children inside Open, so the
 // context is checked at every operator boundary, batch by batch — a
 // cancelled context aborts mid-statement, not just between statements.
 // The engine wraps every statement's root operator with it.
@@ -97,12 +97,6 @@ func wrapCtx(ctx context.Context, ref *CtxRef, op Operator) Operator {
 		for i := range o.Fragments {
 			o.Fragments[i] = wrapCtx(ctx, ref, o.Fragments[i])
 		}
-	case *SpoolPart:
-		// Sibling parts share the spool; wrap its input only once.
-		if _, done := o.sp.input.(*ctxOperator); !done {
-			o.sp.input = wrapCtx(ctx, ref, o.sp.input)
-		}
-		return op // the shared spool carries the check
 	case *ctxOperator:
 		return op // already wrapped (a re-wrapped cached subtree)
 	}

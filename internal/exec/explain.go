@@ -17,9 +17,9 @@ import (
 // fan-out, and each level below it is one line whose row counts are the
 // sums across the clones — which makes ANALYZE row counts identical at
 // any worker count (the clones partition the same rows the serial plan
-// sees) — and whose time is the slowest clone's. SpoolPart clones
-// dedupe to the one shared spooled operator, join clones to their one
-// shared build side, and ctxOperator wrappers are transparent.
+// sees) — and whose time is the slowest clone's. Join clones dedupe to
+// their one shared build side, and ctxOperator wrappers are
+// transparent.
 
 // Explain renders the plan tree rooted at op, one node per line,
 // indented two spaces per level. With analyze, each line carries the
@@ -78,18 +78,6 @@ func childSets(ops []Operator) [][]Operator {
 			}
 		}
 		return [][]Operator{frags}
-	case *SpoolPart:
-		// Sibling parts share one spool: descend into each distinct
-		// spooled operator exactly once.
-		seen := make(map[*spool]bool)
-		var sets [][]Operator
-		for _, op := range ops {
-			if p, ok := op.(*SpoolPart); ok && !seen[p.sp] {
-				seen[p.sp] = true
-				sets = append(sets, []Operator{p.sp.input})
-			}
-		}
-		return sets
 	case *UnionAll:
 		// Union inputs are positional: input i of every clone merges.
 		n := len(ops[0].(*UnionAll).Inputs)
@@ -207,8 +195,6 @@ func describeSet(ops []Operator) string {
 			}
 		}
 		return fmt.Sprintf("Gather (fragments=%d)", n)
-	case *SpoolPart:
-		return fmt.Sprintf("Spool (parts=%d)", len(ops))
 	}
 	return fmt.Sprintf("%T", ops[0])
 }
@@ -332,7 +318,6 @@ func reportSet(ops []Operator, depth int, out *[]OpReport) {
 // the logical node's rows, so rows, batches and spill sum to the serial
 // plan's counts exactly. They run concurrently, so the node's time is
 // the slowest clone's, which stays within the statement's wall clock.
-// Sibling spool parts share one spool, whose overflow counts once.
 func setReport(ops []Operator) OpReport {
 	var r OpReport
 	for _, op := range ops {
@@ -342,15 +327,6 @@ func setReport(ops []Operator) OpReport {
 			r.Nanos = max(r.Nanos, st.Nanos.Load())
 			r.SpillBytes += st.SpillBytes.Load()
 			r.SpillRuns += st.SpillRuns.Load()
-		}
-	}
-	seen := make(map[*spool]bool)
-	for _, op := range ops {
-		if p, ok := op.(*SpoolPart); ok && !seen[p.sp] {
-			seen[p.sp] = true
-			b, rn := p.SpillStats()
-			r.SpillBytes += b
-			r.SpillRuns += rn
 		}
 	}
 	return r
@@ -393,8 +369,6 @@ func Summary(op Operator) string {
 		return "Union(" + strings.Join(parts, ",") + ")"
 	case *Gather:
 		return fmt.Sprintf("Gather[%d](%s)", len(o.Fragments), Summary(o.Fragments[0]))
-	case *SpoolPart:
-		return "Spool(" + Summary(o.sp.input) + ")"
 	}
 	return fmt.Sprintf("%T", op)
 }

@@ -73,7 +73,7 @@ func BenchmarkHashJoinAggregate(b *testing.B) {
 					return &expr.ColumnRef{Name: out.Cols[i].Name, Index: i, Typ: out.Cols[i].Type}
 				}
 				agg := &HashAggregate{
-					Input:   Parallelize(j, workers),
+					Input:   Parallelize(j, workers, nil),
 					GroupBy: []expr.Expr{ref(bc.grp)},
 					Aggs:    []*expr.Aggregate{{Kind: expr.AggCountStar}, {Kind: expr.AggSum, Input: ref(bc.weight)}},
 					Names:   []string{"grp", "n", "w"}, Workers: workers,

@@ -100,7 +100,7 @@ func TestParallelizeMatchesSerial(t *testing.T) {
 	tb := testTable(t, "t", 500, 1)
 	want := mustDrain(t, pipeline(tb))
 	for _, workers := range []int{2, 3, 8} {
-		op := Parallelize(pipeline(tb), workers)
+		op := Parallelize(pipeline(tb), workers, nil)
 		if _, ok := op.(*Gather); !ok {
 			t.Fatalf("workers=%d: Parallelize returned %T, want *Gather", workers, op)
 		}
@@ -111,12 +111,12 @@ func TestParallelizeMatchesSerial(t *testing.T) {
 func TestParallelizeLeavesBareScanAlone(t *testing.T) {
 	lowMorselRows(t)
 	tb := testTable(t, "t", 500, 1)
-	if op := Parallelize(NewTableScan(tb), 8); op != nil {
+	if op := Parallelize(NewTableScan(tb), 8, nil); op != nil {
 		if _, ok := op.(*Gather); ok {
 			t.Fatal("a bare scan has no compute to parallelize; expected no Gather")
 		}
 	}
-	if op := Parallelize(pipeline(tb), 1); op != nil {
+	if op := Parallelize(pipeline(tb), 1, nil); op != nil {
 		if _, ok := op.(*Gather); ok {
 			t.Fatal("workers=1 must stay serial")
 		}
@@ -126,7 +126,7 @@ func TestParallelizeLeavesBareScanAlone(t *testing.T) {
 func TestGatherReopen(t *testing.T) {
 	lowMorselRows(t)
 	tb := testTable(t, "t", 300, 2)
-	op := Parallelize(pipeline(tb), 4)
+	op := Parallelize(pipeline(tb), 4, nil)
 	first := mustDrain(t, op)
 	second := mustDrain(t, op) // Drain opens and closes again
 	sameBatches(t, "reopen", second, first)
@@ -173,7 +173,7 @@ func TestGatherInlineWithoutWorkers(t *testing.T) {
 	if budget.TryAcquire(1) != 1 {
 		t.Fatal("could not exhaust the budget")
 	}
-	g, ok := ParallelizeBudget(pipeline(tb), 4, budget).(*Gather)
+	g, ok := Parallelize(pipeline(tb), 4, budget).(*Gather)
 	if !ok {
 		t.Fatal("expected a Gather")
 	}
@@ -254,7 +254,7 @@ func TestParallelSlowJoinNoMatches(t *testing.T) {
 	left := testTable(t, "l", 400, 12)
 	right := testTable(t, "r", 50, 13)
 	never := gt(&expr.ColumnRef{Name: "val", Index: 2, Typ: storage.TypeFloat64}, 1e18)
-	op := Parallelize(makeJoin(left, right, InnerJoin, never, 8), 8)
+	op := Parallelize(makeJoin(left, right, InnerJoin, never, 8), 8, nil)
 	g, ok := op.(*Gather)
 	if !ok {
 		t.Fatalf("join over a splittable probe should clone under a Gather, got %T", op)
@@ -337,7 +337,7 @@ func TestSpoolSplitOverJoin(t *testing.T) {
 		j := &HashJoin{Left: NewTableScan(left), Right: NewTableScan(right),
 			LeftKeys: []int{0}, RightKeys: []int{1}, Type: InnerJoin, Workers: workers}
 		f := &Filter{Input: j, Pred: gt(&expr.ColumnRef{Name: "val", Index: 2, Typ: storage.TypeFloat64}, -0.5)}
-		return Parallelize(f, workers)
+		return Parallelize(f, workers, nil)
 	}
 	want := mustDrain(t, build(0))
 	for _, workers := range []int{2, 8} {

@@ -20,10 +20,6 @@ import (
 //   - BatchSource serves a batch captured at plan time (CTE results,
 //     VALUES): re-running it would replay stale data.
 //   - Unknown operator types default to false.
-//
-// SpoolPart/spool keep a completed drain and serve it from memory on
-// re-open; Rebind resets the shared spool so each checkout replays the
-// base against the new bindings instead of serving stale rows.
 func Cacheable(op Operator) bool {
 	switch o := op.(type) {
 	case *TableScan, *OneRow:
@@ -58,8 +54,6 @@ func Cacheable(op Operator) bool {
 			}
 		}
 		return true
-	case *SpoolPart:
-		return Cacheable(o.sp.input)
 	case *ctxOperator:
 		return Cacheable(o.input)
 	default:
@@ -119,11 +113,6 @@ func Rebind(op Operator, lookup func(string) (storage.TableData, error)) error {
 			}
 		}
 		return nil
-	case *SpoolPart:
-		// Sibling parts share the spool; reset is idempotent and the
-		// repeated rebind of the base re-resolves the same tables.
-		o.sp.reset()
-		return Rebind(o.sp.input, lookup)
 	case *ctxOperator:
 		return Rebind(o.input, lookup)
 	default:

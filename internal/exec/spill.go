@@ -14,9 +14,8 @@ import (
 // HashJoin's build switches to the Grace partitioned path (its probe
 // side streams and reserves nothing), HashAggregate narrows its fold
 // window or — when group state is denied — turns hybrid, spilling the
-// rows of groups that are not resident, and the spool overflows its
-// retained batch list to disk. No operator re-reads its input to
-// change course. Operators with no spill path (Distinct's seen-set,
+// rows of groups that are not resident. No operator re-reads its input
+// to change course. Operators with no spill path (Distinct's seen-set,
 // NestedLoopJoin's build side) fail the statement with
 // ErrOutOfMemoryBudget instead — a clean error, not an OOM.
 //
@@ -32,8 +31,7 @@ var ErrOutOfMemoryBudget = errors.New("exec: out of memory budget")
 
 // memTracker accumulates one operator's reservations against a budget
 // so they can be returned in one Close. It is not goroutine-safe; each
-// operator uses it from its own open/next path (the spool guards its
-// tracker with the spool mutex).
+// operator uses it from its own open/next path.
 type memTracker struct {
 	mem  *sched.MemBudget
 	held int64

@@ -125,7 +125,7 @@ func TestHashJoinGraceByteIdentical(t *testing.T) {
 	// Cloned over probe morsels, the spilled join still runs once.
 	lowMorselRows(t)
 	for _, workers := range []int{1, 2, 8} {
-		op := Parallelize(mk(workers, sched.NewMemBudget(spillTestBudget)), workers)
+		op := Parallelize(mk(workers, sched.NewMemBudget(spillTestBudget)), workers, nil)
 		got, err := Drain(op)
 		if err != nil {
 			t.Fatal(err)
@@ -209,73 +209,6 @@ func TestHashAggregateSpillByteIdentical(t *testing.T) {
 	}
 }
 
-// spooledAgg projects a grouped aggregate with one group per row of l —
-// a base that a parallel plan spools (a join would be cloned instead).
-func spooledAgg(t *testing.T, l *storage.Table, mem *sched.MemBudget) Operator {
-	t.Helper()
-	agg := &HashAggregate{
-		Input:   NewTableScan(l),
-		GroupBy: []expr.Expr{colRef(l.Schema(), "lv")},
-		Aggs:    []*expr.Aggregate{{Kind: expr.AggCountStar}},
-		Names:   []string{"lv", "n"}, Mem: mem,
-	}
-	p, err := NewProject(agg, []expr.Expr{
-		&expr.ColumnRef{Name: "lv", Index: 0, Typ: storage.TypeInt64},
-		&expr.ColumnRef{Name: "n", Index: 1, Typ: storage.TypeInt64},
-	}, []string{"lv", "n"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func TestSpoolOverflowByteIdentical(t *testing.T) {
-	l, _ := joinInputs(t, 10000)
-	want, err := Drain(spooledAgg(t, l, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		mem := sched.NewMemBudget(spillTestBudget)
-		op := ParallelizeMem(spooledAgg(t, l, mem), workers, nil, mem)
-		g, ok := op.(*Gather)
-		if !ok {
-			t.Fatalf("workers=%d: project-over-aggregate did not parallelize (%T)", workers, op)
-		}
-		got, err := Drain(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameBatches(t, fmt.Sprintf("spool workers=%d", workers), got, want)
-		var spilled int64
-		for _, sp := range g.spools {
-			sp.mu.Lock()
-			spilled += sp.spillRuns
-			sp.mu.Unlock()
-		}
-		if spilled == 0 {
-			t.Fatalf("workers=%d: 64KB spool of a %d-row aggregate result stayed in memory", workers, want.Len())
-		}
-	}
-}
-
-func TestSpoolReopenAfterOverflow(t *testing.T) {
-	// A Gather over a spilled spool must serve a second Open from the
-	// retained run without re-running the base operator.
-	l, _ := joinInputs(t, 6000)
-	mem := sched.NewMemBudget(spillTestBudget)
-	op := ParallelizeMem(spooledAgg(t, l, mem), 4, nil, mem)
-	first, err := Drain(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Drain(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameBatches(t, "spool re-open", second, first)
-}
-
 func TestDistinctOutOfMemoryBudget(t *testing.T) {
 	tb := bigTable(t, 8000)
 	_, err := Drain(&Distinct{Input: NewTableScan(tb), Mem: sched.NewMemBudget(1 << 10)})
@@ -318,7 +251,7 @@ func TestNestedLoopJoinParallelByteIdentical(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		op := Parallelize(&NestedLoopJoin{
 			Left: NewTableScan(l), Right: NewTableScan(r), Type: InnerJoin, On: on(),
-		}, workers)
+		}, workers, nil)
 		if _, ok := op.(*Gather); !ok {
 			t.Fatalf("workers=%d: NLJ over a splittable probe should clone under a Gather, got %T", workers, op)
 		}

@@ -13,9 +13,8 @@ import (
 // the operator's Open and Next calls (inclusive of its children — a
 // pull executor does child work inside the parent's Next), and the
 // open/close timestamps. Counters are atomics because parallel plans
-// run clones and spool producers on worker goroutines; EXPLAIN ANALYZE
-// reads them after the drain, SHOW STATS-style consumers may read them
-// live.
+// run clones on worker goroutines; EXPLAIN ANALYZE reads them after the
+// drain, SHOW STATS-style consumers may read them live.
 //
 // A cached prepared plan accumulates across executions (operators are
 // re-opened, never re-built); EXPLAIN ANALYZE plans fresh, so its
@@ -105,8 +104,8 @@ func MarkTimed(op Operator) (release func()) {
 }
 
 // forEachStats visits the OpStats of every operator in the tree rooted
-// at op (shared spool inputs may be visited more than once; callers
-// must be idempotent).
+// at op (a join build side shared by clones is visited once per clone;
+// callers must be idempotent).
 func forEachStats(op Operator, fn func(*OpStats)) {
 	if st := StatsOf(op); st != nil {
 		fn(st)
@@ -140,8 +139,6 @@ func forEachStats(op Operator, fn func(*OpStats)) {
 		for _, f := range o.Fragments {
 			forEachStats(f, fn)
 		}
-	case *SpoolPart:
-		forEachStats(o.sp.input, fn)
 	}
 }
 

@@ -178,55 +178,9 @@ func TestStreamingJoinFullParity(t *testing.T) {
 					Type: jt, Residual: res, Workers: workers,
 				}
 				label := fmt.Sprintf("type=%d residual=%v workers=%d", jt, res != nil, workers)
-				sameBatches(t, label, mustDrain(t, Parallelize(j, workers)), want)
+				sameBatches(t, label, mustDrain(t, Parallelize(j, workers, nil)), want)
 			}
 		}
-	}
-}
-
-// TestSpoolStreamsAndBoundsProduction drives a Gather over SpoolParts
-// whose base is a counting source: a LIMIT above the Gather must stop
-// the spool producer after a bounded overshoot (part 0 streams rows as
-// they become certain; the producer blocks past its lead window), and
-// a full drain must reproduce the base row for row.
-func TestSpoolStreamsAndBoundsProduction(t *testing.T) {
-	const totalBatches = 300
-	data := streamData(t, totalBatches*storage.BatchSize)
-	build := func(parts int, count *atomic.Int64, n int64) Operator {
-		sp := &spool{input: &countingSource{data: data, parts: 1, count: count}, parts: parts}
-		frags := make([]Operator, parts)
-		for i := range frags {
-			frags[i] = &Filter{
-				Input: &SpoolPart{sp: sp, schema: data.Schema, part: i, parts: parts},
-				Pred:  alwaysTrue(data.Schema),
-			}
-		}
-		g := &Gather{Fragments: frags, fragShared: fragShared{spools: []*spool{sp}}}
-		if n > 0 {
-			return &Limit{Input: g, N: n}
-		}
-		return g
-	}
-
-	for _, parts := range []int{2, 4, 8} {
-		// Early exit: bounded production.
-		var count atomic.Int64
-		got := mustDrain(t, build(parts, &count, 10))
-		if got.Len() != 10 {
-			t.Fatalf("parts=%d: got %d rows, want 10", parts, got.Len())
-		}
-		// Part 0 must see ~limit rows; the base over-produces by the
-		// parts factor plus the lead window and channel buffers.
-		bound := int64(parts) * int64((gatherBuffer+2)*storage.BatchSize+spoolLeadRows+storage.BatchSize)
-		if c := count.Load(); c > bound {
-			t.Fatalf("parts=%d: LIMIT 10 made the spool produce %d rows, want <= %d (total %d)",
-				parts, c, bound, data.Len())
-		}
-
-		// Full drain: row-for-row identical to the base.
-		var full atomic.Int64
-		sameBatches(t, fmt.Sprintf("parts=%d full drain", parts),
-			mustDrain(t, build(parts, &full, 0)), data)
 	}
 }
 
@@ -427,7 +381,7 @@ func TestAggregateWindowedMatchesSerial(t *testing.T) {
 
 // TestCancelMidStreamReleasesBudget cancels parallel plans mid-stream
 // and asserts every borrowed worker-budget slot is returned — both for
-// a plain Gather and for a Gather over a spooled join.
+// a plain Gather and for a Gather over join clones.
 func TestCancelMidStreamReleasesBudget(t *testing.T) {
 	lowMorselRows(t)
 	tb := testTable(t, "t", 4000, 51)
@@ -435,13 +389,13 @@ func TestCancelMidStreamReleasesBudget(t *testing.T) {
 
 	plans := map[string]func(budget *sched.Budget) Operator{
 		"scan": func(budget *sched.Budget) Operator {
-			return ParallelizeBudget(pipeline(tb), 8, budget)
+			return Parallelize(pipeline(tb), 8, budget)
 		},
-		"spooled join": func(budget *sched.Budget) Operator {
+		"join clones": func(budget *sched.Budget) Operator {
 			j := &HashJoin{Left: NewTableScan(tb), Right: NewTableScan(right),
 				LeftKeys: []int{0}, RightKeys: []int{1}, Type: InnerJoin}
 			f := &Filter{Input: j, Pred: gt(&expr.ColumnRef{Name: "val", Index: 2, Typ: storage.TypeFloat64}, -2)}
-			return ParallelizeBudget(f, 8, budget)
+			return Parallelize(f, 8, budget)
 		},
 	}
 	for name, build := range plans {
@@ -486,7 +440,7 @@ func TestHashJoinMemoryBound(t *testing.T) {
 			Left: &BatchSource{Data: data}, Right: &BatchSource{Data: build},
 			LeftKeys: []int{1}, RightKeys: []int{0}, Type: InnerJoin, Workers: workers, Mem: mem,
 		}
-		in := ParallelizeMem(j, workers, nil, mem)
+		in := Parallelize(j, workers, nil)
 		if _, ok := in.(*Gather); ok != (workers > 1) {
 			t.Fatalf("workers=%d: join planned as %T", workers, in)
 		}

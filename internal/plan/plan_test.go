@@ -369,15 +369,23 @@ func TestLimitKeepsPlanSerial(t *testing.T) {
 	}
 
 	// Blocking aggregates cannot short-circuit: LIMIT over GROUP BY
-	// keeps the parallel plan (a Gather over the aggregate's spooled
-	// output and/or its input).
-	if n := countGathers(plan("SELECT id, COUNT(*) FROM big GROUP BY id LIMIT 5")); n == 0 {
-		t.Fatal("aggregate under LIMIT planned fully serial; blocking fold should keep parallelism")
+	// keeps the aggregate's parallel fold.
+	aggWorkers := func(op exec.Operator) int {
+		n := 0
+		walkOps(op, func(o exec.Operator) {
+			if a, ok := o.(*exec.HashAggregate); ok {
+				n = max(n, a.Workers)
+			}
+		})
+		return n
+	}
+	if n := aggWorkers(plan("SELECT id, COUNT(*) FROM big GROUP BY id LIMIT 5")); n < 2 {
+		t.Fatalf("aggregate under LIMIT folds with %d workers; blocking fold should keep parallelism", n)
 	}
 	// Same through a derived table: the aggregating subquery gets the
 	// full budget back even inside a serialized outer LIMIT.
-	if n := countGathers(plan("SELECT t.id FROM (SELECT id, COUNT(*) AS c FROM big GROUP BY id) AS t LIMIT 5")); n == 0 {
-		t.Fatal("aggregating subquery under LIMIT planned fully serial; blocking fold should keep parallelism")
+	if n := aggWorkers(plan("SELECT t.id FROM (SELECT id, COUNT(*) AS c FROM big GROUP BY id) AS t LIMIT 5")); n < 2 {
+		t.Fatalf("aggregating subquery under LIMIT folds with %d workers; blocking fold should keep parallelism", n)
 	}
 	// And for a sorting subquery: its blocking Sort drains its input
 	// no matter what, so it keeps the full budget too.

@@ -115,7 +115,7 @@ type planCtx struct {
 	params *Params
 	routes []Route
 	// serial marks the subtree under a LIMIT (with no blocking ORDER
-	// BY): operators there are planned serial — no Gathers or spools —
+	// BY): operators there are planned serial — no Gathers —
 	// so the LIMIT pulls O(limit) rows from the sources instead of
 	// paying for a full parallel drain. Early exit beats parallelism
 	// there.
@@ -476,7 +476,7 @@ func (c *planCtx) planItem(ref sql.TableRef, pending []sql.Expr) (exec.Operator,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return exec.ParallelizeMem(op, c.workers, c.p.Budget, c.mem), sc, pending, nil
+	return exec.Parallelize(op, c.workers, c.p.Budget), sc, pending, nil
 }
 
 // planJoin plans L LEFT JOIN R ON …. A pending conjunct that binds on L
@@ -731,9 +731,10 @@ func (c *planCtx) planProjection(op exec.Operator, sc *Scope, core *sql.SelectCo
 		return nil, nil, err
 	}
 	// The projection is stateless: fuse it into its input's parallel
-	// fragments (or spool a join/aggregate input into morsels) so the
-	// expression evaluation runs on all workers.
-	op = exec.ParallelizeMem(proj, c.workers, c.p.Budget, c.mem)
+	// fragments (scan morsels or join clones) so the expression
+	// evaluation runs on all workers. Over an aggregate it stays serial
+	// and reads the aggregate's output directly.
+	op = exec.Parallelize(proj, c.workers, c.p.Budget)
 	if core.Distinct {
 		op = &exec.Distinct{Input: op, Mem: c.mem}
 	}
@@ -801,7 +802,7 @@ func (c *planCtx) planAggregate(op exec.Operator, sc *Scope, core *sql.SelectCor
 	}
 
 	op = &exec.HashAggregate{
-		Input:   exec.ParallelizeMem(op, c.workers, c.p.Budget, c.mem),
+		Input:   exec.Parallelize(op, c.workers, c.p.Budget),
 		GroupBy: groupExprs, Aggs: aggs, Names: names,
 		Workers: c.workers, Budget: c.p.Budget, Mem: c.mem,
 	}

