@@ -209,6 +209,77 @@ func TestHashAggregateSpillByteIdentical(t *testing.T) {
 	}
 }
 
+// projectedAgg projects a grouped aggregate with one group per row of
+// l, folded at workers. It returns the aggregate too, for its stats.
+func projectedAgg(t *testing.T, l *storage.Table, workers int, mem *sched.MemBudget) (Operator, *HashAggregate) {
+	t.Helper()
+	agg := &HashAggregate{
+		Input:   NewTableScan(l),
+		GroupBy: []expr.Expr{colRef(l.Schema(), "lv")},
+		Aggs:    []*expr.Aggregate{{Kind: expr.AggCountStar}},
+		Names:   []string{"lv", "n"}, Workers: workers, Mem: mem,
+	}
+	p, err := NewProject(agg, []expr.Expr{
+		&expr.ColumnRef{Name: "lv", Index: 0, Typ: storage.TypeInt64},
+		&expr.ColumnRef{Name: "n", Index: 1, Typ: storage.TypeInt64},
+	}, []string{"lv", "n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, agg
+}
+
+// TestSpoolOverflowByteIdentical: a projection over an aggregate whose
+// result overflows a 64KB grant is not split into morsels (no spool
+// buffers the groups any more); it reads the aggregate, whose own
+// spill runs keep the rows byte-identical to a serial, unlimited run.
+func TestSpoolOverflowByteIdentical(t *testing.T) {
+	l, _ := joinInputs(t, 10000)
+	base, _ := projectedAgg(t, l, 1, nil)
+	want, err := Drain(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 8} {
+		mem := sched.NewMemBudget(spillTestBudget)
+		p, agg := projectedAgg(t, l, workers, mem)
+		op := Parallelize(p, workers, nil)
+		if op != p {
+			t.Fatalf("workers=%d: project-over-aggregate was rewritten to %T, want the projection itself", workers, op)
+		}
+		got, err := Drain(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBatches(t, fmt.Sprintf("project over aggregate workers=%d", workers), got, want)
+		if agg.stats.SpillRuns.Load() == 0 {
+			t.Fatalf("workers=%d: 64KB aggregate of %d groups stayed in memory", workers, want.Len())
+		}
+	}
+}
+
+// TestSpoolReopenAfterOverflow: a second Open of the same spilled
+// project-over-aggregate tree — a cached plan run again — returns the
+// same rows.
+func TestSpoolReopenAfterOverflow(t *testing.T) {
+	l, _ := joinInputs(t, 6000)
+	mem := sched.NewMemBudget(spillTestBudget)
+	p, agg := projectedAgg(t, l, 4, mem)
+	op := Parallelize(p, 4, nil)
+	first, err := Drain(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.stats.SpillRuns.Load() == 0 {
+		t.Fatal("64KB aggregate stayed in memory")
+	}
+	second, err := Drain(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameBatches(t, "re-open after overflow", second, first)
+}
+
 func TestDistinctOutOfMemoryBudget(t *testing.T) {
 	tb := bigTable(t, 8000)
 	_, err := Drain(&Distinct{Input: NewTableScan(tb), Mem: sched.NewMemBudget(1 << 10)})
