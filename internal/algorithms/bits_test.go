@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/sqlgraph"
 )
 
 var updateBits = flag.Bool("update-bits", false, "rewrite testdata/pinned_bits.txt from this build")
@@ -33,9 +34,11 @@ func pinnedGraph() *dataset.Graph {
 	return ds
 }
 
-// pinnedResults runs every combining program on a fresh load of the
-// pinned graph and renders one "<algo> <vertex> <value bits>" line per
-// vertex, sorted, so two builds can be compared bit for bit.
+// pinnedResults runs every combining program, and the SQL drivers of
+// the same algorithms, on a fresh load of the pinned graph and renders
+// one "<algo> <vertex> <value bits>" line per vertex, sorted, so two
+// builds can be compared bit for bit. The SQL drivers run at engine
+// parallelism opts.Workers.
 func pinnedResults(t *testing.T, opts core.Options) []string {
 	t.Helper()
 	ds := pinnedGraph()
@@ -69,11 +72,24 @@ func pinnedResults(t *testing.T, opts core.Options) []string {
 		}},
 		{"cc", func(g *core.Graph) (map[int64]float64, error) {
 			labels, _, err := RunConnectedComponents(ctx, g, opts)
-			out := make(map[int64]float64, len(labels))
-			for id, l := range labels {
-				out[id] = float64(l)
-			}
-			return out, err
+			return labelFloats(labels), err
+		}},
+		{"pagerank_sql", func(g *core.Graph) (map[int64]float64, error) {
+			g.DB.SetParallelism(opts.Workers)
+			return sqlgraph.PageRank(ctx, g, 10, 0)
+		}},
+		{"sssp_sql_unit", func(g *core.Graph) (map[int64]float64, error) {
+			g.DB.SetParallelism(opts.Workers)
+			return sqlgraph.ShortestPaths(ctx, g, src, true)
+		}},
+		{"sssp_sql_weighted", func(g *core.Graph) (map[int64]float64, error) {
+			g.DB.SetParallelism(opts.Workers)
+			return sqlgraph.ShortestPaths(ctx, g, src, false)
+		}},
+		{"cc_sql", func(g *core.Graph) (map[int64]float64, error) {
+			g.DB.SetParallelism(opts.Workers)
+			labels, err := sqlgraph.ConnectedComponents(ctx, g)
+			return labelFloats(labels), err
 		}},
 	}
 	for _, r := range runs {
@@ -85,6 +101,16 @@ func pinnedResults(t *testing.T, opts core.Options) []string {
 	}
 	sort.Strings(lines)
 	return lines
+}
+
+// labelFloats renders component labels as the float values the pinned
+// file stores.
+func labelFloats(labels map[int64]int64) map[int64]float64 {
+	out := make(map[int64]float64, len(labels))
+	for id, l := range labels {
+		out[id] = float64(l)
+	}
+	return out
 }
 
 // TestPinnedResultBits asserts that every combining program reproduces
