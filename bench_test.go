@@ -54,7 +54,7 @@ func BenchmarkHop1_TriangleCounting(b *testing.B) {
 	g := loadUndirectedBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sqlgraph.TriangleCount(g); err != nil {
+		if _, err := sqlgraph.TriangleCount(context.Background(), g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func BenchmarkHop1_StrongOverlap(b *testing.B) {
 	g := loadUndirectedBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sqlgraph.StrongOverlap(g, 3); err != nil {
+		if _, err := sqlgraph.StrongOverlap(context.Background(), g, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,7 +74,7 @@ func BenchmarkHop1_WeakTies(b *testing.B) {
 	g := loadUndirectedBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sqlgraph.WeakTies(g, 3); err != nil {
+		if _, err := sqlgraph.WeakTies(context.Background(), g, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func BenchmarkHop1_ClusteringCoefficients(b *testing.B) {
 	g := loadUndirectedBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sqlgraph.ClusteringCoefficients(g); err != nil {
+		if _, err := sqlgraph.ClusteringCoefficients(context.Background(), g); err != nil {
 			b.Fatal(err)
 		}
 	}

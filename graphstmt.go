@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sql"
+	"repro/internal/sqlgraph"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -168,8 +169,8 @@ var graphVerbs = map[string]graphVerb{
 	},
 	"triangles": {
 		params: []verbParam{graphParam},
-		run: func(_ context.Context, _ *Engine, a *verbArgs, _ Options) (*storage.Batch, *RunStats, error) {
-			n, err := a.g.TriangleCount()
+		run: func(ctx context.Context, _ *Engine, a *verbArgs, _ Options) (*storage.Batch, *RunStats, error) {
+			n, err := sqlgraph.TriangleCount(ctx, a.g.g)
 			if err != nil {
 				return nil, nil, err
 			}

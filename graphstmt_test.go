@@ -308,3 +308,63 @@ func TestGraphStatementActiveAndTimeout(t *testing.T) {
 		t.Errorf("SET parallelism = 1 did not cap the run: %q", layout)
 	}
 }
+
+// TestTrianglesHonorsStatementTimeout: TRIANGLES runs its self-join
+// under the statement's context, so statement_timeout stops a count
+// that would run far past it, and the run's write gate is returned.
+func TestTrianglesHonorsStatementTimeout(t *testing.T) {
+	vx := New()
+	if _, err := vx.LoadDataset(MakeUndirected(ErdosRenyi("tri", 3000, 60000, 5))); err != nil {
+		t.Fatal(err)
+	}
+	db := vx.DB()
+	s := db.NewSession()
+	defer s.Close()
+	if _, _, err := s.Run(context.Background(), "SET statement_timeout = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Run(context.Background(), "TRIANGLES tri"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("TRIANGLES under a 1 ms statement_timeout: err = %v, want context.DeadlineExceeded", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := db.AcquireWriteGate(ctx); err != nil {
+		t.Fatalf("write gate still held after the timed-out count: %v", err)
+	}
+	db.ReleaseWriteGate()
+}
+
+// TestSQLGraphStatementIsObserved: a SQL-flavored graph statement is
+// observed once, like PAGERANK — the statements its driver issues are
+// detail of the run, with no counter, observation or slow-log record
+// of their own.
+func TestSQLGraphStatementIsObserved(t *testing.T) {
+	vx := New()
+	if _, err := vx.LoadDataset(ErdosRenyi("mid", 2000, 16000, 7)); err != nil {
+		t.Fatal(err)
+	}
+	db := vx.DB()
+	var slow []engine.SlowQuery
+	db.SetSlowQueryLog(func(q engine.SlowQuery) { slow = append(slow, q) })
+	db.SetSlowQueryThreshold(time.Nanosecond)
+	s := db.NewSession()
+	defer s.Close()
+
+	const stmt = "PAGERANK_SQL mid 3"
+	latency := db.Stats().Histogram("engine.statement_latency")
+	before := latency.Count()
+	if _, _, err := s.Run(context.Background(), stmt); err != nil {
+		t.Fatal(err)
+	}
+	if got := latency.Count() - before; got != 1 {
+		t.Errorf("%d latency observations, want 1", got)
+	}
+	if len(slow) != 1 || slow[0].Text != stmt {
+		t.Errorf("slow-query records = %+v, want one for %q", slow, stmt)
+	}
+	for _, st := range db.Stats().Snapshot() {
+		if strings.HasPrefix(st.Name, "engine.statements.") && st.Name != "engine.statements.graph" && st.Value != 0 {
+			t.Errorf("%s = %d: the driver's statements were counted", st.Name, st.Value)
+		}
+	}
+}

@@ -178,11 +178,11 @@ func TestCancelMidSuperstep(t *testing.T) {
 // input fixture (vertices, edges with metadata, and a pending message).
 func TestCachedInputAssemblyUnits(t *testing.T) {
 	g := inputFixture(t)
-	cache, err := buildEdgeCache(g, 4, 2)
+	cache, err := buildEdgeCache(context.Background(), g, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := buildCachedUnionInput(g, cache, 0, 2)
+	in, err := buildCachedUnionInput(context.Background(), g, cache, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +207,11 @@ func TestCachedSkipAccounting(t *testing.T) {
 	mt, _ := g.DB.Catalog().Get(g.MessageTable())
 	mt.Truncate()
 
-	cache, err := buildEdgeCache(g, 4, 1)
+	cache, err := buildEdgeCache(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := buildCachedUnionInput(g, cache, 1, 1)
+	in, err := buildCachedUnionInput(context.Background(), g, cache, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

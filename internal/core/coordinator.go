@@ -177,14 +177,14 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		cacheHit := false
 		skippedParts, skippedVerts := 0, 0
 		if opts.DisableInputCache {
-			parts, err = buildUnionInput(g, opts.Partitions, opts.Workers)
+			parts, err = buildUnionInput(ctx, g, opts.Partitions, opts.Workers)
 		} else {
 			edgeVersion, verr := g.EdgeVersion()
 			if verr != nil {
 				return stats, verr
 			}
 			if cache == nil || cache.edgeVersion != edgeVersion {
-				if cache, err = buildEdgeCache(g, opts.Partitions, opts.Workers); err != nil {
+				if cache, err = buildEdgeCache(ctx, g, opts.Partitions, opts.Workers); err != nil {
 					return stats, err
 				}
 				stats.CacheBuilds++
@@ -193,7 +193,7 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 				stats.CacheHits++
 			}
 			var in *cachedInputResult
-			if in, err = buildCachedUnionInput(g, cache, step, opts.Workers); err == nil {
+			if in, err = buildCachedUnionInput(ctx, g, cache, step, opts.Workers); err == nil {
 				// Vertices inside skipped partitions are all halted and
 				// receive no messages, so they cannot affect the halt
 				// vote or emit anything — skipping them is lossless.

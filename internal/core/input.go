@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -78,12 +79,12 @@ type inputCache struct {
 // buildEdgeCache assembles the edge-side partitions. The version is
 // read before the scan, so a concurrent mutation at worst makes the
 // cache look stale and triggers a rebuild — never a silently stale hit.
-func buildEdgeCache(g *Graph, partitions, workers int) (*inputCache, error) {
+func buildEdgeCache(ctx context.Context, g *Graph, partitions, workers int) (*inputCache, error) {
 	version, err := g.EdgeVersion()
 	if err != nil {
 		return nil, err
 	}
-	data, err := queryInput(g, "edge", edgeInputSQL(g))
+	data, err := queryInput(ctx, g, "edge", edgeInputSQL(g))
 	if err != nil {
 		return nil, err
 	}
@@ -108,8 +109,8 @@ type cachedInputResult struct {
 // cached edge run. Partitions with no incoming messages and no
 // non-halted vertices are skipped entirely — Pregel semantics guarantee
 // none of their vertices would compute (active-partition skipping).
-func buildCachedUnionInput(g *Graph, cache *inputCache, step, workers int) (*cachedInputResult, error) {
-	data, err := queryInput(g, "vertex+message", vertexMessageInputSQL(g))
+func buildCachedUnionInput(ctx context.Context, g *Graph, cache *inputCache, step, workers int) (*cachedInputResult, error) {
+	data, err := queryInput(ctx, g, "vertex+message", vertexMessageInputSQL(g))
 	if err != nil {
 		return nil, err
 	}
@@ -159,8 +160,8 @@ func buildCachedUnionInput(g *Graph, cache *inputCache, step, workers int) (*cac
 // buildUnionInput assembles, partitions and sorts the superstep input
 // via the union path. It returns one sorted batch per non-empty
 // partition.
-func buildUnionInput(g *Graph, partitions, workers int) ([]*storage.Batch, error) {
-	data, err := queryInput(g, "union", unionInputSQL(g))
+func buildUnionInput(ctx context.Context, g *Graph, partitions, workers int) ([]*storage.Batch, error) {
+	data, err := queryInput(ctx, g, "union", unionInputSQL(g))
 	if err != nil {
 		return nil, err
 	}
@@ -169,8 +170,10 @@ func buildUnionInput(g *Graph, partitions, workers int) ([]*storage.Batch, error
 }
 
 // queryInput runs one input-assembly query and materializes its rows.
-func queryInput(g *Graph, what, sql string) (*storage.Batch, error) {
-	rows, err := g.DB.Query(sql)
+// Under a graph run ctx carries the run's write-gate marker, so the
+// query is detail of the run rather than a statement of its own.
+func queryInput(ctx context.Context, g *Graph, what, sql string) (*storage.Batch, error) {
+	rows, err := g.DB.QueryContext(ctx, sql)
 	if err == nil {
 		var data *storage.Batch
 		if data, err = rows.Materialize(); err == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -73,7 +74,7 @@ func checkFixtureUnits(t *testing.T, units map[int64]workUnit, path string) {
 
 func TestUnionInputAssembly(t *testing.T) {
 	g := inputFixture(t)
-	parts, err := buildUnionInput(g, 4, 2)
+	parts, err := buildUnionInput(context.Background(), g, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestUnionInputRowCount(t *testing.T) {
 	for i := int64(1); i <= 3; i++ {
 		_ = mt.AppendRow(storage.Int64(i), storage.Int64(0), storage.Str("m"))
 	}
-	parts, err := buildUnionInput(g, 1, 1)
+	parts, err := buildUnionInput(context.Background(), g, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestDanglingUnionMessageNotComputed(t *testing.T) {
 	g := inputFixture(t)
 	mt, _ := g.DB.Catalog().Get(g.MessageTable())
 	_ = mt.AppendRow(storage.Int64(1), storage.Int64(999), storage.Str("ghost"))
-	parts, err := buildUnionInput(g, 2, 1)
+	parts, err := buildUnionInput(context.Background(), g, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

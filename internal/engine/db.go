@@ -65,15 +65,10 @@ type DB struct {
 	gateExcl  chan struct{} // capacity 1: exclusive token / shared entry ticket
 	gateSlots chan struct{} // capacity gateSlotCount: shared-mode slots
 	txn       *txnState     // non-nil while a transaction is open
-	// txnSessionOwned marks the open transaction as belonging to a
-	// Session (whose own reads then resolve staged tables live). A
-	// DB-level transaction (db.Begin / ExecContext BEGIN) is owned by
-	// "the embedded caller": DB-level reads see its uncommitted state,
-	// matching that API's documented single-caller assumption.
-	txnSessionOwned bool
 
-	execGateMu   sync.Mutex
-	execGateHeld bool // gate held by a DB-level ExecContext("BEGIN")
+	// embedded is the unregistered session the DB-level Query*/Exec*
+	// family runs through: a DB-level BEGIN opens its transaction.
+	embedded *Session
 
 	dir string // persistence directory; "" = in-memory only
 	wal *walWriter
@@ -119,6 +114,7 @@ func New() *DB {
 		tracer:    trace.New(),
 		sessions:  make(map[uint64]*sessionInfo),
 	}
+	db.embedded = &Session{db: db, info: &sessionInfo{}}
 	db.gateExcl <- struct{}{}
 	for i := 0; i < gateSlotCount; i++ {
 		db.gateSlots <- struct{}{}
@@ -601,42 +597,24 @@ func (db *DB) QueryContext(ctx context.Context, text string) (*Rows, error) {
 	return rows, nil
 }
 
-// readerKind identifies who is asking for a read snapshot, which
-// decides whether an open transaction's staged writes are visible.
-type readerKind int
-
-const (
-	// readerDBLevel: a DB-level entry point (Query/QueryStream). Sees
-	// a DB-level transaction's staged writes — that API assumes one
-	// embedded caller — but never a Session-owned transaction's.
-	readerDBLevel readerKind = iota
-	// readerSession: a Session that does NOT own the open transaction.
-	// Always reads committed versions.
-	readerSession
-	// readerTxnOwner: the Session that owns the open transaction.
-	// Reads its own staged writes.
-	readerTxnOwner
-)
-
 // QueryStream parses, plans and executes a SELECT, returning a
 // streaming result: batches are produced on demand from the
 // statement's pinned snapshot, with no engine latch held — a stalled
 // consumer delays no writer, and the stream still yields exactly the
 // version set it pinned at plan time. The caller must drain or Close
-// the rows (that releases the snapshot pin). This is the serving
-// layer's hot path — first-batch latency is O(first batch), not
-// O(result) — while Query keeps the materialized contract for embedded
-// callers.
+// the rows (that releases the snapshot pin). Like every DB-level call
+// it runs through the DB's embedded session (see Session.run); any
+// other statement kind is refused before it runs.
 func (db *DB) QueryStream(ctx context.Context, text string) (*Rows, error) {
-	st, err := sql.Parse(text)
+	p, err := db.embedded.parse(text, "", nil)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("engine: Query requires a SELECT; use Exec for %T", st)
+	if _, ok := p.st.(*sql.SelectStmt); !ok {
+		return nil, fmt.Errorf("engine: Query requires a SELECT; use Exec for %T", p.st)
 	}
-	return db.openSelect(ctx, sel, "", nil, 0, -1, readerDBLevel)
+	rows, _, err := db.embedded.run(ctx, p)
+	return rows, err
 }
 
 // planSelect is the one SELECT planning path: it pins an MVCC snapshot
@@ -646,17 +624,16 @@ func (db *DB) QueryStream(ctx context.Context, text string) (*Rows, error) {
 // arguments and snapshot. key == "" (plain text) plans fresh and
 // leaves the cache and its counters alone, so unique-literal text
 // traffic cannot evict hot prepared plans. The snapshot resolves
-// staged (uncommitted) tables live only for the transaction's owner:
-// the Session that opened it, or a DB-level read during a DB-level
+// staged (uncommitted) tables live only when reader owns the open
 // transaction. On success the caller owns the returned release chain
 // (snapshot pin, plan checkout) and must run it when the statement
 // finishes.
-func (db *DB) planSelect(ctx context.Context, sel *sql.SelectStmt, key string, args []storage.Value, workers int, workMem int64, kind readerKind) (*plan.Prepared, []func(), error) {
+func (db *DB) planSelect(ctx context.Context, sel *sql.SelectStmt, key string, args []storage.Value, workers int, workMem int64, reader *Session) (*plan.Prepared, []func(), error) {
 	tc := trace.FromContext(ctx)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	acquire := db.mvcc.Acquire
-	if kind == readerTxnOwner || (kind == readerDBLevel && db.txn != nil && !db.txnSessionOwned) {
+	if db.txn != nil && db.txn.owner == reader {
 		acquire = db.mvcc.AcquireOwn
 	}
 	snap, err := acquire()
@@ -718,8 +695,8 @@ func (db *DB) planSelect(ctx context.Context, sel *sql.SelectStmt, key string, a
 // openSelect plans a SELECT (planSelect) and opens its operator tree,
 // returning streaming rows that hold only the snapshot pin and the
 // plan checkout — both released when the stream finishes.
-func (db *DB) openSelect(ctx context.Context, sel *sql.SelectStmt, key string, args []storage.Value, workers int, workMem int64, kind readerKind) (*Rows, error) {
-	prep, release, err := db.planSelect(ctx, sel, key, args, workers, workMem, kind)
+func (db *DB) openSelect(ctx context.Context, sel *sql.SelectStmt, key string, args []storage.Value, workers int, workMem int64, reader *Session) (*Rows, error) {
+	prep, release, err := db.planSelect(ctx, sel, key, args, workers, workMem, reader)
 	if err != nil {
 		return nil, err
 	}
@@ -761,61 +738,22 @@ func (db *DB) Exec(text string) (Result, error) {
 }
 
 // ExecContext is Exec with cancellation; for INSERT ... SELECT the
-// context reaches the SELECT's executor. Transaction control parses
-// here too (BEGIN / COMMIT / ROLLBACK) so text-only embedded callers
-// can manage transactions; a DB-level BEGIN takes the cross-session
-// write gate exactly like a Session's BEGIN does, so it cannot
-// interleave with (or be clobbered by the rollback of) a concurrent
-// session's work. These statements are not WAL-logged (the WAL
-// records only committed data statements). SET/SHOW and graph
-// statements are session-scoped and rejected at the DB layer, before
-// admission; run them through a Session.
+// context reaches the SELECT's executor. It runs through the DB's
+// embedded session, so BEGIN / COMMIT / ROLLBACK manage that session's
+// transaction: a DB-level BEGIN takes the cross-session write gate
+// exactly like any session's BEGIN. SET/SHOW and graph statements are
+// session-scoped and refused before they run; run them through a
+// Session.
 func (db *DB) ExecContext(ctx context.Context, text string) (Result, error) {
-	st, err := sql.Parse(text)
+	p, err := db.embedded.parse(text, "", nil)
 	if err != nil {
 		return Result{}, err
 	}
-	switch st.(type) {
-	case *sql.BeginStmt:
-		if err := db.AcquireWriteGate(ctx); err != nil {
-			return Result{}, err
-		}
-		if err := db.Begin(); err != nil {
-			db.ReleaseWriteGate()
-			return Result{}, err
-		}
-		db.execGateMu.Lock()
-		db.execGateHeld = true
-		db.execGateMu.Unlock()
-		return Result{}, nil
-	case *sql.CommitStmt:
-		return Result{}, db.endExecTxn(db.Commit)
-	case *sql.RollbackStmt:
-		return Result{}, db.endExecTxn(db.Rollback)
+	switch p.st.(type) {
 	case *sql.SetStmt, *sql.ShowStmt, *sql.GraphStmt:
-		return Result{}, fmt.Errorf("engine: %s is a session statement; run it through a Session", st)
-	case *sql.SelectStmt:
-		// A read never takes the gate or reaches the WAL; Exec reports
-		// the row count (WAL files written by older versions may replay
-		// a SELECT through here).
-		rows, err := db.QueryContext(ctx, text)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{RowsAffected: rows.Len()}, nil
+		return Result{}, fmt.Errorf("engine: %s is a session statement; run it through a Session", p.st)
 	}
-	// A DB-level auto-commit write is admitted like a Session's, so
-	// another session's rollback cannot clobber it. The gate counts as
-	// already held inside a DB-level ExecContext("BEGIN") transaction
-	// or a gate-holding caller chain (WithGateHeld). execGateHeld is
-	// DB-global, so the DB-level transaction API assumes a single
-	// DB-level caller, exactly like db.Begin always has — concurrent
-	// writers must each use their own Session, whose gate ownership is
-	// per-session.
-	db.execGateMu.Lock()
-	held := db.execGateHeld
-	db.execGateMu.Unlock()
-	res, _, err := db.admitWrite(ctx, st, text, nil, held || GateHeld(ctx))
+	_, res, err := materialize(db.embedded.run(ctx, p))
 	return res, err
 }
 
@@ -845,24 +783,6 @@ func (db *DB) admitWrite(ctx context.Context, st sql.Statement, text string, ps 
 	res, err = db.execParsed(ctx, st, text, ps)
 	endExec(fmt.Sprintf("rows=%d", res.RowsAffected))
 	return res, false, err
-}
-
-// endExecTxn finishes a transaction opened by ExecContext("BEGIN"),
-// releasing the write gate only if that path acquired it (a direct
-// db.Begin() caller never touched the gate and must not release it).
-func (db *DB) endExecTxn(end func() error) error {
-	err := end()
-	if err != nil {
-		return err
-	}
-	db.execGateMu.Lock()
-	held := db.execGateHeld
-	db.execGateHeld = false
-	db.execGateMu.Unlock()
-	if held {
-		db.ReleaseWriteGate()
-	}
-	return nil
 }
 
 // execParsed runs an already-parsed data statement under the exclusive

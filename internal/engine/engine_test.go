@@ -193,18 +193,14 @@ func TestNotNullEnforced(t *testing.T) {
 
 func TestTransactionRollback(t *testing.T) {
 	db := newGraphDB(t)
-	if err := db.Begin(); err != nil {
-		t.Fatal(err)
-	}
 	mustExec(t, db,
+		"BEGIN",
 		"UPDATE vertex SET value = 'mutated'",
 		"DELETE FROM edge",
 		"CREATE TABLE scratch (x INTEGER)",
 		"DROP TABLE vertex",
+		"ROLLBACK",
 	)
-	if err := db.Rollback(); err != nil {
-		t.Fatal(err)
-	}
 	v, err := db.QueryScalar("SELECT COUNT(*) FROM vertex WHERE value = 'a'")
 	if err != nil {
 		t.Fatalf("vertex table gone after rollback: %v", err)
@@ -223,18 +219,12 @@ func TestTransactionRollback(t *testing.T) {
 
 func TestTransactionCommit(t *testing.T) {
 	db := newGraphDB(t)
-	if err := db.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, "DELETE FROM edge WHERE src = 1")
-	if err := db.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	mustExec(t, db, "BEGIN", "DELETE FROM edge WHERE src = 1", "COMMIT")
 	v, _ := db.QueryScalar("SELECT COUNT(*) FROM edge")
 	if v.I != 3 {
 		t.Errorf("edges after commit = %v", v)
 	}
-	if err := db.Commit(); err == nil {
+	if _, err := db.Exec("COMMIT"); err == nil {
 		t.Error("commit without begin should fail")
 	}
 }

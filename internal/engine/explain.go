@@ -66,7 +66,7 @@ func (s *Session) explainSelect(ctx context.Context, sel *sql.SelectStmt, key st
 		cache = "hit"
 	}
 	db.mu.RUnlock()
-	prep, release, err := db.planSelect(ctx, sel, "", nil, workers, workMem, s.readerKind())
+	prep, release, err := db.planSelect(ctx, sel, "", nil, workers, workMem, s)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func (s *Session) explainWrite(ctx context.Context, ex *sql.ExplainStmt) ([]stri
 
 	route := "serialized (exclusive write gate)"
 	if fastWriteShapeEligible(st) {
-		if s.ownsGate || db.InTransaction() {
+		if s.ownsGate.Load() || db.InTransaction() {
 			route = "fast-path shape, but serialized (transaction open)"
 		} else {
 			route = "sharded fast path (shared gate + per-shard statement locks)"
@@ -121,7 +121,7 @@ func (s *Session) explainWrite(ctx context.Context, ex *sql.ExplainStmt) ([]stri
 	}
 
 	start := time.Now()
-	res, fast, err := db.admitWrite(ctx, st, st.String(), nil, s.ownsGate)
+	res, fast, err := db.admitWrite(ctx, st, st.String(), nil, s.ownsGate.Load())
 	if err != nil {
 		return nil, err
 	}

@@ -69,15 +69,9 @@ func (db *DB) tryFastWrite(ctx context.Context, st sql.Statement, text string, p
 	if err := db.acquireSharedGate(ctx); err != nil {
 		return Result{}, true, err
 	}
+	// No transaction is open: every transaction holds the exclusive
+	// gate from BEGIN on (Session.begin), which no shared slot overlaps.
 	db.mu.RLock()
-	if db.txn != nil {
-		// An open DB-level transaction must stage pre-images under
-		// db.mu. Fall back.
-		db.mu.RUnlock()
-		db.releaseSharedGate()
-		db.obs.Counter("engine.fastpath.declined").Inc()
-		return Result{}, false, nil
-	}
 	var res Result
 	var err error
 	switch s := st.(type) {

@@ -3,11 +3,13 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,7 +139,7 @@ func TestDBExecRefusesGraphStatement(t *testing.T) {
 // paths and ablation switches this engine used to fork on reappears in
 // non-test source anywhere in the module.
 func TestDeletedForksStayDeleted(t *testing.T) {
-	gone := regexp.MustCompile(`\b(legacySubstitution|SetSnapshotReads|SetFastPathWrites|QueryContextWorkers|SetGraphExplainer)\b`)
+	gone := regexp.MustCompile(`\b(legacySubstitution|SetSnapshotReads|SetFastPathWrites|QueryContextWorkers|SetGraphExplainer|readerDBLevel|txnSessionOwned|execGateHeld|endExecTxn)\b`)
 	root := filepath.Join("..", "..")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -163,5 +165,110 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDBLevelStatementsAreObserved: a top-level DB.Exec and
+// DB.QueryContext run through the embedded session's lifecycle, so
+// each raises its kind's statement counter and the latency histogram
+// by one, leaves a slow-query record at a 1 ns threshold, and leaves a
+// vx$traces row.
+func TestDBLevelStatementsAreObserved(t *testing.T) {
+	db := observeDB(t)
+	var slow []SlowQuery
+	db.SetSlowQueryLog(func(q SlowQuery) { slow = append(slow, q) })
+	db.SetSlowQueryThreshold(time.Nanosecond)
+	latency := db.Stats().Histogram("engine.statement_latency")
+	for _, tc := range []struct {
+		kind, stmt string
+		run        func(string) error
+	}{
+		{"insert", "INSERT INTO nv VALUES (9, 'i')", func(s string) error { _, err := db.Exec(s); return err }},
+		{"select", "SELECT label FROM nv WHERE id = 9", func(s string) error {
+			_, err := db.QueryContext(context.Background(), s)
+			return err
+		}},
+	} {
+		counter := db.Stats().Counter("engine.statements." + tc.kind)
+		counted, observed := counter.Load(), latency.Count()
+		slow = nil
+		if err := tc.run(tc.stmt); err != nil {
+			t.Fatalf("%s: %v", tc.stmt, err)
+		}
+		if got := counter.Load() - counted; got != 1 {
+			t.Errorf("%s: engine.statements.%s rose by %d, want 1", tc.stmt, tc.kind, got)
+		}
+		if got := latency.Count() - observed; got != 1 {
+			t.Errorf("%s: %d latency observations, want 1", tc.stmt, got)
+		}
+		if len(slow) != 1 || slow[0].Text != tc.stmt {
+			t.Fatalf("%s: slow-query records = %+v, want one", tc.stmt, slow)
+		}
+		v, err := db.QueryScalar(fmt.Sprintf("SELECT COUNT(*) FROM vx$traces WHERE trace_id = %d", slow[0].TraceID))
+		if err != nil || v.I != 1 {
+			t.Errorf("%s: vx$traces rows for trace %d = %v (%v), want 1", tc.stmt, slow[0].TraceID, v, err)
+		}
+	}
+}
+
+// TestDBLevelReadersBesideEmbeddedTxn: DB-level reads run on the
+// embedded session concurrently with a DB-level transaction on that
+// session. They belong to the transaction's caller, so each sees either
+// the committed rows or the staged ones, never part of a statement;
+// readers on their own sessions, outside the transaction, see only
+// committed rows.
+func TestDBLevelReadersBesideEmbeddedTxn(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE iso (id INTEGER NOT NULL)")
+	seedBatches(t, db, 1, 10)
+	ctx := context.Background()
+	stop := make(chan struct{})
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	read := func(who string, count func() (int64, error), ok func(int64) bool) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n, err := count()
+			if err == nil && !ok(n) {
+				err = fmt.Errorf("saw %d rows", n)
+			}
+			if err != nil {
+				errs <- fmt.Errorf("%s: %w", who, err)
+				return
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		s := db.NewSession()
+		defer s.Close()
+		wg.Add(2)
+		go read("DB-level reader", func() (int64, error) {
+			v, err := db.QueryScalarContext(ctx, "SELECT COUNT(*) FROM iso")
+			return v.I, err
+		}, func(n int64) bool { return n == 10 || n == 12 })
+		go read("session reader", func() (int64, error) {
+			rows, err := s.QueryContext(ctx, "SELECT COUNT(*) FROM iso")
+			if err != nil {
+				return 0, err
+			}
+			return rows.Value(0, 0).I, nil
+		}, func(n int64) bool { return n == 10 })
+	}
+	for i := 0; i < 50; i++ {
+		mustExec(t, db, "BEGIN", "INSERT INTO iso VALUES (100), (101)", "ROLLBACK")
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if v, err := db.QueryScalar("SELECT COUNT(*) FROM iso"); err != nil || v.I != 10 {
+		t.Fatalf("rows after the rollbacks: %v %v, want 10", v, err)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -12,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -386,7 +388,15 @@ func (db *DB) replayWAL(path string) error {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil // torn record: stop replay
 		}
-		if _, err := db.Exec(string(buf)); err != nil {
+		// Each record runs below the statement lifecycle: recovery is
+		// not a statement, so it is not counted, traced or gated. Logs
+		// written by older versions may hold a SELECT, which has no
+		// effect to replay.
+		st, err := sql.Parse(string(buf))
+		if _, isSelect := st.(*sql.SelectStmt); err == nil && !isSelect {
+			_, err = db.execParsed(context.Background(), st, string(buf), nil)
+		}
+		if err != nil {
 			return fmt.Errorf("replaying %q: %w", string(buf), err)
 		}
 	}

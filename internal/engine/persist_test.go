@@ -234,3 +234,35 @@ func TestEmptyCheckpointReopens(t *testing.T) {
 	}
 	db.Close()
 }
+
+// TestWALReplayIsNotObserved: recovery re-executes logged statements
+// below the statement lifecycle, so a reopened engine has counted,
+// observed and traced nothing.
+func TestWALReplayIsNotObserved(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE w (x INTEGER)", "INSERT INTO w VALUES (1), (2)",
+		"BEGIN", "INSERT INTO w VALUES (3)", "COMMIT")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, st := range db.Stats().Snapshot() {
+		if strings.HasPrefix(st.Name, "engine.statement") && st.Value != 0 {
+			t.Errorf("after replay %s = %d, want 0", st.Name, st.Value)
+		}
+	}
+	if n := db.Tracer().RingLen(); n != 0 {
+		t.Errorf("after replay the trace ring holds %d traces, want 0", n)
+	}
+	if v, err := db.QueryScalar("SELECT COUNT(*) FROM w"); err != nil || v.I != 3 {
+		t.Fatalf("replayed rows: %v %v, want 3", v, err)
+	}
+}

@@ -18,11 +18,16 @@ import (
 // (statement_timeout, parallelism), a transaction scope, and the
 // cross-session write gate. The network server gives every connection
 // its own Session; the embedded facade routes through a default one so
-// SET works identically in the REPL and over the wire.
+// SET works identically in the REPL and over the wire; and the DB-level
+// Query*/Exec* family runs through the DB's own unregistered one.
 //
 // A session runs one statement at a time and is not safe for
 // concurrent use by multiple goroutines (cancel a running statement
-// through its context instead).
+// through its context instead). The DB's embedded session is the
+// exception: DB-level calls run on it concurrently, which its atomics
+// allow because nothing SETs its variables; its transaction is the
+// DB-level caller's, and statements that run beside it while it is
+// open join it.
 type Session struct {
 	db *DB
 
@@ -33,7 +38,7 @@ type Session struct {
 	timeout  time.Duration // statement_timeout; 0 = disabled
 	workers  int           // SET parallelism; 0 = engine default
 	workMem  int64         // SET work_mem (bytes); 0 = engine default
-	ownsGate bool          // this session holds the write gate (open txn)
+	ownsGate atomic.Bool   // this session holds the write gate (open txn)
 
 	info *sessionInfo // registry row (vx$sessions)
 	// lastTrace and queueWait are atomics: a statement may run in one
@@ -65,20 +70,17 @@ func (s *Session) StatementTimeout() time.Duration { return s.timeout }
 
 // InTransaction reports whether this session holds an open
 // transaction.
-func (s *Session) InTransaction() bool { return s.ownsGate }
+func (s *Session) InTransaction() bool { return s.ownsGate.Load() }
 
 // Close releases the session's resources: an open transaction is
 // rolled back, the write gate returned, and the session leaves the
 // vx$sessions registry.
 func (s *Session) Close() error {
 	s.db.unregisterSession(s.info.id)
-	if !s.ownsGate {
+	if !s.ownsGate.Load() {
 		return nil
 	}
-	s.ownsGate = false
-	err := s.db.Rollback()
-	s.db.ReleaseWriteGate()
-	return err
+	return s.endTxn(false)
 }
 
 // stmtCtx applies statement_timeout to a statement's context.
@@ -114,16 +116,6 @@ func (s *Session) effectiveWorkers() int {
 	return w
 }
 
-// readerKind reports whose snapshot this session's reads pin: inside
-// its own transaction it sees its staged writes; otherwise it reads
-// committed versions.
-func (s *Session) readerKind() readerKind {
-	if s.ownsGate {
-		return readerTxnOwner
-	}
-	return readerSession
-}
-
 // Run executes one statement of any kind. SELECT, SHOW, EXPLAIN and
 // graph statements return materialized rows (and a Result whose
 // RowsAffected is the row count); everything else returns nil rows.
@@ -131,7 +123,12 @@ func (s *Session) readerKind() readerKind {
 // uses RunStream to avoid materializing results it is about to
 // serialize.
 func (s *Session) Run(ctx context.Context, text string) (*Rows, Result, error) {
-	rows, res, err := s.RunStream(ctx, text)
+	return materialize(s.RunStream(ctx, text))
+}
+
+// materialize drains a statement's rows, if any, so the Result counts
+// them.
+func materialize(rows *Rows, res Result, err error) (*Rows, Result, error) {
 	if err != nil || rows == nil {
 		return rows, res, err
 	}
@@ -166,34 +163,73 @@ func (s *Session) RunStreamBound(ctx context.Context, text string, args []storag
 	return s.execute(ctx, text, cacheKey(text, args), args)
 }
 
-// execute is the one statement lifecycle: parse → count → (session
-// control returns here) → trace start → statement_timeout → run →
-// observe → trace finish. key names the statement's plan-cache entry;
-// "" is plain text, which parses and plans fresh and leaves the cache
-// alone — unbound text is otherwise just the zero-argument case.
+// execute is the one statement lifecycle: parse, then run.
 func (s *Session) execute(ctx context.Context, text, key string, args []storage.Value) (*Rows, Result, error) {
-	enter := time.Now()
+	p, err := s.parse(text, key, args)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	return s.run(ctx, p)
+}
+
+// parsedStmt is a statement between the two halves of the lifecycle.
+type parsedStmt struct {
+	st       sql.Statement
+	text     string
+	key      string // plan-cache entry; "" = plain text
+	args     []storage.Value
+	enter    time.Time // engine entry: where the statement's trace starts
+	parseDur time.Duration
+}
+
+// parse is the first half of the lifecycle. key names the statement's
+// plan-cache entry; "" is plain text, which parses and plans fresh and
+// leaves the cache alone — unbound text is otherwise just the
+// zero-argument case.
+func (s *Session) parse(text, key string, args []storage.Value) (parsedStmt, error) {
+	p := parsedStmt{text: text, key: key, args: args, enter: time.Now()}
 	var (
-		st      sql.Statement
 		nParams int
 		err     error
 	)
 	if key == "" {
-		st, err = sql.Parse(text)
+		p.st, err = sql.Parse(text)
 	} else {
-		st, nParams, err = s.db.plans.parse(text, key)
+		p.st, nParams, err = s.db.plans.parse(text, key)
 	}
-	parseDur := time.Since(enter)
+	p.parseDur = time.Since(p.enter)
 	if err != nil {
-		return nil, Result{}, err
+		return parsedStmt{}, err
 	}
 	if nParams > len(args) {
-		return nil, Result{}, fmt.Errorf("engine: statement wants %d arguments, got %d", nParams, len(args))
+		return parsedStmt{}, fmt.Errorf("engine: statement wants %d arguments, got %d", nParams, len(args))
 	}
-	s.db.countStmt(st)
+	return p, nil
+}
+
+// logText is the text a data statement is traced and WAL-logged as.
+// Parameterized DML executes with bound Param nodes but is logged as
+// the substituted rendering: replay reads text alone, with no argument
+// stream alongside it.
+func (p parsedStmt) logText() (string, error) {
+	if _, isSelect := p.st.(*sql.SelectStmt); isSelect || len(p.args) == 0 {
+		return p.text, nil
+	}
+	return sql.SubstituteParams(p.text, p.args)
+}
+
+// run is the second half of the lifecycle: count → (session control
+// returns here) → trace start → statement_timeout → run → observe →
+// trace finish. A statement whose ctx carries WithGateHeld is nested:
+// see runNested.
+func (s *Session) run(ctx context.Context, p parsedStmt) (*Rows, Result, error) {
+	if GateHeld(ctx) {
+		return s.runNested(ctx, p)
+	}
+	s.db.countStmt(p.st)
 
 	// Session control and EXPLAIN take no parameters and are not traced.
-	switch t := st.(type) {
+	switch t := p.st.(type) {
 	case *sql.SetStmt:
 		return nil, Result{}, s.applySet(t)
 	case *sql.ShowStmt:
@@ -211,26 +247,20 @@ func (s *Session) execute(ctx context.Context, text, key string, args []storage.
 	case *sql.ExplainStmt:
 		ectx, cancel := s.stmtCtx(ctx)
 		defer cancel()
-		return materialized(s.runExplain(ectx, t, text))
+		return materialized(s.runExplain(ectx, t, p.text))
 	}
 
-	// Parameterized DML executes with bound Param nodes but is traced
-	// and WAL-logged as the substituted rendering: replay reads text
-	// alone, with no argument stream alongside it.
-	sel, isSelect := st.(*sql.SelectStmt)
-	stmtText := text
-	if !isSelect && len(args) > 0 {
-		if stmtText, err = sql.SubstituteParams(text, args); err != nil {
-			return nil, Result{}, err
-		}
+	stmtText, err := p.logText()
+	if err != nil {
+		return nil, Result{}, err
 	}
 	start := time.Now()
-	tc := s.startTrace(stmtText, enter, parseDur)
+	tc := s.startTrace(stmtText, p.enter, p.parseDur)
 	sctx, cancel := s.stmtCtx(ctx)
 	sctx = trace.WithCollector(sctx, tc)
 
-	if isSelect {
-		rows, err := s.db.openSelect(sctx, sel, key, args, s.effectiveWorkers(), s.effectiveWorkMem(), s.readerKind())
+	if sel, ok := p.st.(*sql.SelectStmt); ok {
+		rows, err := s.db.openSelect(sctx, sel, p.key, p.args, s.effectiveWorkers(), s.effectiveWorkMem(), s)
 		if err != nil {
 			cancel()
 			s.db.finishTrace(tc)
@@ -240,7 +270,7 @@ func (s *Session) execute(ctx context.Context, text, key string, args []storage.
 		// runs when the rows finish — as does the statement's
 		// observation and trace publication.
 		rows.cleanup = append(rows.cleanup, cancel)
-		s.db.hookSlowQuery(rows, text, start, tc)
+		s.db.hookSlowQuery(rows, p.text, start, tc)
 		return rows, Result{}, nil
 	}
 
@@ -250,7 +280,7 @@ func (s *Session) execute(ctx context.Context, text, key string, args []storage.
 		rows *Rows
 		res  Result
 	)
-	if g, ok := st.(*sql.GraphStmt); ok {
+	if g, ok := p.st.(*sql.GraphStmt); ok {
 		if rows, err = s.runGraph(sctx, g, false, false); err == nil {
 			res.RowsAffected = rows.Len()
 		}
@@ -259,10 +289,28 @@ func (s *Session) execute(ctx context.Context, text, key string, args []storage.
 		// holds the cross-session gate for just this statement so it
 		// cannot interleave with (and be undone by the rollback of)
 		// another session's transaction.
-		res, _, err = s.db.admitWrite(sctx, st, stmtText, plan.NewParams(args), s.ownsGate)
+		res, _, err = s.db.admitWrite(sctx, p.st, stmtText, plan.NewParams(p.args), s.ownsGate.Load())
 	}
-	s.db.observeStatement(stmtText, time.Since(start), int64(res.RowsAffected), stmtKind(st), tc.ID())
+	s.db.observeStatement(stmtText, time.Since(start), int64(res.RowsAffected), stmtKind(p.st), tc.ID())
 	return rows, res, err
+}
+
+// runNested runs a statement issued inside an operation that already
+// holds the write gate — a graph run, a SQL graph driver's step, the
+// vertex runtime's input assembly. The statement is detail of that
+// operation, which owns the gate, the count, the trace, the timeout
+// and the observation: it gets none of its own.
+func (s *Session) runNested(ctx context.Context, p parsedStmt) (*Rows, Result, error) {
+	if sel, ok := p.st.(*sql.SelectStmt); ok {
+		rows, err := s.db.openSelect(ctx, sel, p.key, p.args, s.effectiveWorkers(), s.effectiveWorkMem(), s)
+		return rows, Result{}, err
+	}
+	stmtText, err := p.logText()
+	if err != nil {
+		return nil, Result{}, err
+	}
+	res, _, err := s.db.admitWrite(ctx, p.st, stmtText, plan.NewParams(p.args), true)
+	return nil, res, err
 }
 
 // materialized shapes a small materialized result (SHOW, EXPLAIN) as a
@@ -289,7 +337,7 @@ func (s *Session) runGraph(ctx context.Context, g *sql.GraphStmt, explain, analy
 	if run == nil {
 		return nil, fmt.Errorf("engine: %s: no graph runtime attached", verb)
 	}
-	if s.ownsGate && (analyze || !explain) {
+	if s.ownsGate.Load() && (analyze || !explain) {
 		return nil, fmt.Errorf("engine: cannot run %s inside a transaction", verb)
 	}
 	b, stats, err := run(ctx, g, explain, analyze, s.effectiveWorkers())
@@ -301,16 +349,21 @@ func (s *Session) runGraph(ctx context.Context, g *sql.GraphStmt, explain, analy
 	return rows, nil
 }
 
-// QueryContext runs a SELECT (or SHOW) through the session.
+// QueryContext runs a statement that returns rows — SELECT, SHOW,
+// EXPLAIN or a graph statement — through the session and materializes
+// them. Any other statement is refused before it runs.
 func (s *Session) QueryContext(ctx context.Context, text string) (*Rows, error) {
-	rows, _, err := s.Run(ctx, text)
+	p, err := s.parse(text, "", nil)
 	if err != nil {
 		return nil, err
 	}
-	if rows == nil {
-		return nil, fmt.Errorf("engine: statement returned no rows; use Exec")
+	switch p.st.(type) {
+	case *sql.SelectStmt, *sql.ShowStmt, *sql.ExplainStmt, *sql.GraphStmt:
+	default:
+		return nil, fmt.Errorf("engine: statement returns no rows; use Exec")
 	}
-	return rows, nil
+	rows, _, err := materialize(s.run(ctx, p))
+	return rows, err
 }
 
 // ExecContext runs any non-SELECT statement through the session.
@@ -319,31 +372,33 @@ func (s *Session) ExecContext(ctx context.Context, text string) (Result, error) 
 	return res, err
 }
 
+// begin opens a transaction owned by the session, holding the
+// exclusive write gate until endTxn.
 func (s *Session) begin(ctx context.Context) error {
-	if s.ownsGate {
+	if s.ownsGate.Load() {
 		return fmt.Errorf("engine: transaction already open in this session")
 	}
 	if err := s.db.AcquireWriteGate(ctx); err != nil {
 		return err
 	}
-	if err := s.db.beginSession(); err != nil {
+	if err := s.db.begin(s); err != nil {
 		s.db.ReleaseWriteGate()
 		return err
 	}
-	s.ownsGate = true
+	s.ownsGate.Store(true)
 	s.info.inTxn.Store(true)
 	return nil
 }
 
 func (s *Session) endTxn(commit bool) error {
-	if !s.ownsGate {
+	if !s.ownsGate.Load() {
 		return fmt.Errorf("engine: no open transaction in this session")
 	}
 	var err error
 	if commit {
-		err = s.db.Commit()
+		err = s.db.commit()
 	} else {
-		err = s.db.Rollback()
+		err = s.db.rollback()
 	}
 	if err != nil && s.db.InTransaction() {
 		// COMMIT failed with the transaction still open (e.g. a WAL
@@ -353,7 +408,7 @@ func (s *Session) endTxn(commit bool) error {
 		// to clobber other sessions' committed writes.
 		return err
 	}
-	s.ownsGate = false
+	s.ownsGate.Store(false)
 	s.info.inTxn.Store(false)
 	s.db.ReleaseWriteGate()
 	return err

@@ -303,3 +303,22 @@ func TestDBLevelTxnSQL(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSessionQueryRefusesWriteUnrun: Session.QueryContext refuses a
+// statement that returns no rows before running it, as DB.QueryContext
+// does — the refused INSERT leaves no row behind.
+func TestSessionQueryRefusesWriteUnrun(t *testing.T) {
+	db, s := sessionFixture(t)
+	defer s.Close()
+	ctx := context.Background()
+	const stmt = "INSERT INTO t VALUES (100, 1.0)"
+	if _, err := s.QueryContext(ctx, stmt); err == nil || !strings.Contains(err.Error(), "use Exec") {
+		t.Fatalf("Session.QueryContext(%s): err = %v, want a refusal", stmt, err)
+	}
+	if _, err := db.QueryContext(ctx, stmt); err == nil || !strings.Contains(err.Error(), "use Exec") {
+		t.Fatalf("DB.QueryContext(%s): err = %v, want a refusal", stmt, err)
+	}
+	if v, err := db.QueryScalar("SELECT COUNT(*) FROM t WHERE id = 100"); err != nil || v.I != 0 {
+		t.Fatalf("refused INSERT left %v rows (%v), want 0", v, err)
+	}
+}

@@ -8,29 +8,23 @@ import (
 	"repro/internal/trace"
 )
 
-// txnState tracks the statements of an open transaction for WAL
-// replay. Undo lives in the MVCC manager now: the first write to a
-// table stages an O(columns) copy-on-write pre-image snapshot there
-// (replacing the old deep-copy undo clones), commit publishes the new
-// table versions by discarding the overlay, and rollback restores the
-// pre-images with a version swap. Readers resolve staged tables to
+// txnState tracks an open transaction: the session that owns it and
+// the statements to WAL on commit. Undo lives in the MVCC manager: the
+// first write to a table stages an O(columns) copy-on-write pre-image
+// snapshot there, commit publishes the new table versions by
+// discarding the overlay, and rollback restores the pre-images with a
+// version swap. Readers other than the owner resolve staged tables to
 // their pre-images, so an open transaction's writes are invisible to
-// other sessions until commit.
+// other sessions until commit. Transactions are opened only by a
+// Session holding the exclusive write gate (see Session.begin).
 type txnState struct {
-	log []string // statements to WAL on commit
+	owner *Session // its reads see the staged writes
+	log   []string // statements to WAL on commit
 }
 
-// Begin starts a DB-level transaction (the embedded single-caller
-// API: DB-level reads see its uncommitted state). Nested transactions
-// are not supported.
-func (db *DB) Begin() error { return db.begin(false) }
-
-// beginSession starts a transaction owned by a Session: only that
-// session's reads see the staged writes; every other reader keeps the
-// committed versions.
-func (db *DB) beginSession() error { return db.begin(true) }
-
-func (db *DB) begin(sessionOwned bool) error {
+// begin opens a transaction owned by s. Nested transactions are not
+// supported.
+func (db *DB) begin(owner *Session) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.txn != nil {
@@ -39,8 +33,7 @@ func (db *DB) begin(sessionOwned bool) error {
 	if err := db.mvcc.Begin(); err != nil {
 		return err
 	}
-	db.txn = &txnState{}
-	db.txnSessionOwned = sessionOwned
+	db.txn = &txnState{owner: owner}
 	return nil
 }
 
@@ -51,11 +44,11 @@ func (db *DB) InTransaction() bool {
 	return db.txn != nil
 }
 
-// Commit makes the transaction's changes durable (appending its
+// commit makes the transaction's changes durable (appending its
 // statements to the WAL when persistence is enabled) and publishes the
 // new table versions: from this point snapshots resolve the live
 // tables again.
-func (db *DB) Commit() error {
+func (db *DB) commit() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.txn == nil {
@@ -72,9 +65,9 @@ func (db *DB) Commit() error {
 	return db.mvcc.Commit()
 }
 
-// Rollback undoes every change made since Begin by restoring the MVCC
+// rollback undoes every change made since begin by restoring the MVCC
 // pre-image snapshots — a version swap per touched table.
-func (db *DB) Rollback() error {
+func (db *DB) rollback() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.txn == nil {

@@ -1,6 +1,7 @@
 package sqlgraph
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -11,17 +12,19 @@ import (
 // neighborhood must first be gathered via messages) but natural in SQL
 // as self-joins. All of them expect a symmetrized edge table (each
 // undirected edge stored in both directions), which is how the paper's
-// undirected SNAP graphs load.
+// undirected SNAP graphs load. Each takes the caller's context: a
+// self-join over a large edge table runs for seconds, and cancelling
+// ctx (or its statement_timeout) stops it mid-join.
 
 // TriangleCount returns the number of distinct triangles using the
 // classic ordered three-way self-join: a triangle (a < b < c) is
 // counted once via edges (a,b), (b,c), (a,c).
-func TriangleCount(g *core.Graph) (int64, error) {
+func TriangleCount(ctx context.Context, g *core.Graph) (int64, error) {
 	q := fmt.Sprintf(`SELECT COUNT(*) FROM %[1]s AS e1, %[1]s AS e2, %[1]s AS e3
 		WHERE e1.dst = e2.src AND e2.dst = e3.dst AND e1.src = e3.src
 		AND e1.src < e1.dst AND e2.src < e2.dst AND e3.src < e3.dst`,
 		g.EdgeTable())
-	v, err := g.DB.QueryScalar(q)
+	v, err := g.DB.QueryScalarContext(ctx, q)
 	if err != nil {
 		return 0, fmt.Errorf("sqlgraph: triangle count: %w", err)
 	}
@@ -30,13 +33,13 @@ func TriangleCount(g *core.Graph) (int64, error) {
 
 // TriangleCountPerNode returns, for every vertex with at least one
 // triangle, the number of triangles it participates in.
-func TriangleCountPerNode(g *core.Graph) (map[int64]int64, error) {
+func TriangleCountPerNode(ctx context.Context, g *core.Graph) (map[int64]int64, error) {
 	q := fmt.Sprintf(`SELECT e1.src AS id, COUNT(*) AS tri
 		FROM %[1]s AS e1
 		JOIN %[1]s AS e2 ON e1.src = e2.src AND e1.dst < e2.dst
 		JOIN %[1]s AS e3 ON e3.src = e1.dst AND e3.dst = e2.dst
 		GROUP BY e1.src`, g.EdgeTable())
-	rows, err := g.DB.Query(q)
+	rows, err := g.DB.QueryContext(ctx, q)
 	if err != nil {
 		return nil, fmt.Errorf("sqlgraph: per-node triangles: %w", err)
 	}
@@ -55,13 +58,13 @@ type OverlapPair struct {
 
 // StrongOverlap finds pairs of vertices sharing at least minCommon
 // neighbors (§3.2 "Strong Overlap"), ordered by descending overlap.
-func StrongOverlap(g *core.Graph, minCommon int64) ([]OverlapPair, error) {
+func StrongOverlap(ctx context.Context, g *core.Graph, minCommon int64) ([]OverlapPair, error) {
 	q := fmt.Sprintf(`SELECT e1.src AS a, e2.src AS b, COUNT(*) AS common
 		FROM %[1]s AS e1 JOIN %[1]s AS e2 ON e1.dst = e2.dst AND e1.src < e2.src
 		GROUP BY e1.src, e2.src
 		HAVING COUNT(*) >= %d
 		ORDER BY common DESC, a, b`, g.EdgeTable(), minCommon)
-	rows, err := g.DB.Query(q)
+	rows, err := g.DB.QueryContext(ctx, q)
 	if err != nil {
 		return nil, fmt.Errorf("sqlgraph: strong overlap: %w", err)
 	}
@@ -86,7 +89,7 @@ type WeakTie struct {
 // pairs of neighbors with no direct edge between them — the "bridges"
 // of §3.2. Implemented as neighbor-pair enumeration anti-joined against
 // the edge table.
-func WeakTies(g *core.Graph, minPairs int64) ([]WeakTie, error) {
+func WeakTies(ctx context.Context, g *core.Graph, minPairs int64) ([]WeakTie, error) {
 	q := fmt.Sprintf(`SELECT e1.src AS id, COUNT(*) AS pairs
 		FROM %[1]s AS e1
 		JOIN %[1]s AS e2 ON e1.src = e2.src AND e1.dst < e2.dst
@@ -95,7 +98,7 @@ func WeakTies(g *core.Graph, minPairs int64) ([]WeakTie, error) {
 		GROUP BY e1.src
 		HAVING COUNT(*) >= %d
 		ORDER BY pairs DESC, id`, g.EdgeTable(), minPairs)
-	rows, err := g.DB.Query(q)
+	rows, err := g.DB.QueryContext(ctx, q)
 	if err != nil {
 		return nil, fmt.Errorf("sqlgraph: weak ties: %w", err)
 	}
@@ -108,12 +111,12 @@ func WeakTies(g *core.Graph, minPairs int64) ([]WeakTie, error) {
 
 // ClusteringCoefficients computes the local clustering coefficient of
 // every vertex with degree ≥ 2: 2·tri(v) / (deg(v)·(deg(v)−1)).
-func ClusteringCoefficients(g *core.Graph) (map[int64]float64, error) {
-	tri, err := TriangleCountPerNode(g)
+func ClusteringCoefficients(ctx context.Context, g *core.Graph) (map[int64]float64, error) {
+	tri, err := TriangleCountPerNode(ctx, g)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := g.DB.Query(fmt.Sprintf(
+	rows, err := g.DB.QueryContext(ctx, fmt.Sprintf(
 		"SELECT src, COUNT(*) FROM %s GROUP BY src", g.EdgeTable()))
 	if err != nil {
 		return nil, err
@@ -134,8 +137,8 @@ func ClusteringCoefficients(g *core.Graph) (map[int64]float64, error) {
 // clustering coefficient — the hybrid-query source selector from §3.2
 // ("shortest path from the most clustered node"). Ties break to the
 // smaller id.
-func MostClusteredVertex(g *core.Graph) (int64, float64, error) {
-	ccs, err := ClusteringCoefficients(g)
+func MostClusteredVertex(ctx context.Context, g *core.Graph) (int64, float64, error) {
+	ccs, err := ClusteringCoefficients(ctx, g)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -152,12 +155,12 @@ func MostClusteredVertex(g *core.Graph) (int64, float64, error) {
 }
 
 // GlobalClusteringCoefficient is 3·triangles / open+closed wedges.
-func GlobalClusteringCoefficient(g *core.Graph) (float64, error) {
-	tris, err := TriangleCount(g)
+func GlobalClusteringCoefficient(ctx context.Context, g *core.Graph) (float64, error) {
+	tris, err := TriangleCount(ctx, g)
 	if err != nil {
 		return 0, err
 	}
-	wedges, err := g.DB.QueryScalar(fmt.Sprintf(
+	wedges, err := g.DB.QueryScalarContext(ctx, fmt.Sprintf(
 		`SELECT SUM(d.deg * (d.deg - 1)) / 2.0 FROM
 		 (SELECT src, COUNT(*) AS deg FROM %s GROUP BY src) AS d`, g.EdgeTable()))
 	if err != nil {

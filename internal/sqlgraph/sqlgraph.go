@@ -68,10 +68,8 @@ func PageRank(ctx context.Context, g *core.Graph, iterations int, damping float6
 		fmt.Sprintf("INSERT INTO %s SELECT src, COUNT(*) FROM %s GROUP BY src", deg, g.EdgeTable()),
 		fmt.Sprintf("INSERT INTO %s SELECT id, 1.0 / %d FROM %s", pra, n, g.VertexTable()),
 	}
-	for _, s := range stmts {
-		if _, err := db.ExecContext(ctx, s); err != nil {
-			return nil, fmt.Errorf("sqlgraph: pagerank setup: %w", err)
-		}
+	if err := execAll(ctx, db, "pagerank", stmts); err != nil {
+		return nil, err
 	}
 
 	cur, next := pra, prb
@@ -124,22 +122,15 @@ func ShortestPaths(ctx context.Context, g *core.Graph, source int64, unitWeights
 		fmt.Sprintf("INSERT INTO %s SELECT id, CASE WHEN id = %d THEN 0.0 ELSE %g END FROM %s",
 			da, source, infDist, g.VertexTable()),
 	}
-	for _, s := range stmts {
-		if _, err := db.ExecContext(ctx, s); err != nil {
-			return nil, fmt.Errorf("sqlgraph: sssp setup: %w", err)
-		}
+	if err := execAll(ctx, db, "sssp", stmts); err != nil {
+		return nil, err
 	}
-
-	cur, next := da, dbl
 	maxIters, err := g.NumVertices()
 	if err != nil {
 		return nil, err
 	}
-	for it := int64(0); it <= maxIters; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		step := fmt.Sprintf(`INSERT INTO %[1]s
+	cur, err := fixpoint(ctx, db, "sssp", "dist", da, dbl, maxIters, func(next, cur string) string {
+		return fmt.Sprintf(`INSERT INTO %[1]s
 			SELECT c.id, CASE WHEN m.nd IS NULL OR c.dist <= m.nd THEN c.dist ELSE m.nd END
 			FROM %[2]s AS c LEFT JOIN (
 				SELECT e.dst AS id, MIN(f.dist + %[4]s) AS nd
@@ -148,27 +139,11 @@ func ShortestPaths(ctx context.Context, g *core.Graph, source int64, unitWeights
 				GROUP BY e.dst
 			) AS m ON c.id = m.id`,
 			next, cur, g.EdgeTable(), weightExpr, infDist)
-		if _, err := db.ExecContext(ctx, step); err != nil {
-			return nil, fmt.Errorf("sqlgraph: sssp iteration %d: %w", it, err)
-		}
-		improved, err := db.QueryScalarContext(ctx, fmt.Sprintf(
-			"SELECT COUNT(*) FROM %s AS n JOIN %s AS c ON n.id = c.id WHERE n.dist < c.dist", next, cur))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := db.ExecContext(ctx, "TRUNCATE "+cur); err != nil {
-			return nil, err
-		}
-		cur, next = next, cur
-		if improved.I == 0 {
-			break
-		}
-	}
-	all, err := readFloatMap(ctx, db, fmt.Sprintf("SELECT id, dist FROM %s WHERE dist < %g", cur, infDist))
+	})
 	if err != nil {
 		return nil, err
 	}
-	return all, nil
+	return readFloatMap(ctx, db, fmt.Sprintf("SELECT id, dist FROM %s WHERE dist < %g", cur, infDist))
 }
 
 // ConnectedComponents labels vertices with the minimum reachable id via
@@ -187,21 +162,15 @@ func ConnectedComponents(ctx context.Context, g *core.Graph) (map[int64]int64, e
 		fmt.Sprintf("CREATE TABLE %s (id INTEGER NOT NULL, label INTEGER NOT NULL)", lb),
 		fmt.Sprintf("INSERT INTO %s SELECT id, id FROM %s", la, g.VertexTable()),
 	}
-	for _, s := range stmts {
-		if _, err := db.ExecContext(ctx, s); err != nil {
-			return nil, fmt.Errorf("sqlgraph: wcc setup: %w", err)
-		}
+	if err := execAll(ctx, db, "wcc", stmts); err != nil {
+		return nil, err
 	}
-	cur, next := la, lb
 	maxIters, err := g.NumVertices()
 	if err != nil {
 		return nil, err
 	}
-	for it := int64(0); it <= maxIters; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		step := fmt.Sprintf(`INSERT INTO %[1]s
+	cur, err := fixpoint(ctx, db, "wcc", "label", la, lb, maxIters, func(next, cur string) string {
+		return fmt.Sprintf(`INSERT INTO %[1]s
 			SELECT c.id, CASE WHEN m.nl IS NULL OR c.label <= m.nl THEN c.label ELSE m.nl END
 			FROM %[2]s AS c LEFT JOIN (
 				SELECT e.dst AS id, MIN(l.label) AS nl
@@ -209,21 +178,9 @@ func ConnectedComponents(ctx context.Context, g *core.Graph) (map[int64]int64, e
 				GROUP BY e.dst
 			) AS m ON c.id = m.id`,
 			next, cur, g.EdgeTable())
-		if _, err := db.ExecContext(ctx, step); err != nil {
-			return nil, fmt.Errorf("sqlgraph: wcc iteration %d: %w", it, err)
-		}
-		improved, err := db.QueryScalarContext(ctx, fmt.Sprintf(
-			"SELECT COUNT(*) FROM %s AS n JOIN %s AS c ON n.id = c.id WHERE n.label < c.label", next, cur))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := db.ExecContext(ctx, "TRUNCATE "+cur); err != nil {
-			return nil, err
-		}
-		cur, next = next, cur
-		if improved.I == 0 {
-			break
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	rows, err := db.QueryContext(ctx, fmt.Sprintf("SELECT id, label FROM %s", cur))
 	if err != nil {
@@ -234,6 +191,46 @@ func ConnectedComponents(ctx context.Context, g *core.Graph) (map[int64]int64, e
 		out[rows.Value(i, 0).I] = rows.Value(i, 1).I
 	}
 	return out, nil
+}
+
+// execAll runs an algorithm's setup statements in order.
+func execAll(ctx context.Context, db *engine.DB, algo string, stmts []string) error {
+	for _, s := range stmts {
+		if _, err := db.ExecContext(ctx, s); err != nil {
+			return fmt.Errorf("sqlgraph: %s setup: %w", algo, err)
+		}
+	}
+	return nil
+}
+
+// fixpoint is the relaxation loop ShortestPaths and ConnectedComponents
+// share. Each round inserts step(next, cur) into the empty table next,
+// counts the vertices whose col dropped below their value in cur,
+// truncates cur and swaps the two; it stops after the first round that
+// improves nothing, or after maxIters+1 rounds. It returns the table
+// holding the final values.
+func fixpoint(ctx context.Context, db *engine.DB, algo, col, cur, next string, maxIters int64, step func(next, cur string) string) (string, error) {
+	for it := int64(0); it <= maxIters; it++ {
+		if err := ctx.Err(); err != nil {
+			return "", err
+		}
+		if _, err := db.ExecContext(ctx, step(next, cur)); err != nil {
+			return "", fmt.Errorf("sqlgraph: %s iteration %d: %w", algo, it, err)
+		}
+		improved, err := db.QueryScalarContext(ctx, fmt.Sprintf(
+			"SELECT COUNT(*) FROM %s AS n JOIN %s AS c ON n.id = c.id WHERE n.%s < c.%s", next, cur, col, col))
+		if err != nil {
+			return "", err
+		}
+		if _, err := db.ExecContext(ctx, "TRUNCATE "+cur); err != nil {
+			return "", err
+		}
+		cur, next = next, cur
+		if improved.I == 0 {
+			break
+		}
+	}
+	return cur, nil
 }
 
 // readFloatMap materializes an (id, float) query into a map.

@@ -183,7 +183,7 @@ func bruteTriangles(und [][2]int64) int64 {
 
 func TestTriangleCountMatchesBruteForce(t *testing.T) {
 	g := undirectedGraph(t)
-	got, err := TriangleCount(g)
+	got, err := TriangleCount(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestTriangleCountRandomGraphs(t *testing.T) {
 		if err := g.BulkLoad(nil, edges); err != nil {
 			t.Fatal(err)
 		}
-		got, err := TriangleCount(g)
+		got, err := TriangleCount(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestTriangleCountRandomGraphs(t *testing.T) {
 
 func TestTriangleCountPerNode(t *testing.T) {
 	g := undirectedGraph(t)
-	got, err := TriangleCountPerNode(g)
+	got, err := TriangleCountPerNode(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestTriangleCountPerNode(t *testing.T) {
 
 func TestStrongOverlap(t *testing.T) {
 	g := undirectedGraph(t)
-	pairs, err := StrongOverlap(g, 2)
+	pairs, err := StrongOverlap(context.Background(), g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestStrongOverlap(t *testing.T) {
 
 func TestWeakTies(t *testing.T) {
 	g := undirectedGraph(t)
-	ties, err := WeakTies(g, 1)
+	ties, err := WeakTies(context.Background(), g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestWeakTies(t *testing.T) {
 
 func TestClusteringCoefficients(t *testing.T) {
 	g := undirectedGraph(t)
-	ccs, err := ClusteringCoefficients(g)
+	ccs, err := ClusteringCoefficients(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestClusteringCoefficients(t *testing.T) {
 	if math.Abs(ccs[1]-1.0/3.0) > 1e-12 {
 		t.Errorf("cc(1) = %v, want 1/3", ccs[1])
 	}
-	id, cc, err := MostClusteredVertex(g)
+	id, cc, err := MostClusteredVertex(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestClusteringCoefficients(t *testing.T) {
 
 func TestGlobalClusteringCoefficient(t *testing.T) {
 	g := undirectedGraph(t)
-	gcc, err := GlobalClusteringCoefficient(g)
+	gcc, err := GlobalClusteringCoefficient(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

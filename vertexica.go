@@ -141,8 +141,13 @@ func (e *Engine) Close() error { return e.db.Close() }
 // engines only).
 func (e *Engine) Checkpoint() error { return e.db.Checkpoint() }
 
-// DB exposes the underlying relational engine for advanced use
-// (transactions, direct catalog access).
+// DB exposes the underlying relational engine for advanced use (direct
+// catalog access, its own sessions). Its Query*/Exec* calls run through
+// the statement lifecycle on a session the DB embeds, so each is
+// counted, traced and slow-logged like any statement; a DB-level
+// BEGIN/COMMIT/ROLLBACK is that session's transaction, separate from
+// the default session's (Engine.Begin, SQL("BEGIN")). Statements issued
+// under a graph run's write-gate context are detail of the run.
 func (e *Engine) DB() *engine.DB { return e.db }
 
 // SetParallelism caps how many worker goroutines one SQL statement may
@@ -481,33 +486,35 @@ func (g *Graph) ConnectedComponentsSQL(ctx context.Context) (labels map[int64]in
 }
 
 // TriangleCount counts distinct triangles (symmetrized graphs).
-func (g *Graph) TriangleCount() (int64, error) { return sqlgraph.TriangleCount(g.g) }
+func (g *Graph) TriangleCount() (int64, error) {
+	return sqlgraph.TriangleCount(context.Background(), g.g)
+}
 
 // TriangleCountPerNode counts triangles per vertex.
 func (g *Graph) TriangleCountPerNode() (map[int64]int64, error) {
-	return sqlgraph.TriangleCountPerNode(g.g)
+	return sqlgraph.TriangleCountPerNode(context.Background(), g.g)
 }
 
 // StrongOverlap finds vertex pairs with >= minCommon shared neighbors.
 func (g *Graph) StrongOverlap(minCommon int64) ([]OverlapPair, error) {
-	return sqlgraph.StrongOverlap(g.g, minCommon)
+	return sqlgraph.StrongOverlap(context.Background(), g.g, minCommon)
 }
 
 // WeakTies finds bridge vertices with >= minPairs disconnected
 // neighbor pairs.
 func (g *Graph) WeakTies(minPairs int64) ([]WeakTie, error) {
-	return sqlgraph.WeakTies(g.g, minPairs)
+	return sqlgraph.WeakTies(context.Background(), g.g, minPairs)
 }
 
 // ClusteringCoefficients computes per-vertex local clustering.
 func (g *Graph) ClusteringCoefficients() (map[int64]float64, error) {
-	return sqlgraph.ClusteringCoefficients(g.g)
+	return sqlgraph.ClusteringCoefficients(context.Background(), g.g)
 }
 
 // GlobalClusteringCoefficient combines triangle counting with wedge
 // counting (§4.2.2's "combine triangle counting with weak ties").
 func (g *Graph) GlobalClusteringCoefficient() (float64, error) {
-	return sqlgraph.GlobalClusteringCoefficient(g.g)
+	return sqlgraph.GlobalClusteringCoefficient(context.Background(), g.g)
 }
 
 // --- hybrid queries (§3.2) ---
@@ -537,7 +544,7 @@ func (g *Graph) ImportantBridges(ctx context.Context, minPairs int64, rankThresh
 // the vertex with the maximum local clustering coefficient — the §3.2
 // hybrid example.
 func (g *Graph) ShortestPathsFromMostClustered(ctx context.Context, unitWeights bool) (source int64, dists map[int64]float64, err error) {
-	source, _, err = sqlgraph.MostClusteredVertex(g.g)
+	source, _, err = sqlgraph.MostClusteredVertex(ctx, g.g)
 	if err != nil {
 		return 0, nil, err
 	}
