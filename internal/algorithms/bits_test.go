@@ -114,9 +114,10 @@ func labelFloats(labels map[int64]int64) map[int64]float64 {
 }
 
 // TestPinnedResultBits asserts that every combining program reproduces
-// the result bits pinned in testdata at several worker counts and with
-// the input cache off: message routing, combining and input assembly
-// may change, the floats they produce may not. Regenerate the file
+// the result bits pinned in testdata at several worker counts and at a
+// partition count that is no multiple of the workers: message routing,
+// combining and input assembly may change, the floats they produce may
+// not. The file is the byte-identity reference for the vertex runtime. Regenerate the file
 // (only when a result change is intended) with -update-bits.
 func TestPinnedResultBits(t *testing.T) {
 	if *updateBits {
@@ -143,7 +144,7 @@ func TestPinnedResultBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []core.Options{
-		{Workers: 1}, {Workers: 2}, {Workers: 8}, {Workers: 2, DisableInputCache: true},
+		{Workers: 1}, {Workers: 2}, {Workers: 8}, {Workers: 2, Partitions: 5},
 	} {
 		got := pinnedResults(t, opts)
 		if len(got) != len(want) {

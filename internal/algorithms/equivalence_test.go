@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"context"
+	"maps"
 	"testing"
 
 	"repro/internal/core"
@@ -27,10 +28,11 @@ func loadDataset(t *testing.T, ds *dataset.Graph) *core.Graph {
 	return g
 }
 
-// TestCachedInputEquivalence asserts the superstep input cache is
-// invisible to results: for each algorithm, a cached run and a
-// DisableInputCache run over the same graph must produce byte-identical
-// vertex values.
+// TestCachedInputEquivalence asserts the input layout is invisible to
+// results: for each algorithm, runs over one partition and over eight
+// and thirteen (the run's edge arrays, the vertex+message rows and the
+// skipped partitions all split differently) produce byte-identical
+// vertex values and superstep counts.
 func TestCachedInputEquivalence(t *testing.T) {
 	ds := dataset.PreferentialAttachment("eq", 300, 3, 11)
 	algos := []struct {
@@ -50,39 +52,29 @@ func TestCachedInputEquivalence(t *testing.T) {
 			return stats, err
 		}},
 	}
+	layouts := []core.Options{{Workers: 1, Partitions: 1}, {Workers: 2, Partitions: 8}, {Workers: 2, Partitions: 13}}
 	for _, a := range algos {
 		t.Run(a.name, func(t *testing.T) {
-			vals := make([]map[int64]string, 2)
-			steps := make([]int, 2)
-			for i, disable := range []bool{false, true} {
+			vals := make([]map[int64]string, len(layouts))
+			steps := make([]int, len(layouts))
+			for i, opts := range layouts {
 				g := loadDataset(t, ds)
-				stats, err := a.run(g, core.Options{Workers: 2, Partitions: 8, DisableInputCache: disable})
+				stats, err := a.run(g, opts)
 				if err != nil {
-					t.Fatalf("disable=%v: %v", disable, err)
+					t.Fatalf("%+v: %v", opts, err)
 				}
-				vals[i], err = g.VertexValues()
-				if err != nil {
+				if vals[i], err = g.VertexValues(); err != nil {
 					t.Fatal(err)
 				}
 				steps[i] = stats.Supersteps
 			}
-			if steps[0] != steps[1] {
-				t.Errorf("supersteps differ: cached=%d uncached=%d", steps[0], steps[1])
-			}
-			if len(vals[0]) != len(vals[1]) {
-				t.Fatalf("vertex counts differ: %d vs %d", len(vals[0]), len(vals[1]))
-			}
-			diff := 0
-			for id, v := range vals[1] {
-				if vals[0][id] != v {
-					diff++
-					if diff <= 3 {
-						t.Errorf("vertex %d: cached=%q uncached=%q", id, vals[0][id], v)
-					}
+			for i := 1; i < len(layouts); i++ {
+				if steps[i] != steps[0] {
+					t.Errorf("%+v: %d supersteps, one partition took %d", layouts[i], steps[i], steps[0])
 				}
-			}
-			if diff > 0 {
-				t.Fatalf("%d/%d vertex values differ between cached and uncached runs", diff, len(vals[1]))
+				if !maps.Equal(vals[i], vals[0]) {
+					t.Errorf("%+v: vertex values differ from the one-partition run", layouts[i])
+				}
 			}
 		})
 	}

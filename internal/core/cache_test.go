@@ -11,33 +11,6 @@ import (
 	"repro/internal/storage"
 )
 
-// TestCachedInputMatchesUncached runs the same program with the input
-// cache on and off and demands identical vertex values and superstep
-// counts.
-func TestCachedInputMatchesUncached(t *testing.T) {
-	results := make([]map[int64]string, 2)
-	counts := make([]int, 2)
-	for i, disable := range []bool{false, true} {
-		g := chainGraph(t, 12)
-		stats, err := Run(context.Background(), g, propagate{}, Options{
-			Workers: 2, Partitions: 5, DisableInputCache: disable,
-		})
-		if err != nil {
-			t.Fatalf("disable=%v: %v", disable, err)
-		}
-		results[i], _ = g.VertexValues()
-		counts[i] = stats.Supersteps
-	}
-	if counts[0] != counts[1] {
-		t.Errorf("supersteps differ: cached=%d uncached=%d", counts[0], counts[1])
-	}
-	for id, v := range results[1] {
-		if results[0][id] != v {
-			t.Errorf("vertex %d: cached=%q uncached=%q", id, results[0][id], v)
-		}
-	}
-}
-
 func TestCacheHitAndBuildCounters(t *testing.T) {
 	g := chainGraph(t, 8)
 	stats, err := Run(context.Background(), g, propagate{}, Options{Workers: 2, Partitions: 4})
@@ -52,17 +25,6 @@ func TestCacheHitAndBuildCounters(t *testing.T) {
 	}
 	if !stats.Steps[1].CacheHit || stats.Steps[0].CacheHit {
 		t.Errorf("per-step CacheHit flags wrong: %+v", stats.Steps)
-	}
-}
-
-func TestDisableInputCacheKeepsCountersZero(t *testing.T) {
-	g := chainGraph(t, 8)
-	stats, err := Run(context.Background(), g, propagate{}, Options{DisableInputCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.CacheBuilds != 0 || stats.CacheHits != 0 || stats.SkippedParts != 0 {
-		t.Errorf("uncached run should not touch the cache: %+v", stats)
 	}
 }
 
@@ -173,20 +135,11 @@ func TestCancelMidSuperstep(t *testing.T) {
 	}
 }
 
-// TestCachedInputAssemblyUnits checks the cached assembly path
-// reconstructs exactly the units the uncached path does on the shared
-// input fixture (vertices, edges with metadata, and a pending message).
+// TestCachedInputAssemblyUnits checks the input assembled from the
+// run's edge arrays and one superstep's vertex+message rows, spread
+// over several partitions, reconstructs the fixture's units.
 func TestCachedInputAssemblyUnits(t *testing.T) {
-	g := inputFixture(t)
-	cache, err := buildEdgeCache(context.Background(), g, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := buildCachedUnionInput(context.Background(), g, cache, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFixtureUnits(t, collectUnits(t, in.parts), "cached-union")
+	checkFixtureUnits(t, assemble(t, inputFixture(t), 4, 2, 0).units, "4 partitions")
 }
 
 // TestCachedSkipAccounting builds a fully-halted graph with no messages
@@ -207,21 +160,14 @@ func TestCachedSkipAccounting(t *testing.T) {
 	mt, _ := g.DB.Catalog().Get(g.MessageTable())
 	mt.Truncate()
 
-	cache, err := buildEdgeCache(context.Background(), g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
+	a := assemble(t, g, 4, 1, 1)
+	if len(a.parts) != 0 || a.ss.InputRows != 0 {
+		t.Errorf("dispatched %d partitions (%d rows), want 0 (all quiescent)", len(a.parts), a.ss.InputRows)
 	}
-	in, err := buildCachedUnionInput(context.Background(), g, cache, 1, 1)
-	if err != nil {
-		t.Fatal(err)
+	if a.ss.SkippedVerts != 3 {
+		t.Errorf("skipped vertices = %d, want 3", a.ss.SkippedVerts)
 	}
-	if len(in.parts) != 0 {
-		t.Errorf("dispatched %d partitions, want 0 (all quiescent)", len(in.parts))
-	}
-	if in.skippedVerts != 3 {
-		t.Errorf("skipped vertices = %d, want 3", in.skippedVerts)
-	}
-	if in.skippedParts == 0 {
+	if a.ss.SkippedParts == 0 {
 		t.Error("skipped partition count not recorded")
 	}
 }

@@ -143,11 +143,11 @@ func (r edgeRecorder) Compute(ctx *VertexContext, _ []Message) error {
 	return nil
 }
 
-// TestOutEdgesDstOrderedCachedAndUncached: a vertex with more than 12
-// parallel edges to one destination (distinct weights) sees its
-// out-edges ordered by dst, parallel edges in edge-table order, on the
-// cached and the uncached input path and on a sharded graph.
-func TestOutEdgesDstOrderedCachedAndUncached(t *testing.T) {
+// TestOutEdgesDstOrdered: a vertex with more than 12 parallel edges to
+// one destination (distinct weights) sees its out-edges ordered by dst,
+// parallel edges in edge-table order, on a single-shard and a sharded
+// graph.
+func TestOutEdgesDstOrdered(t *testing.T) {
 	var edges []Edge
 	for i := 0; i < 15; i++ {
 		// Weights out of order, so a dst-only sort that is not stable
@@ -161,22 +161,20 @@ func TestOutEdgesDstOrderedCachedAndUncached(t *testing.T) {
 	slices.SortStableFunc(want, func(a, b Edge) int { return int(a.Dst - b.Dst) })
 
 	for _, shards := range []int{1, 4} {
-		for _, disable := range []bool{false, true} {
-			g, err := CreateGraphSharded(engine.New(), "par", shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := g.BulkLoad(nil, edges); err != nil {
-				t.Fatal(err)
-			}
-			var got []Edge
-			rec := edgeRecorder{mu: &sync.Mutex{}, edges: &got}
-			if _, err := Run(context.Background(), g, rec, Options{Workers: 2, DisableInputCache: disable}); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=%d uncached=%v: out-edges\n got %s\nwant %s", shards, disable, edgeList(got), edgeList(want))
-			}
+		g, err := CreateGraphSharded(engine.New(), "par", shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.BulkLoad(nil, edges); err != nil {
+			t.Fatal(err)
+		}
+		var got []Edge
+		rec := edgeRecorder{mu: &sync.Mutex{}, edges: &got}
+		if _, err := Run(context.Background(), g, rec, Options{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: out-edges\n got %s\nwant %s", shards, edgeList(got), edgeList(want))
 		}
 	}
 }

@@ -11,8 +11,7 @@ import (
 )
 
 // Options configures a vertex-centric run. The zero value selects the
-// paper's defaults (one worker per core, batching on, the superstep
-// input cache on).
+// paper's defaults (one worker per core, batching on).
 type Options struct {
 	// Workers is the number of parallel worker "UDF instances"
 	// (§2.3 Parallel Workers). 0 means runtime.NumCPU().
@@ -23,12 +22,6 @@ type Options struct {
 	Partitions int
 	// MaxSupersteps bounds the run. 0 means 500.
 	MaxSupersteps int
-	// DisableInputCache re-assembles the full three-table union every
-	// superstep instead of caching the immutable edge side once per run.
-	// The uncached union is the reference the input cache is tested
-	// against byte for byte. It also turns off active-partition
-	// skipping, which rides on the cached path.
-	DisableInputCache bool
 }
 
 // updateThreshold is the changed-tuple fraction below which vertex
@@ -68,8 +61,8 @@ type SuperstepStats struct {
 	MessagesOut  int  // messages emitted (after combining)
 	Updated      int  // vertex tuples changed
 	UsedReplace  bool // replace (true) vs in-place update
-	InputRows    int  // rows fed to workers (union or join product)
-	CacheHit     bool // edge-side input cache reused without rebuild
+	InputRows    int  // vertex+message rows plus the edges of the dispatched partitions
+	CacheHit     bool // the run's edge arrays reused without rebuild
 	SkippedParts int  // quiescent partitions not dispatched to workers
 	SkippedVerts int  // halted vertices inside skipped partitions
 	Duration     time.Duration
@@ -87,8 +80,8 @@ type RunStats struct {
 	TotalComputed    int64
 	TotalMessages    int64
 	DanglingMessages int64
-	CacheBuilds      int   // edge-side input cache (re)builds
-	CacheHits        int   // supersteps served from the cache
+	CacheBuilds      int   // edge-array (re)builds
+	CacheHits        int   // supersteps that reused the edge arrays
 	SkippedParts     int64 // quiescent partitions skipped across the run
 	SkippedVerts     int64 // halted vertices inside skipped partitions
 	Steps            []SuperstepStats
@@ -160,10 +153,10 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 	}
 	aggPrev := make(map[string]float64)
 
-	// The edge side of the union input is immutable for the duration of
-	// a run, so it is partitioned and sorted once here and each
-	// superstep merges only the fresh vertex+message rows into it.
-	var cache *inputCache
+	// The edge side of the input is immutable for the duration of a
+	// run, so it is built into per-partition edge arrays once and each
+	// superstep reads only the fresh vertex+message rows beside them.
+	in := newRunInput(g, opts.Partitions, opts.Workers)
 
 	for step := 0; step < opts.MaxSupersteps; step++ {
 		if err := ctxErr(ctx); err != nil {
@@ -171,46 +164,25 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		}
 		stepStart := time.Now()
 
-		// 1. Assemble the superstep input: the cached union, or the
-		// full union re-sorted every superstep.
-		var parts []*storage.Batch
-		cacheHit := false
-		skippedParts, skippedVerts := 0, 0
-		if opts.DisableInputCache {
-			parts, err = buildUnionInput(ctx, g, opts.Partitions, opts.Workers)
-		} else {
-			edgeVersion, verr := g.EdgeVersion()
-			if verr != nil {
-				return stats, verr
-			}
-			if cache == nil || cache.edgeVersion != edgeVersion {
-				if cache, err = buildEdgeCache(ctx, g, opts.Partitions, opts.Workers); err != nil {
-					return stats, err
-				}
-				stats.CacheBuilds++
-			} else {
-				cacheHit = true
-				stats.CacheHits++
-			}
-			var in *cachedInputResult
-			if in, err = buildCachedUnionInput(ctx, g, cache, step, opts.Workers); err == nil {
-				// Vertices inside skipped partitions are all halted and
-				// receive no messages, so they cannot affect the halt
-				// vote or emit anything — skipping them is lossless.
-				parts = in.parts
-				skippedParts = in.skippedParts
-				skippedVerts = in.skippedVerts
-				stats.SkippedParts += int64(skippedParts)
-				stats.SkippedVerts += int64(skippedVerts)
-			}
+		// 1. Assemble the superstep input.
+		ss := SuperstepStats{Superstep: step}
+		if ss.CacheHit, err = in.refreshEdges(ctx); err != nil {
+			return stats, err
 		}
+		if ss.CacheHit {
+			stats.CacheHits++
+		} else {
+			stats.CacheBuilds++
+		}
+		parts, err := in.superstep(ctx, step, &ss)
 		if err != nil {
 			return stats, err
 		}
-		inputRows := 0
-		for _, p := range parts {
-			inputRows += p.Len()
-		}
+		// Vertices inside skipped partitions are all halted and receive
+		// no messages, so they cannot affect the halt vote or emit
+		// anything — skipping them is lossless.
+		stats.SkippedParts += int64(ss.SkippedParts)
+		stats.SkippedVerts += int64(ss.SkippedVerts)
 		computeStart := time.Now()
 
 		// 2. Run workers in parallel over the partitions. Each routes
@@ -248,22 +220,15 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		// 6. Merge global aggregators for the next superstep.
 		aggPrev = mergeAggregates(res.aggs, aggKinds)
 
-		ss := SuperstepStats{
-			Superstep:    step,
-			Computed:     res.computed,
-			MessagesOut:  sent,
-			Updated:      updated,
-			UsedReplace:  usedReplace,
-			InputRows:    inputRows,
-			CacheHit:     cacheHit,
-			SkippedParts: skippedParts,
-			SkippedVerts: skippedVerts,
-			Duration:     time.Since(stepStart),
-			InputTime:    computeStart.Sub(stepStart),
-			ComputeTime:  foldStart.Sub(computeStart),
-			FoldTime:     writeStart.Sub(foldStart),
-			WriteTime:    time.Since(writeStart),
-		}
+		ss.Computed = res.computed
+		ss.MessagesOut = sent
+		ss.Updated = updated
+		ss.UsedReplace = usedReplace
+		ss.Duration = time.Since(stepStart)
+		ss.InputTime = computeStart.Sub(stepStart)
+		ss.ComputeTime = foldStart.Sub(computeStart)
+		ss.FoldTime = writeStart.Sub(foldStart)
+		ss.WriteTime = time.Since(writeStart)
 		stats.Steps = append(stats.Steps, ss)
 		stats.Supersteps = step + 1
 		stats.TotalComputed += int64(res.computed)
@@ -319,7 +284,7 @@ type mergedResult struct {
 // is recovered and surfaced as an error. Partitions observe ctx before
 // they start and periodically within, so cancelling mid-superstep
 // aborts the superstep instead of running it to the barrier.
-func (c *Coordinator) runWorkers(ctx context.Context, parts []*storage.Batch, step int, numVerts int64,
+func (c *Coordinator) runWorkers(ctx context.Context, parts []*partInput, step int, numVerts int64,
 	opts Options, aggPrev map[string]float64, aggKinds map[string]AggregatorKind) (*mergedResult, error) {
 
 	results := make([]partResult, len(parts))
@@ -382,28 +347,24 @@ const cancelCheckEvery = 64
 // runPartition executes the vertex program serially over one partition
 // — the worker "UDF" of Figure 1 — routing each vertex's outbox to its
 // destination partitions as it goes.
-func (c *Coordinator) runPartition(ctx context.Context, part *storage.Batch, step int, numVerts int64,
+func (c *Coordinator) runPartition(ctx context.Context, part *partInput, step int, numVerts int64,
 	aggPrev map[string]float64, aggKinds map[string]AggregatorKind, res *partResult) error {
-
-	units, dangling := parseUnionPartition(part)
-	res.dangling += dangling
 
 	// One context, outbox and pair of aggregator maps serve every
 	// vertex of the partition, reset between vertices.
 	vc := &VertexContext{}
 	aggCur := make(map[string]float64)
-	for i := range units {
-		if i%cancelCheckEvery == 0 {
+	dangling, err := part.walk(func(u *workUnit) error {
+		if res.seen%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		u := &units[i]
 		res.seen++
 		active := step == 0 || len(u.msgs) > 0 || !u.halted
 		if !active {
 			res.halted++
-			continue
+			return nil
 		}
 		clear(aggCur)
 		*vc = VertexContext{
@@ -442,8 +403,10 @@ func (c *Coordinator) runPartition(ctx context.Context, part *storage.Batch, ste
 			}
 			res.aggs[name] = v
 		}
-	}
-	return nil
+		return nil
+	})
+	res.dangling += dangling
+	return err
 }
 
 func foldAggregate[T int64 | float64](kind AggregatorKind, a, b T) T {

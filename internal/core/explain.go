@@ -55,22 +55,19 @@ func ExplainRun(g *Graph, program string, prog VertexProgram, opts Options) ([]s
 	} else if shards > 1 {
 		layout += fmt.Sprintf("; partitions not a multiple of %d shards, gathers cross shard boundaries", shards)
 	}
-	lines = append(lines, layout, "  input: table union of vertex+message+edge (paper default)")
-
-	cache := "  input cache: edge side built once, reused every superstep; quiescent partitions skipped"
-	if o.DisableInputCache {
-		cache = "  input cache: disabled — full union re-assembled every superstep, no partition skipping"
-	}
+	lines = append(lines, layout,
+		"  input: table union of vertex+message rows, walked beside each partition's out-edges (paper's Table Unions)",
+		"  input cache: edge side built once per run into one out-edge array per partition, sorted on (src, dst) and read in place every superstep; quiescent partitions skipped")
 	combiner := "  combiner: none (every message delivered, sorted per destination partition)"
 	if hc, ok := prog.(HasCombiner); ok {
 		combiner = fmt.Sprintf("  combiner: %s, folded per destination partition", hc.Combiner())
 	}
-	lines = append(lines, cache, combiner,
+	lines = append(lines, combiner,
 		fmt.Sprintf("  write-back: update in place when <%d%% of tuples changed, else replace the table",
 			int(updateThreshold*100)),
 		fmt.Sprintf("  schedule: up to %d supersteps; each superstep:", o.MaxSupersteps),
-		"    1. assemble partition inputs (cached edge side + fresh vertex/message rows)",
-		fmt.Sprintf("    2. dispatch active partitions to %d workers; Compute runs per vertex", o.Workers),
+		"    1. read the vertex+message union batch by batch, hash partition it, sort each active partition on (id, kind, i1)",
+		fmt.Sprintf("    2. dispatch active partitions to %d workers; each walks its rows beside its edge array, Compute runs per vertex", o.Workers),
 		"    3. sort (and combine) each destination partition's messages in parallel, merge them into the message table",
 		"    4. write back changed vertex values (update vs replace)",
 		"  halt: every vertex halted and no messages pending, or the superstep bound",

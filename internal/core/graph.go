@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"repro/internal/engine"
@@ -180,64 +182,100 @@ func (g *Graph) AddEdge(src, dst int64, weight float64, etype string, created in
 		storage.Float64(weight), storage.Str(etype), storage.Int64(created))
 }
 
-// BulkLoad loads vertices (id → initial value) and edges in one pass.
-// Vertices referenced by edges but absent from values are created with
-// the empty value.
+// BulkLoad loads vertices (id → initial value) and edges in one pass:
+// the vertices in ascending id order, then every edge endpoint absent
+// from values, in edge order, with the empty value.
 func (g *Graph) BulkLoad(values map[int64]string, edges []Edge) error {
+	ids := slices.Sorted(maps.Keys(values))
+	vals := make([]string, len(ids))
+	for i, id := range ids {
+		vals[i] = values[id]
+	}
+	ec := MakeEdgeColumns(len(edges))
+	for i, e := range edges {
+		ec.Src[i], ec.Dst[i], ec.Weight[i], ec.Type[i], ec.Created[i] = e.Src, e.Dst, e.Weight, e.Type, e.Created
+	}
+	return g.LoadColumns(ids, vals, ec)
+}
+
+// EdgeColumns is an edge list laid out like the edge table: one slice
+// per column, all of one length.
+type EdgeColumns struct {
+	Src, Dst []int64
+	Weight   []float64
+	Type     []string
+	Created  []int64
+}
+
+// MakeEdgeColumns allocates the columns of n edges.
+func MakeEdgeColumns(n int) EdgeColumns {
+	return EdgeColumns{
+		Src: make([]int64, n), Dst: make([]int64, n), Weight: make([]float64, n),
+		Type: make([]string, n), Created: make([]int64, n),
+	}
+}
+
+// LoadColumns appends vertices and edges column by column. ids are
+// distinct vertex ids, created in the order given with values[i] (the
+// empty value when values is nil); every edge endpoint not among them
+// is created afterwards, in edge order (src before dst), with the empty
+// value. No row is built on the way.
+func (g *Graph) LoadColumns(ids []int64, values []string, edges EdgeColumns) error {
+	if values == nil {
+		values = make([]string, len(ids))
+	}
+	// Membership in ids: a range check when they run lo, lo+1, … (a
+	// generated dataset's 0..n-1), else a set.
+	lo, hi := int64(1), int64(0)
+	var known map[int64]bool
+	if n := len(ids); n > 0 && ids[n-1]-ids[0] == int64(n-1) && slices.IsSorted(ids) {
+		lo, hi = ids[0], ids[n-1]
+	} else {
+		known = make(map[int64]bool, n)
+		for _, id := range ids {
+			known[id] = true
+		}
+	}
+	ids, values = slices.Clip(ids), slices.Clip(values) // the caller's arrays are not ours to grow
+	for i := range edges.Src {
+		for _, id := range [2]int64{edges.Src[i], edges.Dst[i]} {
+			if lo <= id && id <= hi || known[id] {
+				continue
+			}
+			if known == nil {
+				known = make(map[int64]bool)
+			}
+			known[id] = true
+			ids, values = append(ids, id), append(values, "")
+		}
+	}
+
 	g.DB.LockExclusive()
 	defer g.DB.UnlockExclusive()
-	seen := make(map[int64]bool, len(values))
 	vt, err := g.DB.Catalog().Get(g.VertexTable())
 	if err != nil {
 		return err
 	}
-	vb := storage.NewBatch(VertexSchema())
-	add := func(id int64, val string) error {
-		if seen[id] {
-			return nil
-		}
-		seen[id] = true
-		return vb.AppendRow(storage.Int64(id), storage.Str(val), storage.Bool(false))
-	}
-	for id, val := range values {
-		if err := add(id, val); err != nil {
-			return err
-		}
-	}
-	for _, e := range edges {
-		if err := add(e.Src, ""); err != nil {
-			return err
-		}
-		if err := add(e.Dst, ""); err != nil {
-			return err
-		}
-	}
-	if err := vt.AppendBatch(vb); err != nil {
+	if err := vt.AppendBatch(&storage.Batch{Schema: VertexSchema(), Cols: []storage.Column{
+		storage.NewInt64Column(ids), storage.NewStringColumn(values), storage.NewBoolColumn(make([]bool, len(ids))),
+	}}); err != nil {
 		return err
 	}
-
 	et, err := g.DB.Catalog().Get(g.EdgeTable())
 	if err != nil {
 		return err
 	}
-	n := len(edges)
-	src, dst, created := make([]int64, n), make([]int64, n), make([]int64, n)
-	weight, etype := make([]float64, n), make([]string, n)
-	for i, e := range edges {
-		src[i], dst[i], weight[i], etype[i], created[i] = e.Src, e.Dst, e.Weight, e.Type, e.Created
-	}
 	return et.AppendBatch(&storage.Batch{Schema: EdgeSchema(), Cols: []storage.Column{
-		storage.NewInt64Column(src), storage.NewInt64Column(dst), storage.NewFloat64Column(weight),
-		storage.NewStringColumn(etype), storage.NewInt64Column(created),
+		storage.NewInt64Column(edges.Src), storage.NewInt64Column(edges.Dst), storage.NewFloat64Column(edges.Weight),
+		storage.NewStringColumn(edges.Type), storage.NewInt64Column(edges.Created),
 	}})
 }
 
-// EdgeVersion returns the edge table's mutation counter. The
-// coordinator's superstep input cache is keyed on it: edges are
-// expected to be immutable during a run, but if anything does mutate
-// the edge table mid-run (a concurrent load, a program reaching back
-// into the graph) the version moves and the cache is rebuilt rather
-// than serving stale edges.
+// EdgeVersion returns the edge table's mutation counter. A run's edge
+// arrays are keyed on it: edges are expected to be immutable during a
+// run, but if anything does mutate the edge table mid-run (a concurrent
+// load, a program reaching back into the graph) the version moves and
+// the arrays are rebuilt rather than serving stale edges.
 func (g *Graph) EdgeVersion() (uint64, error) {
 	t, err := g.DB.Catalog().Get(g.EdgeTable())
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -9,20 +10,20 @@ import (
 	"repro/internal/storage"
 )
 
-// Input assembly for one superstep, the paper's Table-Unions
-// optimization (§2.3): the vertex, edge and message tables are renamed
-// to a common schema, concatenated with UNION ALL, hash partitioned on
-// the vertex id, and each partition is sorted on (id, kind, i1), which
-// hands each vertex its out-edges by dst (ties in edge-table order: the
-// sort is stable) and its messages by src. Workers parse the tuple
-// kinds apart. A vertex with m messages and e out-edges contributes
-// m+e+1 rows, where a vertex ⟕ message ⟕ edge join would produce m×e.
+// Input assembly, the paper's Table Unions and Vertex Batching (§2.3):
+// each worker gets its vertices' state, messages and out-edges in one
+// sorted pass, m+e+1 rows for a vertex with m messages and e out-edges
+// where a vertex ⟕ message ⟕ edge join would produce m×e. The edges
+// never change during a run, so they are read once per run into one
+// []Edge per hash partition, sorted on (src, dst). Per superstep only
+// the vertex+message union is read, hash partitioned on the vertex id
+// with the same hash, and sorted on (id, kind, i1); a worker walks it
+// beside its partition's edge array with two cursors.
 
-// Tuple kinds inside the union's common schema.
+// Tuple kinds of the vertex+message union.
 const (
 	kindVertex  int64 = 0
-	kindEdge    int64 = 1
-	kindMessage int64 = 2
+	kindMessage int64 = 1
 )
 
 // workUnit is one vertex's reassembled state for a superstep.
@@ -31,231 +32,218 @@ type workUnit struct {
 	value  string
 	halted bool
 	msgs   []Message
-	edges  []Edge
+	edges  []Edge // a capped window of the run's edge array
 }
 
-// unionSortKeys is the (id, kind, i1) ordering every union partition —
-// cached or not — is sorted on.
-var unionSortKeys = []storage.SortKey{{Col: 0}, {Col: 1}, {Col: 2}}
-
-// unionInputSQL renders the common-schema UNION ALL over the three
-// graph tables — the coordinator literally drives standard SQL, as in
-// the paper.
-func unionInputSQL(g *Graph) string {
-	return fmt.Sprintf(`SELECT id AS id, 0 AS kind, CASE WHEN halted THEN 1 ELSE 0 END AS i1, 0.0 AS f1, value AS s1, 0 AS i2 FROM %s
-UNION ALL SELECT src, 1, dst, weight, etype, created FROM %s
-UNION ALL SELECT dst, 2, COALESCE(src, -1), 0.0, value, 0 FROM %s`,
-		g.VertexTable(), g.EdgeTable(), g.MessageTable())
-}
-
-// edgeInputSQL renders just the edge branch of the union in the common
-// schema. The edge table is immutable for the duration of a run, so
-// the coordinator assembles this side once and caches it.
-func edgeInputSQL(g *Graph) string {
-	return fmt.Sprintf(`SELECT src AS id, 1 AS kind, dst AS i1, weight AS f1, etype AS s1, created AS i2 FROM %s`,
-		g.EdgeTable())
-}
-
-// vertexMessageInputSQL renders the two mutable branches of the union
-// (vertex state and in-flight messages) in the common schema — the only
-// rows that change between supersteps.
+// vertexMessageInputSQL renders the two mutable tables in the union's
+// common schema (id, kind, i1, s1): i1 is a vertex's halted flag or a
+// message's sender, s1 the value.
 func vertexMessageInputSQL(g *Graph) string {
-	return fmt.Sprintf(`SELECT id AS id, 0 AS kind, CASE WHEN halted THEN 1 ELSE 0 END AS i1, 0.0 AS f1, value AS s1, 0 AS i2 FROM %s
-UNION ALL SELECT dst, 2, COALESCE(src, -1), 0.0, value, 0 FROM %s`,
-		g.VertexTable(), g.MessageTable())
+	return fmt.Sprintf(`SELECT id AS id, %d AS kind, CASE WHEN halted THEN 1 ELSE 0 END AS i1, value AS s1 FROM %s
+UNION ALL SELECT dst, %d, COALESCE(src, -1), value FROM %s`,
+		kindVertex, g.VertexTable(), kindMessage, g.MessageTable())
 }
 
-// inputCache holds the immutable edge side of the union input, hash-
-// partitioned on src and sorted on (id, kind, dst), built once per run
-// in Coordinator.Run. parts is dense — one slot per partition, nil for
-// partitions with no edges — so a partition's cached edge run lines up
-// with the same partition of the per-superstep vertex+message run.
-type inputCache struct {
-	parts       []*storage.Batch
-	partitions  int
-	edgeVersion uint64 // edge-table version the cache was built against
+// vmRow is one row of the vertex+message union.
+type vmRow struct {
+	id, kind, i1 int64
+	s1           string
 }
 
-// buildEdgeCache assembles the edge-side partitions. The version is
-// read before the scan, so a concurrent mutation at worst makes the
-// cache look stale and triggers a rebuild — never a silently stale hit.
-func buildEdgeCache(ctx context.Context, g *Graph, partitions, workers int) (*inputCache, error) {
-	version, err := g.EdgeVersion()
+// partInput is one partition's input: its edge array, and its share of
+// the superstep's vertex+message rows with their order on (id, kind,
+// i1). The row buffers are reused every superstep.
+type partInput struct {
+	edges []Edge
+	rows  []vmRow
+	order []int32
+	verts int  // vertex rows
+	msgs  int  // message rows
+	live  bool // a non-halted vertex or a message: the partition computes
+}
+
+// runInput is a run's input state. Coordinator.Run owns it, so the edge
+// arrays are dropped when the run returns.
+type runInput struct {
+	g           *Graph
+	workers     int
+	parts       []partInput
+	built       bool
+	edgeVersion uint64 // edge-table version the edge arrays were built from
+}
+
+func newRunInput(g *Graph, partitions, workers int) *runInput {
+	return &runInput{g: g, workers: workers, parts: make([]partInput, partitions)}
+}
+
+// refreshEdges (re)builds the edge arrays unless they were built from
+// the edge table's current version, and reports whether they were
+// reused. Edges are expected to stay put during a run; if the table
+// does change (a concurrent load, a program reaching back into the
+// graph), its version moves and the arrays are rebuilt. The version is
+// read before the scan, so a concurrent mutation at worst forces a
+// needless rebuild, never a stale hit.
+func (in *runInput) refreshEdges(ctx context.Context) (hit bool, err error) {
+	version, err := in.g.EdgeVersion()
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	data, err := queryInput(ctx, g, "edge", edgeInputSQL(g))
+	if in.built && version == in.edgeVersion {
+		return true, nil
+	}
+	// Each row is referenced by (batch, row) and sorted on (src, dst,
+	// batch, row), then copied once into its partition's array.
+	type edgeRef struct {
+		src, dst   int64
+		batch, row int32
+	}
+	var batches []*storage.Batch
+	refs := make([][]edgeRef, len(in.parts))
+	err = streamInput(ctx, in.g, "edge", "SELECT src, dst, weight, etype, created FROM "+in.g.EdgeTable(), func(b *storage.Batch) {
+		src, dst := int64s(b, 0), int64s(b, 1)
+		for r, s := range src {
+			p := storage.HashInt64(s) % uint64(len(refs))
+			refs[p] = append(refs[p], edgeRef{s, dst[r], int32(len(batches)), int32(r)})
+		}
+		batches = append(batches, b)
+	})
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	return &inputCache{
-		parts:       partitionAndSort(data, partitions, workers, g.DB.WorkerBudget()),
-		partitions:  partitions,
-		edgeVersion: version,
-	}, nil
+	sched.ForEach(in.g.DB.WorkerBudget(), len(refs), in.workers, func(p int) {
+		slices.SortFunc(refs[p], func(a, b edgeRef) int {
+			return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst),
+				cmp.Compare(a.batch, b.batch), cmp.Compare(a.row, b.row))
+		})
+		edges := make([]Edge, len(refs[p]))
+		for i, r := range refs[p] {
+			b := batches[r.batch]
+			edges[i] = Edge{Src: r.src, Dst: r.dst, Weight: b.Cols[2].(*storage.Float64Column).Float64s()[r.row],
+				Type: b.Cols[3].(*storage.StringColumn).Strings()[r.row], Created: int64s(b, 4)[r.row]}
+		}
+		in.parts[p].edges = edges
+	})
+	in.built, in.edgeVersion = true, version
+	return false, nil
 }
 
-// cachedInputResult is what buildCachedUnionInput hands the coordinator
-// for one superstep.
-type cachedInputResult struct {
-	parts        []*storage.Batch // dispatched partitions, merged and sorted
-	skippedParts int              // quiescent partitions not dispatched
-	skippedVerts int              // halted vertices inside skipped partitions
-}
-
-// buildCachedUnionInput assembles one superstep's input on top of the
-// edge cache: only the vertex and message rows are scanned, partitioned
-// and sorted, then each small sorted run is merged into its partition's
-// cached edge run. Partitions with no incoming messages and no
-// non-halted vertices are skipped entirely — Pregel semantics guarantee
-// none of their vertices would compute (active-partition skipping).
-func buildCachedUnionInput(ctx context.Context, g *Graph, cache *inputCache, step, workers int) (*cachedInputResult, error) {
-	data, err := queryInput(ctx, g, "vertex+message", vertexMessageInputSQL(g))
-	if err != nil {
-		return nil, err
+// superstep reads the vertex+message union batch by batch into the
+// partition buffers, orders the rows of every partition with work, and
+// returns those partitions. A partition with no message and no
+// non-halted vertex is skipped: Pregel semantics guarantee none of its
+// vertices would compute (active-partition skipping). ss receives the
+// input row count and the skip counts.
+func (in *runInput) superstep(ctx context.Context, step int, ss *SuperstepStats) ([]*partInput, error) {
+	for p := range in.parts {
+		pi := &in.parts[p]
+		pi.rows, pi.verts, pi.msgs, pi.live = pi.rows[:0], 0, 0, false
 	}
-	ids := data.Cols[0].(*storage.Int64Column).Int64s()
-	kinds := data.Cols[1].(*storage.Int64Column).Int64s()
-	i1 := data.Cols[2].(*storage.Int64Column).Int64s() // halted flag on vertex rows
-	pidx := storage.PartitionInt64(ids, cache.partitions)
-
-	res := &cachedInputResult{}
-	var active []int // partition numbers to dispatch
-	for p, idx := range pidx {
-		verts, live := 0, false
-		for _, r := range idx {
-			switch kinds[r] {
-			case kindVertex:
-				verts++
-				if i1[r] == 0 {
-					live = true
-				}
-			case kindMessage:
-				// A message reactivates its target even if halted.
-				live = true
+	err := streamInput(ctx, in.g, "vertex+message", vertexMessageInputSQL(in.g), func(b *storage.Batch) {
+		ids, kinds, i1 := int64s(b, 0), int64s(b, 1), int64s(b, 2)
+		s1 := b.Cols[3].(*storage.StringColumn).Strings()
+		for r, id := range ids {
+			pi := &in.parts[storage.HashInt64(id)%uint64(len(in.parts))]
+			pi.rows = append(pi.rows, vmRow{id, kinds[r], i1[r], s1[r]})
+			if kinds[r] == kindVertex {
+				pi.verts++
+				pi.live = pi.live || i1[r] == 0 || step == 0 // superstep 0 computes every vertex
+			} else {
+				pi.msgs++
+				pi.live = true // a message reactivates its target even if halted
 			}
 		}
-		if step == 0 && verts > 0 {
-			live = true // superstep 0 computes every vertex
+	})
+	if err != nil {
+		return nil, err
+	}
+	var active []*partInput
+	for p := range in.parts {
+		pi := &in.parts[p]
+		switch {
+		case pi.live:
+			active = append(active, pi)
+			ss.InputRows += len(pi.rows) + len(pi.edges)
+		case len(pi.rows) > 0 || len(pi.edges) > 0:
+			ss.SkippedParts++
+			ss.SkippedVerts += pi.verts
 		}
-		if live {
-			active = append(active, p)
+	}
+	sched.ForEach(in.g.DB.WorkerBudget(), len(active), in.workers, func(i int) { active[i].sortRows() })
+	return active, nil
+}
+
+// sortRows orders the partition's rows on (id, kind, i1), ties in query
+// order: each vertex row first, then its messages by sender.
+func (pi *partInput) sortRows() {
+	pi.order = pi.order[:0]
+	for i := range pi.rows {
+		pi.order = append(pi.order, int32(i))
+	}
+	slices.SortFunc(pi.order, func(a, b int32) int {
+		ra, rb := &pi.rows[a], &pi.rows[b]
+		return cmp.Or(cmp.Compare(ra.id, rb.id), cmp.Compare(ra.kind, rb.kind), cmp.Compare(ra.i1, rb.i1), cmp.Compare(a, b))
+	})
+}
+
+// walk hands fn one workUnit per vertex of the partition, in id order:
+// one cursor gathers the vertex's state and messages from the ordered
+// rows, the other takes its out-edges as a window of the edge array.
+// Messages to an id without a vertex row (dangling messages) are
+// counted, not delivered. The unit is valid only during fn.
+func (pi *partInput) walk(fn func(u *workUnit) error) (dangling int, err error) {
+	msgs := make([]Message, 0, pi.msgs)
+	var u workUnit // one unit reused, so fn's pointer costs no allocation per vertex
+	e := 0
+	for i := 0; i < len(pi.order); {
+		u = workUnit{id: pi.rows[pi.order[i]].id}
+		sawVertex, m0 := false, len(msgs)
+		for ; i < len(pi.order) && pi.rows[pi.order[i]].id == u.id; i++ {
+			r := &pi.rows[pi.order[i]]
+			if r.kind == kindVertex {
+				sawVertex, u.halted, u.value = true, r.i1 != 0, r.s1
+			} else {
+				msgs = append(msgs, Message{Src: r.i1, Dst: u.id, Value: r.s1})
+			}
+		}
+		u.msgs = msgs[m0:len(msgs):len(msgs)]
+		if !sawVertex {
+			dangling += len(u.msgs)
 			continue
 		}
-		if len(idx) > 0 || cache.parts[p] != nil {
-			res.skippedParts++
-			res.skippedVerts += verts
+		for e < len(pi.edges) && pi.edges[e].Src < u.id {
+			e++
+		}
+		e0 := e
+		for e < len(pi.edges) && pi.edges[e].Src == u.id {
+			e++
+		}
+		u.edges = pi.edges[e0:e:e]
+		if err := fn(&u); err != nil {
+			return dangling, err
 		}
 	}
-
-	res.parts = make([]*storage.Batch, len(active))
-	sched.ForEach(g.DB.WorkerBudget(), len(active), workers, func(i int) {
-		p := active[i]
-		vm := storage.SortBatch(data.Gather(pidx[p]), unionSortKeys)
-		res.parts[i] = storage.MergeSortedBatches(vm, cache.parts[p], unionSortKeys)
-	})
-	return res, nil
+	return dangling, nil
 }
 
-// buildUnionInput assembles, partitions and sorts the superstep input
-// via the union path. It returns one sorted batch per non-empty
-// partition.
-func buildUnionInput(ctx context.Context, g *Graph, partitions, workers int) ([]*storage.Batch, error) {
-	data, err := queryInput(ctx, g, "union", unionInputSQL(g))
+// streamInput runs one input query and hands each result batch to fn as
+// the executor produces it; nothing is materialized. Under a graph run
+// ctx carries the run's write-gate marker, so the query is detail of the
+// run rather than a statement of its own.
+func streamInput(ctx context.Context, g *Graph, what, sql string, fn func(*storage.Batch)) error {
+	rows, err := g.DB.QueryStream(ctx, sql)
+	for err == nil {
+		var b *storage.Batch
+		if b, err = rows.Next(); b == nil {
+			break
+		}
+		fn(b)
+	}
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("core: %s input: %w", what, err)
 	}
-	parts := partitionAndSort(data, partitions, workers, g.DB.WorkerBudget())
-	return slices.DeleteFunc(parts, func(b *storage.Batch) bool { return b == nil }), nil
+	return nil
 }
 
-// queryInput runs one input-assembly query and materializes its rows.
-// Under a graph run ctx carries the run's write-gate marker, so the
-// query is detail of the run rather than a statement of its own.
-func queryInput(ctx context.Context, g *Graph, what, sql string) (*storage.Batch, error) {
-	rows, err := g.DB.QueryContext(ctx, sql)
-	if err == nil {
-		var data *storage.Batch
-		if data, err = rows.Materialize(); err == nil {
-			return data, nil
-		}
-	}
-	return nil, fmt.Errorf("core: %s input: %w", what, err)
-}
-
-// partitionAndSort hash-partitions rows in the union's schema on their
-// id column and sorts each partition on (id, kind, i1) — the paper's
-// Vertex Batching optimization — returning one batch per partition, nil
-// where a partition is empty. Partition-local gather+sort runs on the
-// worker pool, since in Vertexica that work happens inside each worker
-// UDF's input feed.
-func partitionAndSort(data *storage.Batch, partitions, workers int, budget *sched.Budget) []*storage.Batch {
-	ids := data.Cols[0].(*storage.Int64Column).Int64s()
-	pidx := storage.PartitionInt64(ids, partitions)
-	out := make([]*storage.Batch, partitions)
-	sched.ForEach(budget, partitions, workers, func(p int) {
-		if len(pidx[p]) > 0 {
-			out[p] = storage.SortBatch(data.Gather(pidx[p]), unionSortKeys)
-		}
-	})
-	return out
-}
-
-// parseUnionPartition walks a sorted union partition and reassembles
-// one workUnit per vertex that appears in it. Tuples whose vertex row
-// is missing (dangling messages) are counted, not processed.
-func parseUnionPartition(b *storage.Batch) (units []workUnit, dangling int) {
-	n := b.Len()
-	ids := b.Cols[0].(*storage.Int64Column).Int64s()
-	kinds := b.Cols[1].(*storage.Int64Column).Int64s()
-	i1 := b.Cols[2].(*storage.Int64Column).Int64s()
-	f1 := b.Cols[3].(*storage.Float64Column).Float64s()
-	s1 := b.Cols[4].(*storage.StringColumn).Strings()
-	i2 := b.Cols[5].(*storage.Int64Column).Int64s()
-
-	// Every unit's edges and messages are capped windows of one array
-	// each, sized by a first pass over the kinds.
-	ne, nm := 0, 0
-	for _, k := range kinds {
-		switch k {
-		case kindEdge:
-			ne++
-		case kindMessage:
-			nm++
-		}
-	}
-	edges, msgs := make([]Edge, 0, ne), make([]Message, 0, nm)
-	for i := 0; i < n; {
-		j := i
-		id := ids[i]
-		for j < n && ids[j] == id {
-			j++
-		}
-		u := workUnit{id: id}
-		sawVertex := false
-		e0, m0 := len(edges), len(msgs)
-		for k := i; k < j; k++ {
-			switch kinds[k] {
-			case kindVertex:
-				sawVertex = true
-				u.halted = i1[k] != 0
-				u.value = s1[k]
-			case kindEdge:
-				edges = append(edges, Edge{
-					Src: id, Dst: i1[k], Weight: f1[k], Type: s1[k], Created: i2[k],
-				})
-			case kindMessage:
-				msgs = append(msgs, Message{Src: i1[k], Dst: id, Value: s1[k]})
-			}
-		}
-		u.edges = edges[e0:len(edges):len(edges)]
-		u.msgs = msgs[m0:len(msgs):len(msgs)]
-		if sawVertex {
-			units = append(units, u)
-		} else {
-			dangling += len(u.msgs)
-		}
-		i = j
-	}
-	return units, dangling
+func int64s(b *storage.Batch, col int) []int64 {
+	return b.Cols[col].(*storage.Int64Column).Int64s()
 }

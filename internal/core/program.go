@@ -129,7 +129,8 @@ func (c *VertexContext) ModifyVertexValue(v string) {
 }
 
 // GetOutEdges returns the vertex's out-edges ordered by destination,
-// parallel edges in edge-table order.
+// parallel edges in edge-table order. The slice is a window of the
+// run's shared edge array: read it, do not modify it.
 func (c *VertexContext) GetOutEdges() []Edge { return c.outEdges }
 
 // OutDegree returns the number of out-edges.

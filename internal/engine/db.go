@@ -7,6 +7,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -757,17 +758,34 @@ func (db *DB) ExecContext(ctx context.Context, text string) (Result, error) {
 	return res, err
 }
 
-// admitWrite is the one write-admission sequence. Unless the caller
-// already holds the exclusive gate (its own open transaction, or a
-// gate-holding caller chain), eligible auto-commit DML takes the
-// sharded fast path — shared gate + per-shard statement locks, so
-// sessions writing disjoint shards commit in parallel — and everything
-// else takes the exclusive gate for just this statement. Execution
-// WAL-logs the statement on success. fast reports which route ran it.
-// Lifecycle spans (gate, exec, wal) go to the collector on ctx, if any.
-func (db *DB) admitWrite(ctx context.Context, st sql.Statement, text string, ps *plan.Params, gateHeld bool) (res Result, fast bool, err error) {
+// admitWrite is the one write-admission sequence. s is the session the
+// write runs for, or nil when the caller chain already holds the
+// exclusive gate (a graph run's nested statements). A write of the
+// session that owns the open transaction runs inside it. Any other
+// eligible auto-commit DML takes the sharded fast path — shared gate +
+// per-shard statement locks, so sessions writing disjoint shards commit
+// in parallel — and everything else takes the exclusive gate for just
+// this statement. Execution WAL-logs the statement on success. fast
+// reports which route ran it. Lifecycle spans (gate, exec, wal) go to
+// the collector on ctx, if any.
+func (db *DB) admitWrite(ctx context.Context, st sql.Statement, text string, ps *plan.Params, s *Session) (res Result, fast bool, err error) {
 	tc := trace.FromContext(ctx)
-	if !gateHeld {
+	if s != nil && s.ownsGate.Load() {
+		// On the DB's embedded session the flag is only a hint: another
+		// goroutine's DB-level transaction may end, and another
+		// session's begin, before this write runs. execParsed confirms
+		// the ownership under db.mu; a write whose transaction is gone
+		// is admitted like any auto-commit write below, never run
+		// inside someone else's transaction.
+		endExec := tc.Begin("exec")
+		res, err = db.execParsed(ctx, st, text, ps, s)
+		if !errors.Is(err, errTxnNotOwned) {
+			endExec(fmt.Sprintf("rows=%d", res.RowsAffected))
+			return res, false, err
+		}
+		endExec("transaction ended before the write ran")
+	}
+	if s != nil {
 		if res, handled, err := db.tryFastWrite(ctx, st, text, ps); handled {
 			return res, true, err
 		}
@@ -780,21 +798,30 @@ func (db *DB) admitWrite(ctx context.Context, st sql.Statement, text string, ps 
 		defer db.ReleaseWriteGate()
 	}
 	endExec := tc.Begin("exec")
-	res, err = db.execParsed(ctx, st, text, ps)
+	res, err = db.execParsed(ctx, st, text, ps, nil)
 	endExec(fmt.Sprintf("rows=%d", res.RowsAffected))
 	return res, false, err
 }
 
+// errTxnNotOwned refuses a write whose session no longer owns the open
+// transaction (see admitWrite).
+var errTxnNotOwned = errors.New("engine: the session's transaction has ended")
+
 // execParsed runs an already-parsed data statement under the exclusive
 // latch and WAL-logs it on success. An auto-commit statement (no open
 // transaction) publishes its table versions immediately; inside a
-// transaction, publication waits for COMMIT. ps carries bound
+// transaction, publication waits for COMMIT. A non-nil owner must own
+// the open transaction, checked under the latch, or the statement is
+// refused with errTxnNotOwned before it runs. ps carries bound
 // parameter values for a prepared execution (nil for plain text); text
 // must then be the substituted rendering, since the WAL replays text
 // without an argument stream.
-func (db *DB) execParsed(ctx context.Context, st sql.Statement, text string, ps *plan.Params) (Result, error) {
+func (db *DB) execParsed(ctx context.Context, st sql.Statement, text string, ps *plan.Params, owner *Session) (Result, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if owner != nil && (db.txn == nil || db.txn.owner != owner) {
+		return Result{}, errTxnNotOwned
+	}
 	res, err := db.execLocked(ctx, st, ps)
 	if err != nil {
 		return Result{}, err

@@ -121,7 +121,7 @@ func (s *Session) explainWrite(ctx context.Context, ex *sql.ExplainStmt) ([]stri
 	}
 
 	start := time.Now()
-	res, fast, err := db.admitWrite(ctx, st, st.String(), nil, s.ownsGate.Load())
+	res, fast, err := db.admitWrite(ctx, st, st.String(), nil, s)
 	if err != nil {
 		return nil, err
 	}

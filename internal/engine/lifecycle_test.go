@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -270,5 +271,88 @@ func TestDBLevelReadersBesideEmbeddedTxn(t *testing.T) {
 	}
 	if v, err := db.QueryScalar("SELECT COUNT(*) FROM iso"); err != nil || v.I != 10 {
 		t.Fatalf("rows after the rollbacks: %v %v, want 10", v, err)
+	}
+}
+
+// TestDBLevelAutoCommitBesideTransactions: a DB-level auto-commit write
+// issued while another goroutine's DB-level transaction is open joins
+// that transaction, or takes the write gate itself if the transaction
+// has ended by the time the write runs. It never runs inside another
+// session's transaction, whose rollback would drop an acknowledged row:
+// every acknowledged row must be present at the end.
+func TestDBLevelAutoCommitBesideTransactions(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE acked (id INTEGER NOT NULL)",
+		"CREATE TABLE dbtxn (id INTEGER NOT NULL)", "CREATE TABLE undone (id INTEGER NOT NULL)")
+	ctx := context.Background()
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	loop := func(who string, exec func(string) error, table string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			end := "COMMIT"
+			if table == "undone" {
+				end = "ROLLBACK"
+			}
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, q := range []string{"BEGIN", fmt.Sprintf("INSERT INTO %s VALUES (%d)", table, i), end} {
+					if err := exec(q); err != nil {
+						errs <- fmt.Errorf("%s: %s: %w", who, q, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	loop("DB-level transaction", func(q string) error {
+		_, err := db.Exec(q)
+		return err
+	}, "dbtxn")
+	s := db.NewSession()
+	defer s.Close()
+	loop("rolled-back session", func(q string) error {
+		_, err := s.ExecContext(ctx, q)
+		return err
+	}, "undone")
+
+	// Four writers, so a write often waits on the latch while the
+	// transactions around it end and begin.
+	const writers, perWriter = 4, 1500
+	acked := make([][]int64, writers)
+	var ww sync.WaitGroup
+	for w := range acked {
+		ww.Add(1)
+		go func() {
+			defer ww.Done()
+			for i := int64(w * perWriter); i < int64((w+1)*perWriter); i++ {
+				if _, err := db.Exec(fmt.Sprintf("INSERT INTO acked VALUES (%d)", i)); err != nil {
+					t.Errorf("insert %d: %v", i, err)
+					return
+				}
+				acked[w] = append(acked[w], i)
+			}
+		}()
+	}
+	ww.Wait()
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	want := slices.Concat(acked...)
+	got := queryInts(t, db, "SELECT id FROM acked ORDER BY id")
+	if !slices.Equal(got, want) {
+		t.Errorf("%d of %d acknowledged rows present", len(got), len(want))
+	}
+	if n := queryInts(t, db, "SELECT COUNT(*) FROM undone"); n[0] != 0 {
+		t.Errorf("%d rolled-back rows present", n[0])
 	}
 }

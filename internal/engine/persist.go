@@ -394,7 +394,7 @@ func (db *DB) replayWAL(path string) error {
 		// effect to replay.
 		st, err := sql.Parse(string(buf))
 		if _, isSelect := st.(*sql.SelectStmt); err == nil && !isSelect {
-			_, err = db.execParsed(context.Background(), st, string(buf), nil)
+			_, err = db.execParsed(context.Background(), st, string(buf), nil, nil)
 		}
 		if err != nil {
 			return fmt.Errorf("replaying %q: %w", string(buf), err)

@@ -289,7 +289,7 @@ func (s *Session) run(ctx context.Context, p parsedStmt) (*Rows, Result, error) 
 		// holds the cross-session gate for just this statement so it
 		// cannot interleave with (and be undone by the rollback of)
 		// another session's transaction.
-		res, _, err = s.db.admitWrite(sctx, p.st, stmtText, plan.NewParams(p.args), s.ownsGate.Load())
+		res, _, err = s.db.admitWrite(sctx, p.st, stmtText, plan.NewParams(p.args), s)
 	}
 	s.db.observeStatement(stmtText, time.Since(start), int64(res.RowsAffected), stmtKind(p.st), tc.ID())
 	return rows, res, err
@@ -309,7 +309,7 @@ func (s *Session) runNested(ctx context.Context, p parsedStmt) (*Rows, Result, e
 	if err != nil {
 		return nil, Result{}, err
 	}
-	res, _, err := s.db.admitWrite(ctx, p.st, stmtText, plan.NewParams(p.args), true)
+	res, _, err := s.db.admitWrite(ctx, p.st, stmtText, plan.NewParams(p.args), nil)
 	return nil, res, err
 }
 

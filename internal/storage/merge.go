@@ -1,10 +1,8 @@
 package storage
 
-// Sorted-run merging. The superstep input cache keeps the immutable
-// edge side of the table union partitioned and sorted once per run;
-// each superstep then sorts only the small vertex+message run and
-// merges it into the cached edge run — a linear merge instead of a
-// full re-sort of V+E+M rows.
+// Sorted-run merging: exec.Sort merges its sorted morsels pairwise, and
+// the spill merge cuts its frames, with a linear merge instead of a
+// full re-sort.
 
 // MergeSortedBatches merges two batches, each already sorted on the
 // given keys, into one batch sorted on the same keys (stable: on equal

@@ -56,7 +56,7 @@ type (
 	// VertexContext is the per-vertex worker API.
 	VertexContext = core.VertexContext
 	// Options tunes a vertex-centric run (workers, batching partitions,
-	// superstep bound, input cache).
+	// superstep bound).
 	Options = core.Options
 	// RunStats profiles a vertex-centric run.
 	RunStats = core.RunStats
@@ -259,7 +259,9 @@ func (e *Engine) OpenGraph(name string) (*Graph, error) {
 func (e *Engine) DropGraph(name string) error { return core.DropGraph(e.db, name) }
 
 // LoadDataset creates a graph named after the dataset and bulk-loads
-// its edges (vertices are created from edge endpoints). The load is a
+// it: vertices 0..Nodes-1 in id order, then any edge endpoint outside
+// that range, then the edges, which go straight into the edge table's
+// column layout. The load is a
 // multi-statement writer, so it runs under the cross-session write
 // gate like a transaction.
 func (e *Engine) LoadDataset(ds *Dataset) (g *Graph, err error) {
@@ -275,15 +277,15 @@ func (e *Engine) loadDataset(ds *Dataset) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	edges := make([]core.Edge, len(ds.Edges))
+	edges := core.MakeEdgeColumns(len(ds.Edges))
 	for i, de := range ds.Edges {
-		edges[i] = core.Edge{Src: de.Src, Dst: de.Dst, Weight: de.Weight, Type: de.Type, Created: de.Created}
+		edges.Src[i], edges.Dst[i], edges.Weight[i], edges.Type[i], edges.Created[i] = de.Src, de.Dst, de.Weight, de.Type, de.Created
 	}
-	vals := make(map[int64]string, ds.Nodes)
-	for v := int64(0); v < ds.Nodes; v++ {
-		vals[v] = ""
+	ids := make([]int64, ds.Nodes)
+	for v := range ids {
+		ids[v] = int64(v)
 	}
-	if err := g.g.BulkLoad(vals, edges); err != nil {
+	if err := g.g.LoadColumns(ids, nil, edges); err != nil {
 		return nil, err
 	}
 	return g, nil

@@ -3,9 +3,11 @@ package vertexica
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/giraph"
 	"repro/internal/graphdb"
 )
@@ -388,5 +390,36 @@ func TestGraphRunGatedAgainstTxn(t *testing.T) {
 	// must not deadlock against it).
 	if _, err := g.PageRankSQL(ctx, 2); err != nil {
 		t.Fatalf("SQL graph run under the gate: %v", err)
+	}
+}
+
+// TestLoadDatasetVertexOrder: a loaded graph's vertex table comes out
+// in one order on every load — ids 0..Nodes-1 ascending, then edge
+// endpoints outside that range in edge order — so a SELECT without
+// ORDER BY reads the same rows in the same order each time.
+func TestLoadDatasetVertexOrder(t *testing.T) {
+	ds := ErdosRenyi("order", 200, 600, 9)
+	ds.Edges = append(ds.Edges, dataset.Edge{Src: 1, Dst: 250}, dataset.Edge{Src: 230, Dst: 2}, dataset.Edge{Src: 250, Dst: 230})
+	want := make([]int64, 0, 202)
+	for v := int64(0); v < 200; v++ {
+		want = append(want, v)
+	}
+	want = append(want, 250, 230)
+	for load := 0; load < 2; load++ {
+		vx := New()
+		if _, err := vx.LoadDataset(ds); err != nil {
+			t.Fatal(err)
+		}
+		rows, n, err := vx.SQL("SELECT id FROM order_vertex")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int64, n)
+		for i := range got {
+			got[i] = rows.Value(i, 0).I
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("load %d: vertex ids %v, want %v", load, got, want)
+		}
 	}
 }
