@@ -18,7 +18,6 @@ package client
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -330,25 +329,27 @@ func (c *Conn) writeFrame(typ byte, payload []byte) error {
 // session control return nil rows and the affected count. This is the
 // wire analogue of Engine.SQL.
 func (c *Conn) RunSQL(ctx context.Context, sqlText string) (*Rows, int, error) {
-	return c.roundTrip(ctx, func(id uint32) (byte, []byte) {
+	return c.roundTrip(ctx, queryFrame(sqlText, false))
+}
+
+// queryFrame builds a Query frame. With rows set, the server refuses a
+// statement that returns no rows before running it.
+func queryFrame(sqlText string, rows bool) func(id uint32) (byte, []byte) {
+	return func(id uint32) (byte, []byte) {
 		var b wire.Buffer
 		b.PutU32(id)
 		b.PutString(sqlText)
+		b.PutFlag(rows)
 		return wire.FrameQuery, b.B
-	})
+	}
 }
 
 // Query runs a statement expected to return rows (SELECT, SHOW, or a
-// graph verb result), materialized.
+// graph verb result), materialized. Any other statement is refused
+// server-side before it runs.
 func (c *Conn) Query(ctx context.Context, sqlText string) (*Rows, error) {
-	rows, _, err := c.RunSQL(ctx, sqlText)
-	if err != nil {
-		return nil, err
-	}
-	if rows == nil {
-		return nil, errors.New("client: statement returned no rows; use Exec")
-	}
-	return rows, nil
+	rows, _, err := c.roundTrip(ctx, queryFrame(sqlText, true))
+	return rows, err
 }
 
 // QueryStream runs a SELECT and returns an iterator over its result:
@@ -357,21 +358,11 @@ func (c *Conn) Query(ctx context.Context, sqlText string) (*Rows, error) {
 // way from the executor to this process. The connection runs one
 // statement at a time, so drain the rows to nil or Close them before
 // issuing the next statement. ctx governs the whole stream: cancelling
-// it aborts the statement server-side mid-drain.
+// it aborts the statement server-side mid-drain. A statement that
+// returns no rows is refused server-side before it runs.
 func (c *Conn) QueryStream(ctx context.Context, sqlText string) (*Rows, error) {
-	rows, _, err := c.startStmt(ctx, true, func(id uint32) (byte, []byte) {
-		var b wire.Buffer
-		b.PutU32(id)
-		b.PutString(sqlText)
-		return wire.FrameQuery, b.B
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rows == nil {
-		return nil, errors.New("client: statement returned no rows; use Exec")
-	}
-	return rows, nil
+	rows, _, err := c.startStmt(ctx, true, queryFrame(sqlText, true))
+	return rows, err
 }
 
 // Exec runs a statement for its effect, returning the affected row
@@ -491,21 +482,17 @@ func (c *Conn) Prepare(ctx context.Context, sqlText string) (*Stmt, error) {
 	}
 }
 
-// Query executes the prepared statement with args, returning rows.
+// Query executes the prepared statement with args, returning rows. A
+// statement that returns no rows is refused server-side before it
+// runs.
 func (s *Stmt) Query(ctx context.Context, args ...storage.Value) (*Rows, error) {
-	rows, _, err := s.run(ctx, args)
-	if err != nil {
-		return nil, err
-	}
-	if rows == nil {
-		return nil, errors.New("client: statement returned no rows; use Exec")
-	}
-	return rows, nil
+	rows, _, err := s.run(ctx, args, true)
+	return rows, err
 }
 
 // Exec executes the prepared statement with args for its effect.
 func (s *Stmt) Exec(ctx context.Context, args ...storage.Value) (int, error) {
-	rows, affected, err := s.run(ctx, args)
+	rows, affected, err := s.run(ctx, args, false)
 	if err != nil {
 		return 0, err
 	}
@@ -515,7 +502,7 @@ func (s *Stmt) Exec(ctx context.Context, args ...storage.Value) (int, error) {
 	return affected, nil
 }
 
-func (s *Stmt) run(ctx context.Context, args []storage.Value) (*Rows, int, error) {
+func (s *Stmt) run(ctx context.Context, args []storage.Value, rows bool) (*Rows, int, error) {
 	return s.c.roundTrip(ctx, func(id uint32) (byte, []byte) {
 		var b wire.Buffer
 		b.PutU32(id)
@@ -524,6 +511,7 @@ func (s *Stmt) run(ctx context.Context, args []storage.Value) (*Rows, int, error
 		for _, a := range args {
 			b.PutValue(a)
 		}
+		b.PutFlag(rows)
 		return wire.FrameBindExec, b.B
 	})
 }

@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,6 +42,42 @@ func TestDialErrors(t *testing.T) {
 	}
 }
 
+// TestQueryRefusesWriteBeforeRun: Query, QueryStream and a prepared
+// Stmt.Query refuse a statement that returns no rows before it runs, so
+// the INSERT leaves no row behind.
+func TestQueryRefusesWriteBeforeRun(t *testing.T) {
+	c, err := client.Dial(startServer(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.Exec(ctx, "CREATE TABLE zz (x INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	const ins = "INSERT INTO zz VALUES (1)"
+	stmt, err := c.Prepare(ctx, ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, query := range map[string]func() (*client.Rows, error){
+		"Conn.Query":       func() (*client.Rows, error) { return c.Query(ctx, ins) },
+		"Conn.QueryStream": func() (*client.Rows, error) { return c.QueryStream(ctx, ins) },
+		"Stmt.Query":       func() (*client.Rows, error) { return stmt.Query(ctx) },
+	} {
+		if _, err := query(); err == nil || !strings.Contains(err.Error(), "returns no rows") {
+			t.Errorf("%s of an INSERT: err = %v, want a no-rows refusal", name, err)
+		}
+	}
+	rows, err := c.Query(ctx, "SELECT COUNT(*) FROM zz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rows.Value(0, 0).I; n != 0 {
+		t.Errorf("COUNT(*) = %d after three refused INSERTs, want 0", n)
+	}
+}
+
 func TestConnLifecycle(t *testing.T) {
 	addr := startServer(t)
 	c, err := client.Dial(addr)
@@ -63,9 +100,9 @@ func TestConnLifecycle(t *testing.T) {
 	if err != nil || rows == nil || rows.Len() != 2 {
 		t.Fatalf("RunSQL select: %v", err)
 	}
-	// Query on an exec-only statement reports a usable error.
+	// Query on an exec-only statement is refused before it runs.
 	if _, err := c.Query(ctx, "INSERT INTO t VALUES (3)"); err == nil {
-		t.Fatal("Query of INSERT should error client-side")
+		t.Fatal("Query of INSERT should error")
 	}
 	// A pre-cancelled context fails fast without poisoning the conn.
 	cctx, cancel := context.WithCancel(ctx)
@@ -73,7 +110,7 @@ func TestConnLifecycle(t *testing.T) {
 	if _, err := c.Query(cctx, "SELECT x FROM t"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ctx: err=%v", err)
 	}
-	if rows, err := c.Query(ctx, "SELECT COUNT(*) FROM t"); err != nil || rows.Value(0, 0).I != 3 {
+	if rows, err := c.Query(ctx, "SELECT COUNT(*) FROM t"); err != nil || rows.Value(0, 0).I != 2 {
 		t.Fatalf("conn poisoned after cancel: %v", err)
 	}
 	if err := c.Close(); err != nil {

@@ -74,7 +74,7 @@ type DB struct {
 	dir string // persistence directory; "" = in-memory only
 	wal *walWriter
 
-	plans *planCache // prepared-statement AST + plan cache (self-locking)
+	parseCache *parseCache // bound statements' parsed ASTs (self-locking)
 
 	obs *obs.Registry // engine-wide metrics (self-locking; see Stats)
 
@@ -103,17 +103,17 @@ func New() *DB {
 	cat := catalog.New()
 	funcs := expr.NewRegistry()
 	db := &DB{
-		cat:       cat,
-		funcs:     funcs,
-		planner:   plan.New(cat, funcs),
-		budget:    sched.NewBudget(0),    // unlimited until SetWorkerBudget
-		memPool:   sched.NewMemBudget(0), // unlimited until SetMemoryBudget
-		mvcc:      mvcc.NewManager(cat),
-		gateExcl:  make(chan struct{}, 1),
-		gateSlots: make(chan struct{}, gateSlotCount),
-		plans:     newPlanCache(preparedCacheSize),
-		tracer:    trace.New(),
-		sessions:  make(map[uint64]*sessionInfo),
+		cat:        cat,
+		funcs:      funcs,
+		planner:    plan.New(cat, funcs),
+		budget:     sched.NewBudget(0),    // unlimited until SetWorkerBudget
+		memPool:    sched.NewMemBudget(0), // unlimited until SetMemoryBudget
+		mvcc:       mvcc.NewManager(cat),
+		gateExcl:   make(chan struct{}, 1),
+		gateSlots:  make(chan struct{}, gateSlotCount),
+		parseCache: newParseCache(preparedCacheSize),
+		tracer:     trace.New(),
+		sessions:   make(map[uint64]*sessionInfo),
 	}
 	db.embedded = &Session{db: db, info: &sessionInfo{}}
 	db.gateExcl <- struct{}{}
@@ -144,11 +144,11 @@ func New() *DB {
 }
 
 // registerGauges wires the pull-style gauges: subsystems that already
-// keep their own thread-safe counters (MVCC manager, plan cache, worker
+// keep their own thread-safe counters (MVCC manager, parse cache, worker
 // budget) are read on demand at Snapshot time instead of double-counting
 // into the registry.
 func (db *DB) registerGauges() {
-	r, m, b, p := db.obs, db.mvcc, db.budget, db.plans
+	r, m, b, p := db.obs, db.mvcc, db.budget, db.parseCache
 	r.Gauge("mvcc.epoch", func() int64 { return int64(m.Epoch()) })
 	r.Gauge("mvcc.live_readers", func() int64 { return int64(m.LiveReaders()) })
 	r.Gauge("mvcc.peak_readers", func() int64 { return int64(m.PeakReaders()) })
@@ -177,15 +177,13 @@ func (db *DB) registerGauges() {
 	r.Gauge("trace.active_statements", func() int64 { return int64(tr.ActiveLen()) })
 	r.Gauge("trace.sampling", tr.Sampling)
 	r.Gauge("plancache.parses", func() int64 { return int64(p.parses.Load()) })
-	r.Gauge("plancache.plans", func() int64 { return int64(p.plans.Load()) })
 	r.Gauge("plancache.hits", func() int64 { return int64(p.hits.Load()) })
 	r.Gauge("plancache.misses", func() int64 { return int64(p.misses.Load()) })
-	r.Gauge("plancache.bypasses", func() int64 { return int64(p.bypasses.Load()) })
 }
 
 // Stats exposes the engine-wide metrics registry: statement counters,
 // fast-path admission, WAL group-commit behavior, MVCC reader gauges,
-// worker-budget pressure, and plan-cache effectiveness. SHOW STATS and
+// worker-budget pressure, and parse-cache effectiveness. SHOW STATS and
 // the server's debug endpoint render its Snapshot.
 func (db *DB) Stats() *obs.Registry { return db.obs }
 
@@ -607,7 +605,7 @@ func (db *DB) QueryContext(ctx context.Context, text string) (*Rows, error) {
 // it runs through the DB's embedded session (see Session.run); any
 // other statement kind is refused before it runs.
 func (db *DB) QueryStream(ctx context.Context, text string) (*Rows, error) {
-	p, err := db.embedded.parse(text, "", nil)
+	p, err := db.embedded.parse(text, stmtArgs{})
 	if err != nil {
 		return nil, err
 	}
@@ -619,18 +617,14 @@ func (db *DB) QueryStream(ctx context.Context, text string) (*Rows, error) {
 }
 
 // planSelect is the one SELECT planning path: it pins an MVCC snapshot
-// under the shared latch, obtains a plan — checked out of the plan
-// cache under key, or planned fresh (and attached for the next
-// execution) on a miss — and binds it to this execution's context,
-// arguments and snapshot. key == "" (plain text) plans fresh and
-// leaves the cache and its counters alone, so unique-literal text
-// traffic cannot evict hot prepared plans. The snapshot resolves
-// staged (uncommitted) tables live only when reader owns the open
-// transaction. On success the caller owns the returned release chain
-// (snapshot pin, plan checkout) and must run it when the statement
-// finishes.
-func (db *DB) planSelect(ctx context.Context, sel *sql.SelectStmt, key string, args []storage.Value, workers int, workMem int64, reader *Session) (*plan.Prepared, []func(), error) {
-	tc := trace.FromContext(ctx)
+// under the shared latch, plans the statement against it with its
+// arguments already bound, and wraps the tree with the execution's
+// context. Every execution plans fresh, so no plan state is shared
+// between executions. The snapshot resolves staged (uncommitted)
+// tables live only when reader owns the open transaction. On success
+// the caller owns the returned release (the snapshot pin) and must run
+// it when the statement finishes.
+func (db *DB) planSelect(ctx context.Context, sel *sql.SelectStmt, args []storage.Value, workers int, workMem int64, reader *Session) (exec.Operator, func(), error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	acquire := db.mvcc.Acquire
@@ -641,63 +635,24 @@ func (db *DB) planSelect(ctx context.Context, sel *sql.SelectStmt, key string, a
 	if err != nil {
 		return nil, nil, err
 	}
-	release := []func(){snap.Release}
-
-	catVer := db.cat.Version()
-	var entry *cacheEntry
-	if key != "" {
-		probe := time.Now()
-		outcome := "miss"
-		if entry = db.plans.checkoutPlan(key, catVer, workers, workMem); entry != nil {
-			outcome = "hit"
-		}
-		tc.Add("plan_cache", probe, time.Since(probe), outcome)
-	}
-	var prep *plan.Prepared
-	if entry != nil {
-		prep = entry.prep
-		// Repoint the cached scans at this snapshot's table versions.
-		// Snapshot resolution needs the engine latch, so Bind must run
-		// before Seal (a sealed snapshot serves only what it has pinned).
-		// System tables (vx$…) resolve through the wrapper so a cached
-		// plan re-materializes them fresh on every execution.
-		endBind := tc.Begin("bind")
-		err = prep.Bind(ctx, args, db.sysLookup(snap))
-		endBind("rebind cached plan")
-	} else {
-		endPlan := tc.Begin("plan")
-		prep, err = db.planner.PrepareSelectMem(sel, workers, workMem, sysSource{db: db, base: snap}, plan.NewParams(args))
-		endPlan(fmt.Sprintf("workers=%d", workers))
-		// Tables are already resolved (planned against snap); bind the
-		// context, the arguments and the parameter-keyed scan routes.
-		if err == nil && key == "" {
-			err = prep.Bind(ctx, args, nil)
-		} else if err == nil {
-			db.plans.plans.Add(1)
-			endBind := tc.Begin("bind")
-			err = prep.Bind(ctx, args, nil)
-			endBind("bind fresh plan")
-			if err == nil && exec.Cacheable(prep.Root) {
-				entry = db.plans.attach(key, prep, catVer, workers, workMem)
-			}
-		}
-	}
-	if entry != nil {
-		release = append(release, func() { db.plans.release(entry) })
-	}
+	endPlan := trace.FromContext(ctx).Begin("plan")
+	planner := *db.planner // this statement's work_mem; mu guards the fields
+	planner.WorkMem = workMem
+	root, err := planner.PlanSelectParams(sel, workers, sysSource{db: db, base: snap}, plan.NewParams(args))
+	endPlan(fmt.Sprintf("workers=%d", workers))
 	if err != nil {
-		runReverse(release)
+		snap.Release()
 		return nil, nil, err
 	}
 	snap.Seal()
-	return prep, release, nil
+	return exec.WithContext(ctx, root), snap.Release, nil
 }
 
 // openSelect plans a SELECT (planSelect) and opens its operator tree,
-// returning streaming rows that hold only the snapshot pin and the
-// plan checkout — both released when the stream finishes.
-func (db *DB) openSelect(ctx context.Context, sel *sql.SelectStmt, key string, args []storage.Value, workers int, workMem int64, reader *Session) (*Rows, error) {
-	prep, release, err := db.planSelect(ctx, sel, key, args, workers, workMem, reader)
+// returning streaming rows that hold only the snapshot pin — released
+// when the stream finishes.
+func (db *DB) openSelect(ctx context.Context, sel *sql.SelectStmt, args []storage.Value, workers int, workMem int64, reader *Session) (*Rows, error) {
+	root, release, err := db.planSelect(ctx, sel, args, workers, workMem, reader)
 	if err != nil {
 		return nil, err
 	}
@@ -707,7 +662,7 @@ func (db *DB) openSelect(ctx context.Context, sel *sql.SelectStmt, key string, a
 	// their work — it gets its own lifecycle span so the trace covers
 	// eager execution, not just the drain.
 	endOpen := tc.Begin("open")
-	rows, err := OperatorRows(prep.Root, release...)
+	rows, err := OperatorRows(root, release)
 	if err != nil {
 		endOpen("failed")
 		return nil, err // OperatorRows already ran the cleanup chain
@@ -746,7 +701,7 @@ func (db *DB) Exec(text string) (Result, error) {
 // session-scoped and refused before they run; run them through a
 // Session.
 func (db *DB) ExecContext(ctx context.Context, text string) (Result, error) {
-	p, err := db.embedded.parse(text, "", nil)
+	p, err := db.embedded.parse(text, stmtArgs{})
 	if err != nil {
 		return Result{}, err
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/exec"
@@ -18,18 +17,15 @@ import (
 // ANALYZE runs it to completion and annotates every plan node with the
 // operator counters the executor accumulated.
 
-// runExplain dispatches EXPLAIN over the inner statement kind. text is
-// the full statement as the client sent it: the plan-cache probe wants
-// the inner statement's own fingerprint, which the canonical AST
-// rendering need not match.
-func (s *Session) runExplain(ctx context.Context, ex *sql.ExplainStmt, text string) (*Rows, error) {
+// runExplain dispatches EXPLAIN over the inner statement kind.
+func (s *Session) runExplain(ctx context.Context, ex *sql.ExplainStmt) (*Rows, error) {
 	var (
 		lines []string
 		err   error
 	)
 	switch inner := ex.Stmt.(type) {
 	case *sql.SelectStmt:
-		lines, err = s.explainSelect(ctx, inner, innerStatementKey(text), ex.Analyze)
+		lines, err = s.explainSelect(ctx, inner, ex.Analyze)
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt,
 		*sql.CreateTableStmt, *sql.DropTableStmt, *sql.TruncateStmt:
 		lines, err = s.explainWrite(ctx, ex)
@@ -52,50 +48,31 @@ func (s *Session) runExplain(ctx context.Context, ex *sql.ExplainStmt, text stri
 
 // explainSelect plans (and for ANALYZE, executes) a SELECT and renders
 // its plan tree. The header line reports the planning context EXPLAIN
-// exists to surface: the worker count the plan was built for, the read
-// mode, and whether the plan cache holds a usable plan for this
-// statement's fingerprint. EXPLAIN itself always plans fresh and
-// leaves the cache exactly as it found it.
-func (s *Session) explainSelect(ctx context.Context, sel *sql.SelectStmt, key string, analyze bool) ([]string, error) {
-	db := s.db
+// exists to surface: the worker count the plan was built for and the
+// read mode.
+func (s *Session) explainSelect(ctx context.Context, sel *sql.SelectStmt, analyze bool) ([]string, error) {
 	workers, workMem := s.effectiveWorkers(), s.effectiveWorkMem()
-
-	db.mu.RLock()
-	cache := "miss"
-	if db.plans.peek(key, db.cat.Version(), workers, workMem) {
-		cache = "hit"
-	}
-	db.mu.RUnlock()
-	prep, release, err := db.planSelect(ctx, sel, "", nil, workers, workMem, s)
+	root, release, err := s.db.planSelect(ctx, sel, nil, workers, workMem, s)
 	if err != nil {
 		return nil, err
 	}
-	defer runReverse(release)
+	defer release()
 
-	lines := []string{fmt.Sprintf("plan (workers=%d, mode=snapshot, plan-cache=%s)", workers, cache)}
+	lines := []string{fmt.Sprintf("plan (workers=%d, mode=snapshot)", workers)}
 	if !analyze {
 		// The tree was never opened, so there is nothing to close: the
 		// plan holds only the snapshot pin released above.
-		return append(lines, exec.Explain(prep.Root, false)...), nil
+		return append(lines, exec.Explain(root, false)...), nil
 	}
 	start := time.Now()
-	stopTiming := exec.MarkTimed(prep.Root)
-	data, err := exec.Drain(prep.Root)
+	stopTiming := exec.MarkTimed(root)
+	data, err := exec.Drain(root)
 	stopTiming()
 	if err != nil {
 		return nil, err
 	}
 	lines = append(lines, fmt.Sprintf("executed: rows=%d time=%s", data.Len(), time.Since(start).Round(time.Microsecond)))
-	return append(lines, exec.Explain(prep.Root, true)...), nil
-}
-
-// innerStatementKey fingerprints the statement EXPLAIN wraps: the full
-// text normalizes to "EXPLAIN [ANALYZE] <inner>", and stripping the
-// prefix of the normalized form leaves exactly cacheKey(inner, nil) —
-// the key an argument-less execution of the inner statement would use.
-func innerStatementKey(text string) string {
-	norm := strings.TrimPrefix(normalizeStatement(text), "EXPLAIN ")
-	return strings.TrimPrefix(norm, "ANALYZE ")
+	return append(lines, exec.Explain(root, true)...), nil
 }
 
 // explainWrite describes how a write statement would be admitted —

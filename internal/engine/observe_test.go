@@ -61,24 +61,24 @@ func TestExplainGolden(t *testing.T) {
 		want []string
 	}{
 		{"EXPLAIN SELECT * FROM nv", []string{
-			"plan (workers=2, mode=snapshot, plan-cache=miss)",
+			"plan (workers=2, mode=snapshot)",
 			"Project (id, label)",
 			"  Scan nv",
 		}},
 		{"EXPLAIN SELECT dst FROM ev WHERE src = 1", []string{
-			"plan (workers=2, mode=snapshot, plan-cache=miss)",
+			"plan (workers=2, mode=snapshot)",
 			"Project (dst)",
 			"  Filter ((src = 1))",
 			"    Scan ev [shard 1/4]",
 		}},
 		{"EXPLAIN SELECT src, COUNT(*) FROM ev GROUP BY src", []string{
-			"plan (workers=2, mode=snapshot, plan-cache=miss)",
+			"plan (workers=2, mode=snapshot)",
 			"Project (src, COUNT(*))",
 			"  HashAggregate (src, COUNT(*)) [workers=2]",
 			"    Scan ev [4 shards]",
 		}},
 		{"EXPLAIN SELECT n.label FROM ev e JOIN nv n ON n.id = e.dst WHERE e.src = 1 ORDER BY n.label LIMIT 2", []string{
-			"plan (workers=2, mode=snapshot, plan-cache=miss)",
+			"plan (workers=2, mode=snapshot)",
 			"Limit 2",
 			"  Sort (label) [workers=2]",
 			"    Project (label)",
@@ -88,14 +88,14 @@ func TestExplainGolden(t *testing.T) {
 			"          Scan ev [shard 1/4]",
 		}},
 		{"EXPLAIN SELECT e.src, n.label FROM ev e JOIN nv n ON n.id = e.dst WHERE e.src < n.id", []string{
-			"plan (workers=2, mode=snapshot, plan-cache=miss)",
+			"plan (workers=2, mode=snapshot)",
 			"Project (src, label)",
 			"  HashJoin inner (dst = id) residual ((e.src < n.id)) [workers=2]",
 			"    Scan nv",
 			"    Scan ev [4 shards]",
 		}},
 		{"EXPLAIN SELECT e.src, n.id FROM ev e, nv n WHERE e.dst < n.id", []string{
-			"plan (workers=2, mode=snapshot, plan-cache=miss)",
+			"plan (workers=2, mode=snapshot)",
 			"Project (src, id)",
 			"  NestedLoopJoin inner on ((e.dst < n.id))",
 			"    Scan nv",
@@ -119,37 +119,6 @@ func TestExplainGolden(t *testing.T) {
 				t.Errorf("%s: line %d = %q, want %q", g.stmt, i, got[i], g.want[i])
 			}
 		}
-	}
-}
-
-// TestExplainPlanCacheHit: once a SELECT has run, EXPLAIN of the same
-// text (same fingerprint, same workers) reports the cached plan.
-func TestExplainPlanCacheHit(t *testing.T) {
-	db := observeDB(t)
-	sess := observeSession(t, db, 2)
-	ctx := context.Background()
-
-	const q = "SELECT dst FROM ev WHERE src = 1"
-	head := explainLines(t, sess, "EXPLAIN "+q)[0]
-	if !strings.Contains(head, "plan-cache=miss") {
-		t.Fatalf("before running: header %q, want plan-cache=miss", head)
-	}
-	// The prepared/bound path populates the plan cache (plain text
-	// queries re-plan per statement).
-	rows, _, err := sess.RunStreamBound(ctx, q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowLines(t, rows)
-	head = explainLines(t, sess, "EXPLAIN "+q)[0]
-	if !strings.Contains(head, "plan-cache=hit") {
-		t.Errorf("after running: header %q, want plan-cache=hit", head)
-	}
-	// Worker-count change invalidates: the cached plan was built for 2.
-	sessW := observeSession(t, db, 3)
-	head = explainLines(t, sessW, "EXPLAIN "+q)[0]
-	if !strings.Contains(head, "plan-cache=miss") {
-		t.Errorf("other worker count: header %q, want plan-cache=miss", head)
 	}
 }
 
@@ -277,8 +246,8 @@ func TestExplainAnalyzeWrite(t *testing.T) {
 }
 
 // TestPlanCacheNormalization: statements that differ only in
-// whitespace, keyword case, or comments share one cache entry; string
-// literals stay byte-significant.
+// whitespace, keyword case, or comments share one parse-cache entry;
+// string literals stay byte-significant.
 func TestPlanCacheNormalization(t *testing.T) {
 	db := observeDB(t)
 	sess := observeSession(t, db, 2)

@@ -194,7 +194,7 @@ func TestParallelPlansActuallyParallelize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := db.planner.PlanSelect(st.(*sql.SelectStmt))
+	op, err := db.planner.PlanSelectParams(st.(*sql.SelectStmt), 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

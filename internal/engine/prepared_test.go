@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -57,14 +58,17 @@ func rowLines(t *testing.T, rows *Rows) []string {
 	return out
 }
 
-// preparedCorpus pairs parameterized statements with their
-// inline-literal equivalents. Every SQL feature the sqlfeatures tests
-// exercise appears with at least one injected parameter.
-var preparedCorpus = []struct {
+// corpusCase pairs a parameterized statement with its inline-literal
+// equivalent.
+type corpusCase struct {
 	bound string
 	args  []storage.Value
 	lit   string
-}{
+}
+
+// preparedCorpus: every SQL feature the sqlfeatures tests exercise
+// appears with at least one injected parameter.
+var preparedCorpus = []corpusCase{
 	{"SELECT id, name FROM people WHERE id = $1", vals(storage.Int64(2)),
 		"SELECT id, name FROM people WHERE id = 2"},
 	{"SELECT $1, $2, $3, $4", vals(storage.Int64(7), storage.Str("it's"), storage.Float64(1.5), storage.Bool(true)),
@@ -99,22 +103,49 @@ var preparedCorpus = []struct {
 		"SELECT dst FROM edges WHERE src = 3 UNION ALL SELECT id FROM people WHERE id = 1 ORDER BY 1"},
 }
 
+// routedCorpus keys a sharded table large enough to morselize (hops,
+// with MinMorselRows lowered) on its partition key: a bare lookup, a
+// join input and a NULL key. Each `$1` must plan exactly like its
+// literal — the same shard and the same fragments.
+var routedCorpus = []corpusCase{
+	{"SELECT dst FROM hops WHERE src = $1", vals(storage.Int64(7)),
+		"SELECT dst FROM hops WHERE src = 7"},
+	{"SELECT h.dst, p.name FROM hops h JOIN people p ON p.id = h.dst WHERE h.src = $1", vals(storage.Int64(3)),
+		"SELECT h.dst, p.name FROM hops h JOIN people p ON p.id = h.dst WHERE h.src = 3"},
+	{"SELECT COUNT(*) FROM hops WHERE src = $1", vals(storage.Null(storage.TypeInt64)),
+		"SELECT COUNT(*) FROM hops WHERE src = NULL"},
+}
+
 func vals(vs ...storage.Value) []storage.Value { return vs }
 
 // TestPreparedParamLiteralDifferential runs every corpus statement
-// twice through bind-and-run (the second execution reuses the cached
-// plan) and once with inline literals, at parallelism 1, 2 and 8: all
-// three results must be identical, proving a bound Param behaves
-// exactly like the literal the substitution path would have rendered.
+// twice through bind-and-run and once with inline literals, at
+// parallelism 1, 2 and 8: all three results must be identical, proving
+// a bound Param behaves exactly like the literal the substitution path
+// would have rendered. The routed corpus must also plan identically:
+// its EXPLAIN trees, with $1 rendered as the literal, are equal.
 func TestPreparedParamLiteralDifferential(t *testing.T) {
+	oldMorsels := exec.MinMorselRows
+	exec.MinMorselRows = 64
+	defer func() { exec.MinMorselRows = oldMorsels }()
 	ctx := context.Background()
 	for _, workers := range []int{1, 2, 8} {
 		db := prepDB(t)
+		mustExec(t, db, "CREATE TABLE hops (src INTEGER NOT NULL, dst INTEGER) PARTITION BY HASH(src) SHARDS 4")
+		hops, err := db.Catalog().Get("hops")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 4000; i++ {
+			if err := hops.AppendRow(storage.Int64(i%20), storage.Int64(i%5)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		sess := db.NewSession()
 		if _, _, err := sess.RunStream(ctx, fmt.Sprintf("SET parallelism = %d", workers)); err != nil {
 			t.Fatal(err)
 		}
-		for _, tc := range preparedCorpus {
+		for _, tc := range append(preparedCorpus, routedCorpus...) {
 			want := func() []string {
 				rows, _, err := sess.RunStream(ctx, tc.lit)
 				if err != nil {
@@ -139,13 +170,35 @@ func TestPreparedParamLiteralDifferential(t *testing.T) {
 				}
 			}
 		}
+		for _, tc := range routedCorpus {
+			explain := func(text string, args []storage.Value) string {
+				t.Helper()
+				st, err := sql.Parse(text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				op, err := db.planner.PlanSelectParams(st.(*sql.SelectStmt), workers, nil, plan.NewParams(args))
+				if err != nil {
+					t.Fatalf("w=%d %q: %v", workers, text, err)
+				}
+				return strings.Join(exec.Explain(op, false), "\n")
+			}
+			lit := explain(tc.lit, nil)
+			got := strings.ReplaceAll(explain(tc.bound, tc.args), "$1", tc.args[0].String())
+			if got != lit {
+				t.Errorf("w=%d %q plans unlike its literal:\n got %s\nwant %s", workers, tc.bound, got, lit)
+			}
+			if !strings.Contains(lit, "[shard ") {
+				t.Errorf("w=%d %q: the scan is not routed:\n%s", workers, tc.lit, lit)
+			}
+		}
 	}
 }
 
-// TestPreparedParamLiteralJoinRoute runs one cached one-hop plan, whose
-// edge scan sits under a join, with two keys owned by different shards:
-// each execution must match its literal form, so the route is rebound
-// per execution below the join too.
+// TestPreparedParamLiteralJoinRoute runs one bound one-hop statement,
+// whose edge scan sits under a join, with two keys owned by different
+// shards: each execution must match its literal form, so the route
+// follows each execution's key below the join too.
 func TestPreparedParamLiteralJoinRoute(t *testing.T) {
 	db := prepDB(t)
 	sess := db.NewSession()
@@ -173,15 +226,11 @@ func TestPreparedParamLiteralJoinRoute(t *testing.T) {
 			t.Errorf("src = %d: bound %q, literal %q", k, got, want)
 		}
 	}
-	if st := db.PreparedStats(); st.Plans != 1 || st.Hits != 3 {
-		t.Errorf("Plans/Hits = %d/%d, want 1/3 (one cached plan)", st.Plans, st.Hits)
-	}
 }
 
-// TestPreparedCacheHits asserts the tentpole contract: after the first
-// execution of a statement, repeated executions do zero parse and zero
-// plan work — only cache hits — while still re-binding arguments (each
-// execution returns the rows for ITS key).
+// TestPreparedCacheHits: after the first execution of a statement,
+// repeated executions do zero parse work — only parse-cache hits — while
+// each execution still returns the rows for ITS key.
 func TestPreparedCacheHits(t *testing.T) {
 	db := prepDB(t)
 	sess := db.NewSession()
@@ -208,20 +257,14 @@ func TestPreparedCacheHits(t *testing.T) {
 	if st.Parses != 1 {
 		t.Errorf("Parses = %d, want 1 (re-parse on the hot path)", st.Parses)
 	}
-	if st.Plans != 1 {
-		t.Errorf("Plans = %d, want 1 (re-plan on the hot path)", st.Plans)
-	}
-	if st.Hits != execs-1 {
-		t.Errorf("Hits = %d, want %d", st.Hits, execs-1)
-	}
-	if st.Misses != 1 || st.Bypasses != 0 {
-		t.Errorf("Misses/Bypasses = %d/%d, want 1/0", st.Misses, st.Bypasses)
+	if st.Hits != execs-1 || st.Misses != 1 {
+		t.Errorf("Hits/Misses = %d/%d, want %d/1", st.Hits, st.Misses, execs-1)
 	}
 }
 
 // TestPreparedCacheDDLInvalidation drops and recreates a table between
-// executions: the cached plan must be invalidated (catalog version
-// key), and the next execution re-plans against the new table.
+// executions: the cached parse survives, and the next execution plans
+// against the new table.
 func TestPreparedCacheDDLInvalidation(t *testing.T) {
 	db := New()
 	mustExec(t, db,
@@ -245,7 +288,7 @@ func TestPreparedCacheDDLInvalidation(t *testing.T) {
 		t.Fatalf("before DDL: %q", got)
 	}
 	if got := read(2); len(got) != 1 || got[0] != "20" {
-		t.Fatalf("cached exec: %q", got)
+		t.Fatalf("second exec: %q", got)
 	}
 
 	mustExec(t, db,
@@ -254,15 +297,12 @@ func TestPreparedCacheDDLInvalidation(t *testing.T) {
 		"INSERT INTO t VALUES (1, 111)",
 	)
 	if got := read(1); len(got) != 1 || got[0] != "111" {
-		t.Fatalf("after DDL, cached plan served stale table: %q", got)
+		t.Fatalf("after DDL, served stale table: %q", got)
 	}
 
 	st := db.PreparedStats()
 	if st.Parses != 1 {
 		t.Errorf("Parses = %d, want 1 (DDL keeps the parse)", st.Parses)
-	}
-	if st.Plans != 2 {
-		t.Errorf("Plans = %d, want 2 (one re-plan after DDL)", st.Plans)
 	}
 
 	// Dropping the table without recreating it must surface an error,
@@ -273,11 +313,11 @@ func TestPreparedCacheDDLInvalidation(t *testing.T) {
 	}
 }
 
-// TestPreparedConcurrentExec hammers one cached statement from many
+// TestPreparedConcurrentExec hammers one bound statement from many
 // goroutines (with a parameterized fast-path writer running alongside)
-// under the race detector: the single-checkout discipline must keep
-// every execution correct, with concurrent holders bypassing to fresh
-// plans rather than sharing mutable state.
+// under the race detector: concurrent first executions share one
+// single-flight parse, and every execution plans fresh from the shared
+// AST and returns its own key's rows.
 func TestPreparedConcurrentExec(t *testing.T) {
 	db := prepDB(t)
 	ctx := context.Background()
@@ -345,8 +385,8 @@ func TestPreparedConcurrentExec(t *testing.T) {
 	}
 
 	st := db.PreparedStats()
-	if total := st.Hits + st.Misses + st.Bypasses; total != goroutines*iters {
-		t.Errorf("hit+miss+bypass = %d, want %d", total, goroutines*iters)
+	if total := st.Hits + st.Misses; total != (goroutines+1)*iters {
+		t.Errorf("hit+miss = %d, want %d (one parse-cache lookup per execution)", total, (goroutines+1)*iters)
 	}
 	if st.Parses != 2 { // one SELECT text, one UPDATE text
 		t.Errorf("Parses = %d, want 2", st.Parses)

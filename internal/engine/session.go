@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -92,10 +93,7 @@ func (s *Session) stmtCtx(ctx context.Context) (context.Context, context.CancelF
 }
 
 // effectiveWorkMem resolves the per-statement memory grant in bytes
-// (session override or engine default; 0 = unlimited). The resolved
-// value — not the "default" sentinel — flows into planning and the
-// plan-cache key, so a SET work_mem on the engine default never
-// revives a plan whose frozen grant no longer matches.
+// (session override or engine default; 0 = unlimited).
 func (s *Session) effectiveWorkMem() int64 {
 	if s.workMem > 0 {
 		return s.workMem
@@ -149,25 +147,57 @@ func materialize(rows *Rows, res Result, err error) (*Rows, Result, error) {
 // returning. The returned Result's RowsAffected is meaningful only for
 // non-SELECT statements.
 func (s *Session) RunStream(ctx context.Context, text string) (*Rows, Result, error) {
-	return s.execute(ctx, text, "", nil)
+	return s.execute(ctx, text, stmtArgs{}, false)
 }
 
 // RunStreamBound is RunStream for a prepared execution: text contains
-// $1..$n placeholders and args carries their values, which bind real
+// $1..$n placeholders and vals carries their values, which bind real
 // Param nodes instead of being substituted into the text. A statement
-// is parsed — and, for a cacheable SELECT, planned — at most once per
-// (text, argument-type signature) pair across the whole DB; repeated
-// executions just bind the arguments and run. Extra arguments beyond
-// the statement's highest $n are permitted (and ignored).
-func (s *Session) RunStreamBound(ctx context.Context, text string, args []storage.Value) (*Rows, Result, error) {
-	return s.execute(ctx, text, cacheKey(text, args), args)
+// is parsed at most once per normalized text across the whole DB (the
+// parse cache); every execution plans fresh with its arguments bound,
+// so a `$n` on a partition key routes exactly as a literal would.
+// Extra arguments beyond the statement's highest $n are permitted
+// (and ignored).
+func (s *Session) RunStreamBound(ctx context.Context, text string, vals []storage.Value) (*Rows, Result, error) {
+	return s.execute(ctx, text, stmtArgs{bound: true, vals: vals}, false)
 }
 
-// execute is the one statement lifecycle: parse, then run.
-func (s *Session) execute(ctx context.Context, text, key string, args []storage.Value) (*Rows, Result, error) {
-	p, err := s.parse(text, key, args)
+// QueryStream runs a statement that returns rows — SELECT, SHOW,
+// EXPLAIN or a graph statement — as RunStreamBound does when bound is
+// set and as RunStream does otherwise. Any other statement is refused
+// after parse, before it runs.
+func (s *Session) QueryStream(ctx context.Context, text string, bound bool, vals []storage.Value) (*Rows, error) {
+	rows, _, err := s.execute(ctx, text, stmtArgs{bound: bound, vals: vals}, true)
+	return rows, err
+}
+
+// stmtArgs are a statement's positional arguments. bound statements parse
+// through the DB's parse cache; plain text (RunStream) parses fresh and
+// leaves the cache alone, so unique-literal text traffic cannot evict
+// hot prepared statements.
+type stmtArgs struct {
+	bound bool
+	vals  []storage.Value
+}
+
+// errNoRows refuses a statement that returns no rows where rows are
+// expected.
+var errNoRows = errors.New("engine: statement returns no rows; use Exec")
+
+// execute is the one statement lifecycle: parse, then run. With
+// wantRows, a statement that returns no rows is refused between the
+// two.
+func (s *Session) execute(ctx context.Context, text string, a stmtArgs, wantRows bool) (*Rows, Result, error) {
+	p, err := s.parse(text, a)
 	if err != nil {
 		return nil, Result{}, err
+	}
+	if wantRows {
+		switch p.st.(type) {
+		case *sql.SelectStmt, *sql.ShowStmt, *sql.ExplainStmt, *sql.GraphStmt:
+		default:
+			return nil, Result{}, errNoRows
+		}
 	}
 	return s.run(ctx, p)
 }
@@ -176,33 +206,29 @@ func (s *Session) execute(ctx context.Context, text, key string, args []storage.
 type parsedStmt struct {
 	st       sql.Statement
 	text     string
-	key      string // plan-cache entry; "" = plain text
 	args     []storage.Value
 	enter    time.Time // engine entry: where the statement's trace starts
 	parseDur time.Duration
 }
 
-// parse is the first half of the lifecycle. key names the statement's
-// plan-cache entry; "" is plain text, which parses and plans fresh and
-// leaves the cache alone — unbound text is otherwise just the
-// zero-argument case.
-func (s *Session) parse(text, key string, args []storage.Value) (parsedStmt, error) {
-	p := parsedStmt{text: text, key: key, args: args, enter: time.Now()}
+// parse is the first half of the lifecycle.
+func (s *Session) parse(text string, a stmtArgs) (parsedStmt, error) {
+	p := parsedStmt{text: text, args: a.vals, enter: time.Now()}
 	var (
 		nParams int
 		err     error
 	)
-	if key == "" {
-		p.st, err = sql.Parse(text)
+	if a.bound {
+		p.st, nParams, err = s.db.parseCache.parse(text)
 	} else {
-		p.st, nParams, err = s.db.plans.parse(text, key)
+		p.st, err = sql.Parse(text)
 	}
 	p.parseDur = time.Since(p.enter)
 	if err != nil {
 		return parsedStmt{}, err
 	}
-	if nParams > len(args) {
-		return parsedStmt{}, fmt.Errorf("engine: statement wants %d arguments, got %d", nParams, len(args))
+	if nParams > len(a.vals) {
+		return parsedStmt{}, fmt.Errorf("engine: statement wants %d arguments, got %d", nParams, len(a.vals))
 	}
 	return p, nil
 }
@@ -247,7 +273,7 @@ func (s *Session) run(ctx context.Context, p parsedStmt) (*Rows, Result, error) 
 	case *sql.ExplainStmt:
 		ectx, cancel := s.stmtCtx(ctx)
 		defer cancel()
-		return materialized(s.runExplain(ectx, t, p.text))
+		return materialized(s.runExplain(ectx, t))
 	}
 
 	stmtText, err := p.logText()
@@ -260,7 +286,7 @@ func (s *Session) run(ctx context.Context, p parsedStmt) (*Rows, Result, error) 
 	sctx = trace.WithCollector(sctx, tc)
 
 	if sel, ok := p.st.(*sql.SelectStmt); ok {
-		rows, err := s.db.openSelect(sctx, sel, p.key, p.args, s.effectiveWorkers(), s.effectiveWorkMem(), s)
+		rows, err := s.db.openSelect(sctx, sel, p.args, s.effectiveWorkers(), s.effectiveWorkMem(), s)
 		if err != nil {
 			cancel()
 			s.db.finishTrace(tc)
@@ -302,7 +328,7 @@ func (s *Session) run(ctx context.Context, p parsedStmt) (*Rows, Result, error) 
 // and the observation: it gets none of its own.
 func (s *Session) runNested(ctx context.Context, p parsedStmt) (*Rows, Result, error) {
 	if sel, ok := p.st.(*sql.SelectStmt); ok {
-		rows, err := s.db.openSelect(ctx, sel, p.key, p.args, s.effectiveWorkers(), s.effectiveWorkMem(), s)
+		rows, err := s.db.openSelect(ctx, sel, p.args, s.effectiveWorkers(), s.effectiveWorkMem(), s)
 		return rows, Result{}, err
 	}
 	stmtText, err := p.logText()
@@ -353,16 +379,7 @@ func (s *Session) runGraph(ctx context.Context, g *sql.GraphStmt, explain, analy
 // EXPLAIN or a graph statement — through the session and materializes
 // them. Any other statement is refused before it runs.
 func (s *Session) QueryContext(ctx context.Context, text string) (*Rows, error) {
-	p, err := s.parse(text, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	switch p.st.(type) {
-	case *sql.SelectStmt, *sql.ShowStmt, *sql.ExplainStmt, *sql.GraphStmt:
-	default:
-		return nil, fmt.Errorf("engine: statement returns no rows; use Exec")
-	}
-	rows, _, err := materialize(s.run(ctx, p))
+	rows, _, err := materialize(s.execute(ctx, text, stmtArgs{}, true))
 	return rows, err
 }
 

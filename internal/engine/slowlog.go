@@ -16,9 +16,9 @@ import (
 // compact plan shape (exec.Summary) so a log line identifies the access
 // path without re-running EXPLAIN. TraceID joins the record against
 // vx$traces / vx$trace_spans (0 when tracing is off), and Fingerprint
-// is the plan-cache normalization of the statement text, so a log line
-// groups with its cache entry and with other spellings of the same
-// statement.
+// is the parse cache's normalization of the statement text, so a log
+// line groups with its cache entry and with other spellings of the
+// same statement.
 type SlowQuery struct {
 	Text        string
 	Duration    time.Duration

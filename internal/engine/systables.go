@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/mvcc"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -19,9 +18,8 @@ import (
 // Resolution happens in a TableSource wrapper in front of the MVCC
 // snapshot: planning a vx$ name materializes the view into a batch at
 // that moment (each scan sees fresh state), everything else falls
-// through to the snapshot. The same wrapper serves as the bind-time
-// lookup for cached plans, so a prepared SELECT over a system table
-// re-materializes on every execution instead of replaying stale data.
+// through to the snapshot. Every execution plans fresh, so a prepared
+// SELECT over a system table re-materializes it each time.
 
 // sysTablePrefix marks virtual system tables.
 const sysTablePrefix = "vx$"
@@ -42,16 +40,6 @@ func (s sysSource) Table(name string) (storage.TableData, error) {
 		return s.db.sysTable(name)
 	}
 	return s.base.Table(name)
-}
-
-// sysLookup is sysSource in bind-lookup form (cached-plan rebinding).
-func (db *DB) sysLookup(snap *mvcc.Snapshot) func(string) (storage.TableData, error) {
-	return func(name string) (storage.TableData, error) {
-		if isSysTable(name) {
-			return db.sysTable(name)
-		}
-		return snap.Table(name)
-	}
 }
 
 // sysTableData adapts a freshly materialized batch to storage.TableData.

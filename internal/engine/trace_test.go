@@ -64,8 +64,8 @@ func TestTraceForcedSpillSpans(t *testing.T) {
 	mustSet(t, s, "SET parallelism = 2")
 	mustSet(t, s, fmt.Sprintf("SET work_mem = %d", forceSpillWorkMem))
 
-	// The bound path exercises the full lifecycle: plan-cache probe,
-	// plan, bind, grant, drain.
+	// The bound path exercises the full lifecycle: cached parse, plan,
+	// grant, open, drain.
 	const q = `SELECT f.tag, COUNT(*) AS c, SUM(f.val) AS sm
 		FROM fact f GROUP BY f.tag ORDER BY sm, c DESC, f.tag`
 	rows, _, err := s.RunStreamBound(context.Background(), q, nil)
@@ -99,7 +99,7 @@ func TestTraceForcedSpillSpans(t *testing.T) {
 	}
 
 	lifecycle, opSpans, spillSpans, depth0Sum := stagesOf(tc.Spans())
-	for _, stage := range []string{"parse", "plan_cache", "plan", "bind", "grant", "open", "drain"} {
+	for _, stage := range []string{"parse", "plan", "grant", "open", "drain"} {
 		if !lifecycle[stage] {
 			t.Errorf("lifecycle span %q missing (have %v)", stage, lifecycle)
 		}
@@ -405,4 +405,41 @@ func TestSpillPlacementKnobs(t *testing.T) {
 	statValue(t, db, "spill.disk_cap")
 	statValue(t, db, "trace.ring_len")
 	statValue(t, db, "trace.sampling")
+}
+
+// TestBoundRerunOperatorCounters: a bound SELECT run twice on one
+// session reports each execution's own operator counters — the two
+// traces' per-operator rows= details are equal, not cumulative.
+func TestBoundRerunOperatorCounters(t *testing.T) {
+	db := observeDB(t)
+	sess := observeSession(t, db, 2)
+	opDetails := func() []string {
+		t.Helper()
+		rows, _, err := sess.RunStreamBound(context.Background(), "SELECT dst FROM ev WHERE src = $1", vals(storage.Int64(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowLines(t, rows); len(got) != 2 {
+			t.Fatalf("src = 1: %d rows, want 2", len(got))
+		}
+		rows.Close()
+		tr := traceByID(db, sess.LastTraceID())
+		if tr == nil {
+			t.Fatal("trace not retained")
+		}
+		var out []string
+		for _, sp := range tr.Spans() {
+			if strings.HasPrefix(sp.Stage, "op:") {
+				out = append(out, sp.Stage+" "+sp.Detail)
+			}
+		}
+		return out
+	}
+	first, second := opDetails(), opDetails()
+	if !strings.Contains(strings.Join(first, "\n"), "rows=2 ") {
+		t.Fatalf("first execution's operator spans lack rows=2: %q", first)
+	}
+	if strings.Join(first, "\n") != strings.Join(second, "\n") {
+		t.Errorf("second execution's operator counters differ:\n first %q\nsecond %q", first, second)
+	}
 }

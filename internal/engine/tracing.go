@@ -11,8 +11,8 @@ import (
 
 // Statement-lifecycle tracing glue: the DB owns one trace.Tracer, every
 // session registers itself for the vx$sessions view, and statement
-// entry points stamp lifecycle spans (admission, parse, plan-cache,
-// plan, bind, grant, gate, exec, wal, drain) into the statement's
+// entry points stamp lifecycle spans (admission, parse, plan, grant,
+// open, gate, exec, wal, drain) into the statement's
 // collector. The collector travels by context into layers that would
 // otherwise need signature churn (WAL append), and its ring is what the
 // vx$traces / vx$trace_spans system views scan.

@@ -200,9 +200,9 @@ func describeSet(ops []Operator) string {
 }
 
 // describeScan labels a scan clone-set with its shard routing: a
-// pinned single shard (point-predicate pruning), a bind-time routed
-// scan (parameterized point predicate), or a full scan over every
-// shard, plus the morsel fan-out when the set holds clones.
+// pinned single shard (point-predicate pruning, literal or parameter)
+// or a full scan over every shard, plus the morsel fan-out when the
+// set holds clones.
 func describeScan(ops []Operator) string {
 	s0 := ops[0].(*TableScan)
 	label := "Scan " + s0.Table.Name()
@@ -217,8 +217,6 @@ func describeScan(ops []Operator) string {
 		}
 	}
 	switch {
-	case s0.NoSplit:
-		label += fmt.Sprintf(" [1 of %d shards, routed at bind]", nShards)
 	case len(ops) == 1 && s0.Shard > 0:
 		label += fmt.Sprintf(" [shard %d/%d]", s0.Shard, nShards)
 	case len(ops) == 1 && nShards > 1:

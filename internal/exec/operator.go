@@ -86,15 +86,9 @@ type TableScan struct {
 	OutSchema storage.Schema
 	// Shard restricts the scan to one hash shard (1-based; 0 scans
 	// every shard). The planner sets it when a point predicate on the
-	// partition key routes a lookup to the owning shard.
+	// partition key routes a lookup to the owning shard; a routed scan
+	// is read as one fragment (Parallelize never splits it).
 	Shard int
-	// NoSplit pins the scan to a single fragment. The planner sets it
-	// on scans whose Shard is routed at bind time (a point predicate on
-	// the partition key against a parameter): the target shard differs
-	// per execution, so the scan must stay one re-routable unit rather
-	// than be cloned into per-shard morsels whose assignment would be
-	// frozen into the cached plan.
-	NoSplit bool
 
 	part, parts int
 

@@ -292,7 +292,10 @@ type clonedJoin interface {
 func splitFragment(op Operator, workers, depth int, builds *[]*joinBuild) ([]Operator, bool) {
 	switch o := op.(type) {
 	case *TableScan:
-		if depth == 0 || o.NoSplit {
+		// A routed scan (Shard > 0) is one fragment: a point lookup
+		// reads one shard, and splitting it would only contend for the
+		// worker budget with other statements.
+		if depth == 0 || o.Shard > 0 {
 			return nil, false
 		}
 		// Shard-wise morselization: a scan over a multi-shard table is
@@ -301,17 +304,15 @@ func splitFragment(op Operator, workers, depth int, builds *[]*joinBuild) ([]Ope
 		// scan state (and, later, no process). Large shards split
 		// further into contiguous morsels; fragment order is shard-major
 		// to preserve the serial scan's row order through Gather.
-		if sh, ok := o.Table.(storage.Sharded); ok && sh.NumShards() > 1 && o.Shard == 0 {
+		if sh, ok := o.Table.(storage.Sharded); ok && sh.NumShards() > 1 {
 			if splitParts(o.Table.NumRows(), workers) < 2 {
 				return nil, false
 			}
 			var out []Operator
 			for s := 0; s < sh.NumShards(); s++ {
 				rows := sh.ShardRows(s)
-				// A shard that is empty now still gets one (unsplit)
-				// fragment: the morsel bounds are recomputed from live row
-				// counts at Open, and a cached plan may run again after
-				// rows land in a shard that was empty at plan time.
+				// A shard too small to split, or empty, keeps one
+				// unsplit fragment.
 				k := splitParts(rows, workers)
 				if k < 2 {
 					out = append(out, &TableScan{Table: o.Table, OutSchema: o.OutSchema, Shard: s + 1})
@@ -326,11 +327,7 @@ func splitFragment(op Operator, workers, depth int, builds *[]*joinBuild) ([]Ope
 			}
 			return out, true
 		}
-		rows := o.Table.NumRows()
-		if sh, ok := o.Table.(storage.Sharded); ok && o.Shard > 0 {
-			rows = sh.ShardRows(o.Shard - 1)
-		}
-		n := splitParts(rows, workers)
+		n := splitParts(o.Table.NumRows(), workers)
 		if n < 2 {
 			return nil, false
 		}

@@ -16,9 +16,8 @@ import (
 // run clones on worker goroutines; EXPLAIN ANALYZE reads them after the
 // drain, SHOW STATS-style consumers may read them live.
 //
-// A cached prepared plan accumulates across executions (operators are
-// re-opened, never re-built); EXPLAIN ANALYZE plans fresh, so its
-// counters always describe exactly one execution.
+// Every execution plans a fresh operator tree, so the counters always
+// describe exactly one execution.
 type OpStats struct {
 	Rows    atomic.Int64
 	Batches atomic.Int64

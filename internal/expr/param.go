@@ -9,18 +9,15 @@ import (
 
 // ParamSlot holds the argument values of one execution of a
 // parameterized plan. Every Param node of the plan shares one slot;
-// Bind is called before the plan is opened, and the tree then reads
-// arguments through its Params. A cached plan is checked out by one
-// execution at a time, so the slot needs no locking.
+// Bind is called before planning, and the tree then reads arguments
+// through its Params. A plan serves one execution, so the slot needs
+// no locking.
 type ParamSlot struct {
 	vals []storage.Value
 }
 
 // Bind installs the argument values for the next execution.
 func (s *ParamSlot) Bind(args []storage.Value) { s.vals = args }
-
-// Args returns the currently bound argument values.
-func (s *ParamSlot) Args() []storage.Value { return s.vals }
 
 // Arg returns the bound value of parameter n (1-based), when present.
 func (s *ParamSlot) Arg(n int) (storage.Value, bool) {
@@ -32,8 +29,8 @@ func (s *ParamSlot) Arg(n int) (storage.Value, bool) {
 
 // Param reads positional argument N (1-based) from its slot, coerced
 // to the type recorded at plan time — the type of the argument the
-// plan was first bound with, which makes a bound Param behave exactly
-// like the literal the legacy substitution path would have rendered.
+// plan was built with, which makes a bound Param behave exactly like
+// the literal the substitution path would have rendered.
 type Param struct {
 	N    int
 	Typ  storage.Type

@@ -1,6 +1,6 @@
 // Package obs is the engine-wide metrics registry: named counters,
 // callback gauges, and fixed-bucket latency histograms that every
-// subsystem (engine, plan cache, WAL, MVCC, scheduler, server) feeds.
+// subsystem (engine, parse cache, WAL, MVCC, scheduler, server) feeds.
 // The registry is the single surface behind `SHOW STATS`, the expvar
 // debug endpoint, and the slow-query log's context — one place to look
 // when asking where a server's time goes.

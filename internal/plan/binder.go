@@ -33,11 +33,11 @@ var binOps = map[string]expr.BinOp{
 }
 
 // Params is the binding context for positional parameters ($1..$n).
-// Types records each parameter's storage type — taken from the first
+// Types records each parameter's storage type — taken from the
 // execution's argument values, so a bound parameter behaves exactly
-// like the literal the legacy substitution path would have rendered —
-// and Slot is the shared cell all Param nodes of the plan read their
-// per-execution values from.
+// like the literal the substitution path would have rendered — and
+// Slot is the shared cell all Param nodes of the plan read the values
+// from.
 type Params struct {
 	Slot  *expr.ParamSlot
 	Types []storage.Type
@@ -45,8 +45,8 @@ type Params struct {
 
 // NewParams returns a Params for arguments of the given values' types,
 // with the values already bound (planning evaluates parameterized CTEs
-// and VALUES eagerly, so the first execution's arguments must be
-// readable during binding).
+// and VALUES eagerly and routes partition-key scans by value, so the
+// arguments must be readable during binding).
 func NewParams(args []storage.Value) *Params {
 	slot := &expr.ParamSlot{}
 	slot.Bind(args)

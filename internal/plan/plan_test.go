@@ -49,7 +49,7 @@ func planQuery(t *testing.T, cat *catalog.Catalog, q string) exec.Operator {
 		t.Fatal(err)
 	}
 	p := New(cat, expr.NewRegistry())
-	op, err := p.PlanSelect(st.(*sql.SelectStmt))
+	op, err := p.PlanSelectParams(st.(*sql.SelectStmt), 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func TestScopeAmbiguity(t *testing.T) {
 	cat := testCatalog(t)
 	st, _ := sql.Parse("SELECT src FROM edge e1, edge e2")
 	p := New(cat, expr.NewRegistry())
-	if _, err := p.PlanSelect(st.(*sql.SelectStmt)); err == nil {
+	if _, err := p.PlanSelectParams(st.(*sql.SelectStmt), 0, nil, nil); err == nil {
 		t.Error("ambiguous column should fail to bind")
 	}
 	st2, _ := sql.Parse("SELECT nothere FROM edge")
-	if _, err := p.PlanSelect(st2.(*sql.SelectStmt)); err == nil {
+	if _, err := p.PlanSelectParams(st2.(*sql.SelectStmt), 0, nil, nil); err == nil {
 		t.Error("unknown column should fail to bind")
 	}
 }
@@ -121,7 +121,7 @@ func TestHavingWithoutGroupByRejected(t *testing.T) {
 	cat := testCatalog(t)
 	st, _ := sql.Parse("SELECT src FROM edge HAVING src > 1")
 	p := New(cat, expr.NewRegistry())
-	if _, err := p.PlanSelect(st.(*sql.SelectStmt)); err == nil {
+	if _, err := p.PlanSelectParams(st.(*sql.SelectStmt), 0, nil, nil); err == nil {
 		t.Error("HAVING without aggregates should be rejected")
 	}
 }
@@ -131,17 +131,17 @@ func TestAggregateBindingErrors(t *testing.T) {
 	p := New(cat, expr.NewRegistry())
 	// Non-grouped column in select list.
 	st, _ := sql.Parse("SELECT dst, COUNT(*) FROM edge GROUP BY src")
-	if _, err := p.PlanSelect(st.(*sql.SelectStmt)); err == nil {
+	if _, err := p.PlanSelectParams(st.(*sql.SelectStmt), 0, nil, nil); err == nil {
 		t.Error("non-grouped column must be rejected")
 	}
 	// Aggregate in WHERE.
 	st2, _ := sql.Parse("SELECT src FROM edge WHERE COUNT(*) > 1")
-	if _, err := p.PlanSelect(st2.(*sql.SelectStmt)); err == nil {
+	if _, err := p.PlanSelectParams(st2.(*sql.SelectStmt), 0, nil, nil); err == nil {
 		t.Error("aggregate in WHERE must be rejected")
 	}
 	// Star inside aggregate other than COUNT.
 	st3, _ := sql.Parse("SELECT SUM(*) FROM edge")
-	if _, err := p.PlanSelect(st3.(*sql.SelectStmt)); err == nil {
+	if _, err := p.PlanSelectParams(st3.(*sql.SelectStmt), 0, nil, nil); err == nil {
 		t.Error("SUM(*) must be rejected")
 	}
 }
@@ -169,7 +169,7 @@ func TestOrderByUnprojectedColumn(t *testing.T) {
 	// duplicate set) and must still be rejected.
 	st, _ := sql.Parse("SELECT DISTINCT src FROM edge ORDER BY dst + 1")
 	p := New(cat, expr.NewRegistry())
-	if _, err := p.PlanSelect(st.(*sql.SelectStmt)); err == nil {
+	if _, err := p.PlanSelectParams(st.(*sql.SelectStmt), 0, nil, nil); err == nil {
 		t.Error("DISTINCT with unprojected ORDER BY should be rejected")
 	}
 }
@@ -315,7 +315,7 @@ func TestLimitKeepsPlanSerial(t *testing.T) {
 		}
 		p := New(cat, expr.NewRegistry())
 		p.Parallelism = workers
-		op, err := p.PlanSelect(st.(*sql.SelectStmt))
+		op, err := p.PlanSelectParams(st.(*sql.SelectStmt), 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,7 +447,7 @@ func TestJoinAmbiguousColumn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = p.PlanSelect(st.(*sql.SelectStmt))
+		_, err = p.PlanSelectParams(st.(*sql.SelectStmt), 0, nil, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %s", tc.q, err, tc.want)
 		}

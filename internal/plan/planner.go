@@ -28,13 +28,13 @@ type Planner struct {
 	// so concurrent statements share cores instead of oversubscribing.
 	Budget *sched.Budget
 	// Mem is the process-wide executor memory pool (nil = unlimited).
-	// Each statement plans against a child grant capped at its work_mem
-	// (WorkMem, or a per-statement override) that draws down this pool;
-	// blocking operators reserve from the grant and spill to disk when
-	// a reservation is denied.
+	// Each statement plans against a child grant capped at WorkMem that
+	// draws down this pool; blocking operators reserve from the grant
+	// and spill to disk when a reservation is denied.
 	Mem *sched.MemBudget
-	// WorkMem is the default per-statement memory grant in bytes
-	// (0 = unlimited). SET work_mem overrides it per statement.
+	// WorkMem is the per-statement memory grant in bytes (0 =
+	// unlimited). The engine plans each statement on a copy of its
+	// planner carrying the session's work_mem.
 	WorkMem int64
 }
 
@@ -58,44 +58,21 @@ type TableSource interface {
 	Table(name string) (storage.TableData, error)
 }
 
-// PlanSelect lowers a SELECT statement to an operator tree over the
-// live catalog with the planner's defaults.
-func (p *Planner) PlanSelect(st *sql.SelectStmt) (exec.Operator, error) {
-	return p.PlanSelectParams(st, 0, nil, nil)
-}
-
-// PlanSelectParams builds a one-shot plan (PrepareSelectMem builds the
-// reusable kind). workers > 0 replaces the planner's Parallelism for
+// PlanSelectParams is the one SELECT planner entry: every execution
+// is planned fresh. workers > 0 replaces the planner's Parallelism for
 // this one statement; every base-table scan reads through src, so the
 // whole statement sees one consistent version set (nil = live catalog
 // tables); ps, when non-nil, puts positional parameters in scope and
-// must already have its argument values bound — parameter-keyed point
-// scans are routed immediately.
+// must already have its argument values bound — a parameter on the
+// partition key routes the scan from its value, exactly as a literal
+// does. The statement's memory grant is a child of Mem capped at
+// WorkMem.
 func (p *Planner) PlanSelectParams(st *sql.SelectStmt, workers int, src TableSource, ps *Params) (exec.Operator, error) {
 	if workers <= 0 {
 		workers = p.Parallelism
 	}
-	ctx := &planCtx{p: p, workers: workers, fullWorkers: workers, mem: p.statementMem(-1), ctes: make(map[string]*storage.Batch), src: src, params: ps}
-	root, err := ctx.planSelect(st)
-	if err != nil {
-		return nil, err
-	}
-	if ps != nil {
-		bindRoutes(ctx.routes, ps.Slot.Args())
-	}
-	return root, nil
-}
-
-// statementMem builds the statement's memory grant: a child of the
-// engine pool capped at the resolved work_mem. The grant is owned by
-// the plan — operators release every reservation when they close, so
-// a cached plan reuses it across executions without leaking pool
-// bytes.
-func (p *Planner) statementMem(workMem int64) *sched.MemBudget {
-	if workMem < 0 {
-		workMem = p.WorkMem
-	}
-	return sched.StatementMem(p.Mem, workMem)
+	ctx := &planCtx{p: p, workers: workers, fullWorkers: workers, mem: sched.StatementMem(p.Mem, p.WorkMem), ctes: make(map[string]*storage.Batch), src: src, params: ps}
+	return ctx.planSelect(st)
 }
 
 // planCtx carries per-statement state (materialized CTEs).
@@ -110,10 +87,9 @@ type planCtx struct {
 	// a blocking subtree under a serialized LIMIT can get it back.
 	fullWorkers int
 	ctes        map[string]*storage.Batch
-	// params, when non-nil, puts positional parameters in scope and
-	// collects bind-time shard routes (see paramRouteFor).
+	// params, when non-nil, puts positional parameters in scope; their
+	// bound values route partition-key scans (see route).
 	params *Params
-	routes []Route
 	// serial marks the subtree under a LIMIT (with no blocking ORDER
 	// BY): operators there are planned serial — no Gathers —
 	// so the LIMIT pulls O(limit) rows from the sources instead of
@@ -606,7 +582,7 @@ func (c *planCtx) pushDown(op exec.Operator, sc *Scope, pending []sql.Expr) (exe
 			rest = append(rest, cj)
 		}
 	}
-	if ts, ok := op.(*exec.TableScan); ok && ts.Shard == 0 && !ts.NoSplit {
+	if ts, ok := op.(*exec.TableScan); ok && ts.Shard == 0 {
 		if sh, ok := ts.Table.(storage.Sharded); ok && sh.NumShards() > 1 && sh.ShardKey() >= 0 {
 			for _, cj := range applicable {
 				if c.route(ts, sh, cj, sc) {
@@ -641,12 +617,13 @@ func (c *planCtx) bindPred(e sql.Expr, sc *Scope) (expr.Expr, error) {
 }
 
 // route recognizes `key = x` (either operand order), key the table's
-// partition column, and routes the scan to x's shard. A literal fixes
-// the shard at planning; a parameter's shard is only known at bind
-// time, so it records a Route and keeps the scan a single re-routable
-// fragment. x must have the key's type, or be INTEGER against a DOUBLE
-// key (which HashValue hashes identically): a cross-type comparison
-// scans every shard rather than risk a coercion mismatch.
+// partition column, and routes the scan to x's shard. x is a literal
+// or a bound parameter; either routes from its value by one rule. A
+// NULL value matches nothing, so any single shard (shard 1) yields the
+// same empty result. x must otherwise have the key's type, or be
+// INTEGER against a DOUBLE key (which HashValue hashes identically): a
+// cross-type comparison scans every shard rather than risk a coercion
+// mismatch.
 func (c *planCtx) route(ts *exec.TableScan, sh storage.Sharded, cj sql.Expr, sc *Scope) bool {
 	b, ok := cj.(*sql.BinExpr)
 	if !ok || b.Op != "=" {
@@ -659,19 +636,17 @@ func (c *planCtx) route(ts *exec.TableScan, sh storage.Sharded, cj sql.Expr, sc 
 		}
 		x = b.L
 	}
-	kt := sh.Schema().Cols[sh.ShardKey()].Type
-	routable := func(t storage.Type) bool {
-		return t == kt || t == storage.TypeInt64 && kt == storage.TypeFloat64
-	}
 	var v storage.Value
 	switch l := x.(type) {
 	case *sql.Param:
-		if c.params == nil || l.N < 1 || l.N > len(c.params.Types) || !routable(c.params.Types[l.N-1]) {
+		if c.params == nil {
 			return false
 		}
-		ts.NoSplit = true
-		c.routes = append(c.routes, Route{Scan: ts, N: l.N, Key: kt})
-		return true
+		if v, ok = c.params.Slot.Arg(l.N); !ok {
+			return false
+		}
+	case *sql.NullLit:
+		v = storage.Value{Null: true}
 	case *sql.IntLit:
 		v = storage.Int64(l.V)
 	case *sql.FloatLit:
@@ -683,8 +658,16 @@ func (c *planCtx) route(ts *exec.TableScan, sh storage.Sharded, cj sql.Expr, sc 
 	default:
 		return false
 	}
+	if v.Null {
+		ts.Shard = 1
+		return true
+	}
+	kt := sh.Schema().Cols[sh.ShardKey()].Type
+	if v.Type != kt && !(v.Type == storage.TypeInt64 && kt == storage.TypeFloat64) {
+		return false
+	}
 	cv, err := storage.Coerce(v, kt)
-	if err != nil || !routable(v.Type) {
+	if err != nil {
 		return false
 	}
 	ts.Shard = int(storage.HashValue(cv)%uint64(sh.NumShards())) + 1

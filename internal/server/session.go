@@ -36,6 +36,9 @@ type stmtReq struct {
 	sql  string          // stmtSQL
 	prep uint32          // stmtBindExec
 	args []storage.Value // stmtBindExec
+	// rows refuses a statement that returns no rows before it runs
+	// (the frame's optional "rows expected" flag).
+	rows bool
 }
 
 // session is one client connection's server-side state.
@@ -134,10 +137,11 @@ func (ss *session) readLoop() {
 		case wire.FrameQuery:
 			id := r.U32()
 			sqlText := r.String()
+			rows := r.Flag()
 			if r.Err != nil {
 				return
 			}
-			ss.enqueue(stmtReq{kind: stmtSQL, id: id, sql: sqlText})
+			ss.enqueue(stmtReq{kind: stmtSQL, id: id, sql: sqlText, rows: rows})
 		case wire.FramePrepare:
 			prep := r.U32()
 			sqlText := r.String()
@@ -166,10 +170,11 @@ func (ss *session) readLoop() {
 			for i := range args {
 				args[i] = r.Value()
 			}
+			rows := r.Flag()
 			if r.Err != nil {
 				return
 			}
-			ss.enqueue(stmtReq{kind: stmtBindExec, id: id, prep: prep, args: args})
+			ss.enqueue(stmtReq{kind: stmtBindExec, id: id, prep: prep, args: args, rows: rows})
 		case wire.FrameGraph:
 			id := r.U32()
 			verb := r.String()
@@ -292,37 +297,36 @@ func (ss *session) runStmt(req stmtReq) {
 		ss.es.NoteQueueWait(time.Since(req.enq))
 	}
 
-	switch req.kind {
-	case stmtSQL:
-		ss.runSQL(ctx, req.id, req.sql)
-	case stmtBindExec:
+	text, bound := req.sql, req.kind == stmtBindExec
+	if bound {
 		ss.prepMu.Lock()
-		text, ok := ss.prepared[req.prep]
+		t, ok := ss.prepared[req.prep]
 		ss.prepMu.Unlock()
 		if !ok {
 			ss.writeError(req.id, fmt.Sprintf("unknown prepared statement %d", req.prep))
 			return
 		}
-		ss.runBound(ctx, req.id, text, req.args)
+		text = t
 	}
-}
-
-// runSQL executes one SQL statement through the engine session and
-// writes its result frames. SELECT results stream: the executor
-// produces batches while earlier ones are already on the wire.
-func (ss *session) runSQL(ctx context.Context, id uint32, text string) {
+	// A SELECT result streams: the executor produces batches while
+	// earlier ones are already on the wire. A bound statement's raw
+	// argument values reach the engine, which binds them as Param
+	// nodes — no substitution, no re-parse on the hot path.
 	start := time.Now()
-	rows, res, err := ss.es.RunStream(ctx, text)
-	ss.writeResult(id, rows, res, err, start)
-}
-
-// runBound executes a prepared statement bind-and-run: the raw
-// argument values reach the engine, which binds them onto a cached
-// parameterized plan — no substitution, no re-parse on the hot path.
-func (ss *session) runBound(ctx context.Context, id uint32, text string, args []storage.Value) {
-	start := time.Now()
-	rows, res, err := ss.es.RunStreamBound(ctx, text, args)
-	ss.writeResult(id, rows, res, err, start)
+	var (
+		rows *engine.Rows
+		res  engine.Result
+		err  error
+	)
+	switch {
+	case req.rows:
+		rows, err = ss.es.QueryStream(ctx, text, bound, req.args)
+	case bound:
+		rows, res, err = ss.es.RunStreamBound(ctx, text, req.args)
+	default:
+		rows, res, err = ss.es.RunStream(ctx, text)
+	}
+	ss.writeResult(req.id, rows, res, err, start)
 }
 
 // stmtStats builds the Done-frame trailer: the statistics the statement

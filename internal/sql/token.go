@@ -69,7 +69,7 @@ var keywords = map[string]bool{
 }
 
 // IsKeyword reports whether word (already upper-cased) is a reserved
-// word of the dialect. The plan-cache fingerprint uses it to case-fold
+// word of the dialect. The parse-cache fingerprint uses it to case-fold
 // keywords without touching identifiers or literals.
 func IsKeyword(upper string) bool { return keywords[upper] }
 

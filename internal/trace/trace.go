@@ -1,7 +1,7 @@
 // Package trace records per-statement lifecycle traces: one span per
-// stage a statement passes through (admission wait, parse, plan-cache
-// probe, planning, bind, memory grant, WAL append, stream drain) plus
-// per-operator and spill detail derived from exec's operator counters.
+// stage a statement passes through (admission wait, parse, planning,
+// memory grant, WAL append, stream drain) plus per-operator and spill
+// detail derived from exec's operator counters.
 //
 // The design follows the engine's observability discipline: when
 // tracing is off (sampling 0) a statement touches one atomic load and

@@ -17,15 +17,19 @@
 //	client → server                      server → client
 //	-------------------                  -------------------
 //	Hello{options}                       HelloOK{sessionID, info}
-//	Query{stmt, sql}                     RowsHeader{stmt, schema}
+//	Query{stmt, sql[, rows]}             RowsHeader{stmt, schema}
 //	Prepare{prep, sql}                     RowsBatch{stmt, batch}...
-//	BindExec{stmt, prep, args}           ExecOK{stmt, rowsAffected}
+//	BindExec{stmt, prep, args[, rows]}   ExecOK{stmt, rowsAffected}
 //	Graph{stmt, verb, args}              Error{stmt, message}
 //	Cancel{stmt}                         Done{stmt[, stats]}
 //	Goodbye{}                            PrepareOK{prep}
 //
 // A statement exchange ends with exactly one terminal frame: Done on
 // success (after the RowsBatch stream or ExecOK) or Error on failure.
+// Query and BindExec may end with an optional "rows expected" flag
+// byte (see PutFlag): when set, the server refuses a statement that
+// returns no rows after parsing it and before running it. A frame
+// without the byte decodes as unset.
 // Done may carry an optional stats trailer (see PutStats) after the
 // statement id; clients that stop at the id ignore it.
 // Results stream, so an Error may arrive after RowsBatch frames have
@@ -156,6 +160,15 @@ func (b *Buffer) PutValue(v storage.Value) {
 	}
 }
 
+// PutFlag appends an optional trailing flag byte.
+func (b *Buffer) PutFlag(v bool) {
+	if v {
+		b.B = append(b.B, 1)
+	} else {
+		b.B = append(b.B, 0)
+	}
+}
+
 // Reader decodes a frame payload; errors are sticky.
 type Reader struct {
 	B   []byte
@@ -238,6 +251,17 @@ func (r *Reader) Value() storage.Value {
 	default: // TypeString
 		return storage.Str(r.String())
 	}
+}
+
+// Flag reads an optional trailing flag byte; an absent byte (a frame
+// from a peer that predates the flag) reads as false.
+func (r *Reader) Flag() bool {
+	if r.Err != nil || len(r.B) == 0 {
+		return false
+	}
+	v := r.B[0] == 1
+	r.B = r.B[1:]
+	return v
 }
 
 // Done reports whether the payload was fully and cleanly consumed.
