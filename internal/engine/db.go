@@ -791,6 +791,13 @@ func (db *DB) execParsed(ctx context.Context, st sql.Statement, text string, ps 
 	return res, nil
 }
 
+// execLocked is the one statement executor behind both write routes.
+// It runs under either latch mode: the shared latch for a fast-path
+// INSERT/UPDATE/DELETE, the exclusive one for everything else. DDL
+// runs only under the exclusive latch. Each DML statement stages its
+// footprint's pre-images (inside a transaction), then takes the
+// footprint's shard statement locks, which the exclusive latch leaves
+// uncontended.
 func (db *DB) execLocked(ctx context.Context, st sql.Statement, ps *plan.Params) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -886,7 +893,7 @@ func (db *DB) execTruncate(s *sql.TruncateStmt) (Result, error) {
 		return Result{}, err
 	}
 	n := t.NumRows()
-	db.noteWrite(t)
+	db.noteWrite(t, nil)
 	t.Truncate()
 	return Result{RowsAffected: n}, nil
 }
@@ -900,7 +907,10 @@ func (db *DB) execInsert(ctx context.Context, s *sql.InsertStmt, ps *plan.Params
 	if err != nil {
 		return Result{}, err
 	}
-	db.noteWrite(t)
+	shards := insertShardSet(t, colIdx, input)
+	db.noteWrite(t, shards)
+	t.LockShards(shards)
+	defer t.UnlockShards(shards)
 	n, err := appendInsertRows(t, colIdx, input)
 	if err != nil {
 		return Result{}, err
@@ -910,9 +920,8 @@ func (db *DB) execInsert(ctx context.Context, s *sql.InsertStmt, ps *plan.Params
 
 // buildInsertInput maps the statement's column list to table positions
 // and evaluates the source rows (VALUES expressions or the SELECT) into
-// a batch whose columns line up with colIdx. It only reads — safe under
-// the shared latch — so both the serialized path and the sharded fast
-// path use it.
+// a batch whose columns line up with colIdx. It only reads, so it is
+// safe under the shared latch.
 func (db *DB) buildInsertInput(ctx context.Context, s *sql.InsertStmt, t *storage.Table, ps *plan.Params) (colIdx []int, input *storage.Batch, err error) {
 	schema := t.Schema()
 	// Map statement columns to table positions.
@@ -1003,107 +1012,219 @@ func appendInsertRows(t *storage.Table, colIdx []int, input *storage.Batch) (int
 	return n, nil
 }
 
-// matchRows returns the indexes of rows matching the WHERE clause (all
-// rows when where is nil).
-func (db *DB) matchRows(t *storage.Table, where sql.Expr, ps *plan.Params) ([]int, error) {
-	data := t.Data()
-	n := data.Len()
-	if where == nil {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
+// insertShardSet returns the shards the input rows route to: the
+// statement's write footprint, locked for its duration.
+func insertShardSet(t *storage.Table, colIdx []int, input *storage.Batch) []int {
+	if t.NumShards() == 1 {
+		return []int{0}
+	}
+	key := t.ShardKey()
+	kpos := -1
+	for k, j := range colIdx {
+		if j == key {
+			kpos = k
 		}
-		return idx, nil
 	}
-	sc := plan.NewScope(t.Name(), t.Schema())
-	pred, err := plan.BindExprParams(where, sc, db.funcs, ps)
-	if err != nil {
-		return nil, err
-	}
-	if pred.Type() != storage.TypeBool {
-		return nil, fmt.Errorf("engine: WHERE must be boolean, got %s", pred.Type())
-	}
-	var idx []int
-	for i := 0; i < n; i++ {
-		ok, err := expr.EvalBool(pred, expr.Row{Batch: data, Idx: i})
+	seen := make(map[int]bool)
+	var shards []int
+	nullKey := storage.Null(t.Schema().Cols[key].Type)
+	for i := 0; i < input.Len() && len(shards) < t.NumShards(); i++ {
+		v := nullKey // key column unspecified: the row carries NULL
+		if kpos >= 0 {
+			v = input.Cols[kpos].Value(i)
+		}
+		sh, err := t.ShardOf(v)
 		if err != nil {
-			return nil, err
+			// Uncoercible key: AppendBatch rejects the whole batch;
+			// lock shard 0 so the failure is serialized.
+			sh = 0
 		}
-		if ok {
-			idx = append(idx, i)
+		if !seen[sh] {
+			seen[sh] = true
+			shards = append(shards, sh)
 		}
 	}
-	return idx, nil
+	if len(shards) == 0 {
+		shards = []int{0} // zero rows: lock something so the path is uniform
+	}
+	return shards
 }
 
+// writeFootprint returns the shards an UPDATE or DELETE may touch: the
+// one shard its WHERE pins by the planner's routing rule, else every
+// shard. An UPDATE that moves rows (it writes the partition key) may
+// land them in any shard, so its footprint is every shard.
+func writeFootprint(t *storage.Table, sc *plan.Scope, where sql.Expr, ps *plan.Params, moves bool) []int {
+	if sh, ok := plan.PinnedShard(t, sc, where, ps); ok && !moves {
+		return []int{sh}
+	}
+	return t.AllShards()
+}
+
+// shardMatch is one shard's rows matched by a WHERE clause.
+type shardMatch struct {
+	shard int
+	data  *storage.Batch    // the shard's contents when matched
+	idx   []int             // shard-local indexes of the matched rows
+	set   [][]storage.Value // UPDATE: per SET item, the new value of each matched row
+}
+
+// matchShards evaluates where over each footprint shard's rows (every
+// row when where is nil) and returns the shards with a match. The
+// caller holds the shards' statement locks from before the match until
+// after the mutation, so the shard-local indexes stay valid.
+func (db *DB) matchShards(t *storage.Table, sc *plan.Scope, shards []int, where sql.Expr, ps *plan.Params) ([]shardMatch, error) {
+	var pred expr.Expr
+	if where != nil {
+		var err error
+		if pred, err = plan.BindExprParams(where, sc, db.funcs, ps); err != nil {
+			return nil, err
+		}
+		if pred.Type() != storage.TypeBool {
+			return nil, fmt.Errorf("engine: WHERE must be boolean, got %s", pred.Type())
+		}
+	}
+	var out []shardMatch
+	for _, s := range shards {
+		data := t.ShardBatch(s)
+		var idx []int
+		for i := 0; i < data.Len(); i++ {
+			ok := true
+			if pred != nil {
+				var err error
+				if ok, err = expr.EvalBool(pred, expr.Row{Batch: data, Idx: i}); err != nil {
+					return nil, err
+				}
+			}
+			if ok {
+				idx = append(idx, i)
+			}
+		}
+		if len(idx) > 0 {
+			out = append(out, shardMatch{shard: s, data: data, idx: idx})
+		}
+	}
+	return out, nil
+}
+
+// execUpdate matches the WHERE shard by shard, then evaluates,
+// NOT NULL-checks and coerces every SET value on every matched shard
+// before any shard changes, so a failing value leaves the table as it
+// was. Rows are updated in place, unless the SET writes the partition
+// key of a multi-shard table: then the updated rows move to the shards
+// their new keys hash to, each landing at the end of its new shard.
 func (db *DB) execUpdate(s *sql.UpdateStmt, ps *plan.Params) (Result, error) {
 	t, err := db.cat.Get(s.Table)
 	if err != nil {
 		return Result{}, err
 	}
 	schema := t.Schema()
-	idx, err := db.matchRows(t, s.Where, ps)
+	sc := plan.NewScope(t.Name(), schema)
+	cols := make([]int, len(s.Set))
+	exprs := make([]expr.Expr, len(s.Set))
+	moves := false
+	for k, as := range s.Set {
+		if cols[k] = schema.IndexOf(as.Column); cols[k] < 0 {
+			return Result{}, fmt.Errorf("engine: table %s has no column %q", s.Table, as.Column)
+		}
+		if exprs[k], err = plan.BindExprParams(as.E, sc, db.funcs, ps); err != nil {
+			return Result{}, err
+		}
+		moves = moves || (cols[k] == t.ShardKey() && t.NumShards() > 1)
+	}
+	shards := writeFootprint(t, sc, s.Where, ps, moves)
+	db.noteWrite(t, shards)
+	t.LockShards(shards)
+	defer t.UnlockShards(shards)
+	matches, err := db.matchShards(t, sc, shards, s.Where, ps)
 	if err != nil {
 		return Result{}, err
 	}
-	if len(idx) == 0 {
-		return Result{}, nil
-	}
-	sc := plan.NewScope(t.Name(), schema)
-	data := t.Data()
-	type colUpdate struct {
-		col  int
-		vals []storage.Value
-	}
-	updates := make([]colUpdate, 0, len(s.Set))
-	for _, as := range s.Set {
-		j := schema.IndexOf(as.Column)
-		if j < 0 {
-			return Result{}, fmt.Errorf("engine: table %s has no column %q", s.Table, as.Column)
+	n := 0
+	for m := range matches {
+		mt := &matches[m]
+		mt.set = make([][]storage.Value, len(exprs))
+		for k, e := range exprs {
+			def := schema.Cols[cols[k]]
+			vals := make([]storage.Value, len(mt.idx))
+			for r, i := range mt.idx {
+				v, err := e.Eval(expr.Row{Batch: mt.data, Idx: i})
+				if err != nil {
+					return Result{}, err
+				}
+				if v.Null && def.NotNull {
+					return Result{}, fmt.Errorf("engine: NOT NULL constraint violated on %s.%s", s.Table, def.Name)
+				}
+				if vals[r], err = storage.Coerce(v, def.Type); err != nil {
+					return Result{}, err
+				}
+			}
+			mt.set[k] = vals
 		}
-		bound, err := plan.BindExprParams(as.E, sc, db.funcs, ps)
-		if err != nil {
+		n += len(mt.idx)
+	}
+	if moves {
+		if err := moveRows(t, cols, matches); err != nil {
 			return Result{}, err
 		}
-		vals := make([]storage.Value, len(idx))
-		for k, i := range idx {
-			v, err := bound.Eval(expr.Row{Batch: data, Idx: i})
-			if err != nil {
+		return Result{RowsAffected: n}, nil
+	}
+	for _, mt := range matches {
+		for k, j := range cols {
+			if err := t.UpdateShardInPlace(mt.shard, mt.idx, j, mt.set[k]); err != nil {
 				return Result{}, err
 			}
-			if v.Null && schema.Cols[j].NotNull {
-				return Result{}, fmt.Errorf("engine: NOT NULL constraint violated on %s.%s", s.Table, as.Column)
-			}
-			cv, err := storage.Coerce(v, schema.Cols[j].Type)
-			if err != nil {
-				return Result{}, err
-			}
-			vals[k] = cv
-		}
-		updates = append(updates, colUpdate{col: j, vals: vals})
-	}
-	db.noteWrite(t)
-	for _, u := range updates {
-		if err := t.UpdateInPlace(idx, u.col, u.vals); err != nil {
-			return Result{}, err
 		}
 	}
-	return Result{RowsAffected: len(idx)}, nil
+	return Result{RowsAffected: n}, nil
 }
 
+// moveRows writes the updated rows of a partition-key UPDATE: it
+// appends them, routed by their new keys (AppendBatch checks the whole
+// batch before any shard changes), then deletes the originals.
+// Appending first keeps a failed statement from losing rows, and never
+// shifts a shard's existing local indexes.
+func moveRows(t *storage.Table, cols []int, matches []shardMatch) error {
+	moved := storage.NewBatch(t.Schema())
+	for _, mt := range matches {
+		for r, i := range mt.idx {
+			row := mt.data.Row(i)
+			for k, j := range cols {
+				row[j] = mt.set[k][r]
+			}
+			if err := moved.AppendRow(row...); err != nil {
+				return err
+			}
+		}
+	}
+	if err := t.AppendBatch(moved); err != nil {
+		return err
+	}
+	for _, mt := range matches {
+		t.DeleteShardWhere(mt.shard, mt.idx)
+	}
+	return nil
+}
+
+// execDelete removes the rows the WHERE matches, shard by shard.
 func (db *DB) execDelete(s *sql.DeleteStmt, ps *plan.Params) (Result, error) {
 	t, err := db.cat.Get(s.Table)
 	if err != nil {
 		return Result{}, err
 	}
-	idx, err := db.matchRows(t, s.Where, ps)
+	sc := plan.NewScope(t.Name(), t.Schema())
+	shards := writeFootprint(t, sc, s.Where, ps, false)
+	db.noteWrite(t, shards)
+	t.LockShards(shards)
+	defer t.UnlockShards(shards)
+	matches, err := db.matchShards(t, sc, shards, s.Where, ps)
 	if err != nil {
 		return Result{}, err
 	}
-	if len(idx) == 0 {
-		return Result{}, nil
+	n := 0
+	for _, mt := range matches {
+		t.DeleteShardWhere(mt.shard, mt.idx)
+		n += len(mt.idx)
 	}
-	db.noteWrite(t)
-	t.DeleteWhere(idx)
-	return Result{RowsAffected: len(idx)}, nil
+	return Result{RowsAffected: n}, nil
 }

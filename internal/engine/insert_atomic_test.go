@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -41,14 +43,27 @@ func TestInsertSelectCastFailureLeavesNoTornRow(t *testing.T) {
 // later row keeps none of its rows — in memory and after a reopen,
 // which replays only the statements that succeeded — on both the
 // sharded fast path (INSERT ... VALUES) and the exclusive path
-// (INSERT ... SELECT).
+// (INSERT ... SELECT). A multi-shard UPDATE whose SET fails only on a
+// row of the last shard it evaluates changes no shard either, on the
+// fast path (auto-commit), on the exclusive path (inside a
+// transaction), and when the SET writes the partition key.
 func TestFailedInsertIsStatementAtomic(t *testing.T) {
+	var seed []int64 // one row per shard of dst
+	for s := 0; s < 4; s++ {
+		seed = append(seed, keyInShard(t, 4, s))
+	}
+	failLast := func(otherwise string) string {
+		return fmt.Sprintf("CASE WHEN a = %d THEN CAST(NULL AS INTEGER) ELSE %s END", seed[3], otherwise)
+	}
 	for _, tc := range []struct {
 		name, stmt string
-		fast       bool
+		fast, txn  bool
 	}{
-		{"exclusive", "INSERT INTO dst SELECT a FROM src", false},
-		{"fastpath", "INSERT INTO dst VALUES (10), (NULL)", true},
+		{"exclusive", "INSERT INTO dst SELECT a, a FROM src", false, false},
+		{"fastpath", "INSERT INTO dst VALUES (10, 10), (NULL, 1)", true, false},
+		{"update_fastpath", "UPDATE dst SET b = " + failLast("b + 1"), true, false},
+		{"update_txn", "UPDATE dst SET b = " + failLast("b + 1"), false, true},
+		{"update_moves_key", "UPDATE dst SET a = " + failLast("a + 1000"), true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -59,20 +74,28 @@ func TestFailedInsertIsStatementAtomic(t *testing.T) {
 			mustExec(t, db,
 				"CREATE TABLE src (a INTEGER)",
 				"INSERT INTO src VALUES (1), (2), (NULL), (4)",
-				"CREATE TABLE dst (a INTEGER NOT NULL) PARTITION BY HASH(a) SHARDS 4",
+				"CREATE TABLE dst (a INTEGER NOT NULL, b INTEGER NOT NULL) PARTITION BY HASH(a) SHARDS 4",
+				fmt.Sprintf("INSERT INTO dst VALUES (%d, 0), (%d, 1), (%d, 2), (%d, 3)", seed[0], seed[1], seed[2], seed[3]),
 			)
+			before := shardDump(t, db, "dst")
+			if tc.txn {
+				mustExec(t, db, "BEGIN")
+			}
 			fast := db.obs.Counter("engine.fastpath.taken")
-			before := fast.Load()
+			took := fast.Load()
 			if _, err := db.Exec(tc.stmt); err == nil || !strings.Contains(err.Error(), "NOT NULL") {
 				t.Fatalf("%s: err = %v, want a NOT NULL violation", tc.stmt, err)
 			}
-			if took := fast.Load() > before; took != tc.fast {
-				t.Fatalf("%s: fast path taken = %v, want %v", tc.stmt, took, tc.fast)
+			if got := fast.Load() > took; got != tc.fast {
+				t.Fatalf("%s: fast path taken = %v, want %v", tc.stmt, got, tc.fast)
 			}
-			if n := countRows(t, db, "dst"); n != 0 {
-				t.Fatalf("failed INSERT kept %d rows in memory", n)
+			if after := shardDump(t, db, "dst"); after != before {
+				t.Fatalf("failed statement changed dst:\nbefore\n%safter\n%s", before, after)
 			}
-			mustExec(t, db, "INSERT INTO dst VALUES (7)")
+			if tc.txn {
+				mustExec(t, db, "COMMIT")
+			}
+			mustExec(t, db, "INSERT INTO dst VALUES (7, 7)")
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -81,8 +104,10 @@ func TestFailedInsertIsStatementAtomic(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db2.Close()
-			if got := queryInts(t, db2, "SELECT a FROM dst"); len(got) != 1 || got[0] != 7 {
-				t.Fatalf("after reopen dst = %v, want [7]", got)
+			want := append(append([]int64(nil), seed...), 7)
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			if got := queryInts(t, db2, "SELECT a FROM dst ORDER BY a"); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("after reopen dst = %v, want %v", got, want)
 			}
 		})
 	}

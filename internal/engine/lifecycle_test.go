@@ -138,7 +138,7 @@ func TestDBExecRefusesGraphStatement(t *testing.T) {
 // paths and ablation switches this engine used to fork on reappears in
 // non-test source anywhere in the module.
 func TestDeletedForksStayDeleted(t *testing.T) {
-	gone := regexp.MustCompile(`\b(legacySubstitution|SetSnapshotReads|SetFastPathWrites|QueryContextWorkers|SetGraphExplainer|readerDBLevel|txnSessionOwned|execGateHeld|endExecTxn|Cacheable|Rebind|CtxRef|WithContextRef|PrepareSelectMem|NoSplit|checkoutPlan|bindRoutes)\b`)
+	gone := regexp.MustCompile(`\b(legacySubstitution|SetSnapshotReads|SetFastPathWrites|QueryContextWorkers|SetGraphExplainer|readerDBLevel|txnSessionOwned|execGateHeld|endExecTxn|Cacheable|Rebind|CtxRef|WithContextRef|PrepareSelectMem|NoSplit|checkoutPlan|bindRoutes|fastInsert|fastUpdate|fastDelete|execUpdateShard|execDeleteShard|matchRows|matchShardRows|pinnedShard|pinShard|DeleteWhere)\b`)
 	root := filepath.Join("..", "..")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {

@@ -512,13 +512,23 @@ func TestFastPathShardPruning(t *testing.T) {
 		return nil
 	}
 
+	sc := plan.NewScope(tbl.Name(), tbl.Schema())
 	wantShard := int(storage.HashValue(storage.Int64(k1)) % 4)
-	if sh, ok := pinnedShard(tbl, whereOf(fmt.Sprintf("DELETE FROM t WHERE id = %d AND v > 0", k1)), nil); !ok || sh != wantShard {
+	if sh, ok := plan.PinnedShard(tbl, sc, whereOf(fmt.Sprintf("DELETE FROM t WHERE id = %d AND v > 0", k1)), nil); !ok || sh != wantShard {
 		t.Errorf("literal pin = %d/%v, want %d/true", sh, ok, wantShard)
 	}
 	ps := plan.NewParams(vals(storage.Int64(k1)))
-	if sh, ok := pinnedShard(tbl, whereOf("DELETE FROM t WHERE id = $1"), ps); !ok || sh != wantShard {
+	if sh, ok := plan.PinnedShard(tbl, sc, whereOf("DELETE FROM t WHERE id = $1"), ps); !ok || sh != wantShard {
 		t.Errorf("param pin = %d/%v, want %d/true", sh, ok, wantShard)
+	}
+	// A NULL key matches nothing, so it pins one shard, as it does for
+	// reads, and the pinned DELETE removes nothing.
+	nullArg := vals(storage.Value{Null: true})
+	if _, ok := plan.PinnedShard(tbl, sc, whereOf("DELETE FROM t WHERE id = $1"), plan.NewParams(nullArg)); !ok {
+		t.Error("bound NULL key did not pin a shard")
+	}
+	if _, res, err := db.NewSession().RunStreamBound(context.Background(), "DELETE FROM t WHERE id = $1", nullArg); err != nil || res.RowsAffected != 0 {
+		t.Errorf("DELETE with a NULL key: affected %d rows, err %v; want 0, nil", res.RowsAffected, err)
 	}
 	for _, text := range []string{
 		"DELETE FROM t WHERE id > 1",           // not an equality
@@ -527,7 +537,7 @@ func TestFastPathShardPruning(t *testing.T) {
 		"DELETE FROM t WHERE id = 1 OR id = 2", // disjunction
 		"DELETE FROM t WHERE other.id = 1",     // wrong qualifier
 	} {
-		if _, ok := pinnedShard(tbl, whereOf(text), nil); ok {
+		if _, ok := plan.PinnedShard(tbl, sc, whereOf(text), nil); ok {
 			t.Errorf("%q wrongly pinned a shard", text)
 		}
 	}
@@ -544,7 +554,7 @@ func TestFastPathShardPruning(t *testing.T) {
 	if err != nil || v.I != 3 {
 		t.Errorf("other shard's row changed: %v %v", v, err)
 	}
-	// SET on the key column must decline pruning but stay correct.
+	// SET on the key column locks every shard and moves the rows.
 	if _, err := db.Exec(fmt.Sprintf("UPDATE t SET id = %d WHERE id = %d", k2, k2)); err != nil {
 		t.Fatal(err)
 	}

@@ -77,13 +77,15 @@ func (db *DB) rollback() error {
 	return db.mvcc.Rollback()
 }
 
-// noteWrite stages a pre-image for a table about to be mutated.
-// Callers must hold db.mu.
-func (db *DB) noteWrite(t *storage.Table) {
+// noteWrite stages the pre-images of the shards (nil: every shard) of a
+// table about to be mutated. Callers must hold db.mu, and must call it
+// before taking those shards' statement locks: freezing a shard waits
+// on its statement lock.
+func (db *DB) noteWrite(t *storage.Table, shards []int) {
 	if db.txn == nil {
 		return
 	}
-	db.mvcc.StageWrite(t)
+	db.mvcc.StageWriteShards(t, shards)
 }
 
 // noteCreate records a table created during the transaction.

@@ -60,7 +60,7 @@ func TestSnapshotImmuneToEveryMutator(t *testing.T) {
 	if err := tb.UpdateInPlace([]int{0}, 0, []storage.Value{storage.Int64(-50)}); err != nil {
 		t.Fatal(err)
 	}
-	tb.DeleteWhere([]int{1, 2})
+	tb.DeleteShardWhere(0, []int{1, 2})
 	b := storage.NewBatch(tb.Schema())
 	if err := b.AppendRow(storage.Int64(7), storage.Float64(7)); err != nil {
 		t.Fatal(err)

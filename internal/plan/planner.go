@@ -88,7 +88,7 @@ type planCtx struct {
 	fullWorkers int
 	ctes        map[string]*storage.Batch
 	// params, when non-nil, puts positional parameters in scope; their
-	// bound values route partition-key scans (see route).
+	// bound values route partition-key scans (see PinnedShard).
 	params *Params
 	// serial marks the subtree under a LIMIT (with no blocking ORDER
 	// BY): operators there are planned serial — no Gathers —
@@ -568,7 +568,7 @@ func (c *planCtx) planCore(core *sql.SelectCore) (exec.Operator, []string, error
 // as a filter, returning the filtered operator and the remaining list.
 // When the operator is a scan of a hash-partitioned table and one of
 // the applicable conjuncts is a point predicate on the partition key,
-// the scan is routed to the owning shard (see route): the filter still
+// the scan is routed to the owning shard (see PinnedShard): the filter still
 // runs (it keeps the semantics exact), but only one shard is read —
 // point lookups, and any join or aggregate above such a filter, become
 // shard-local.
@@ -582,16 +582,15 @@ func (c *planCtx) pushDown(op exec.Operator, sc *Scope, pending []sql.Expr) (exe
 			rest = append(rest, cj)
 		}
 	}
+	where := andAll(applicable)
 	if ts, ok := op.(*exec.TableScan); ok && ts.Shard == 0 {
-		if sh, ok := ts.Table.(storage.Sharded); ok && sh.NumShards() > 1 && sh.ShardKey() >= 0 {
-			for _, cj := range applicable {
-				if c.route(ts, sh, cj, sc) {
-					break
-				}
+		if sh, ok := ts.Table.(storage.Sharded); ok {
+			if s, ok := PinnedShard(sh, sc, where, c.params); ok {
+				ts.Shard = s + 1
 			}
 		}
 	}
-	pred, err := c.bindPred(andAll(applicable), sc)
+	pred, err := c.bindPred(where, sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -616,34 +615,48 @@ func (c *planCtx) bindPred(e sql.Expr, sc *Scope) (expr.Expr, error) {
 	return pred, nil
 }
 
-// route recognizes `key = x` (either operand order), key the table's
-// partition column, and routes the scan to x's shard. x is a literal
-// or a bound parameter; either routes from its value by one rule. A
-// NULL value matches nothing, so any single shard (shard 1) yields the
-// same empty result. x must otherwise have the key's type, or be
-// INTEGER against a DOUBLE key (which HashValue hashes identically): a
-// cross-type comparison scans every shard rather than risk a coercion
-// mismatch.
-func (c *planCtx) route(ts *exec.TableScan, sh storage.Sharded, cj sql.Expr, sc *Scope) bool {
+// PinnedShard reports the one shard of sh a WHERE confines a statement
+// to: some AND-level conjunct is `key = x` (either operand order), key
+// the table's partition column resolved in sc, and x a literal or a
+// bound parameter. Both a routed scan and a write's footprint come from
+// this rule. A NULL x matches nothing, so any single shard (shard 0)
+// yields the same empty result. x must otherwise have the key's type,
+// or be INTEGER against a DOUBLE key (which HashValue hashes
+// identically): a cross-type comparison pins nothing rather than risk a
+// coercion mismatch.
+func PinnedShard(sh storage.Sharded, sc *Scope, where sql.Expr, ps *Params) (int, bool) {
+	if sh.NumShards() < 2 || sh.ShardKey() < 0 {
+		return 0, false
+	}
+	for _, cj := range splitConjuncts(where, nil) {
+		if s, ok := keyShard(sh, sc, cj, ps); ok {
+			return s, true
+		}
+	}
+	return 0, false
+}
+
+// keyShard is PinnedShard for one conjunct.
+func keyShard(sh storage.Sharded, sc *Scope, cj sql.Expr, ps *Params) (int, bool) {
 	b, ok := cj.(*sql.BinExpr)
 	if !ok || b.Op != "=" {
-		return false
+		return 0, false
 	}
 	x := b.R
 	if i, ok := identIn(b.L, sc); !ok || i != sh.ShardKey() {
 		if i, ok = identIn(b.R, sc); !ok || i != sh.ShardKey() {
-			return false
+			return 0, false
 		}
 		x = b.L
 	}
 	var v storage.Value
 	switch l := x.(type) {
 	case *sql.Param:
-		if c.params == nil {
-			return false
+		if ps == nil {
+			return 0, false
 		}
-		if v, ok = c.params.Slot.Arg(l.N); !ok {
-			return false
+		if v, ok = ps.Slot.Arg(l.N); !ok {
+			return 0, false
 		}
 	case *sql.NullLit:
 		v = storage.Value{Null: true}
@@ -656,22 +669,20 @@ func (c *planCtx) route(ts *exec.TableScan, sh storage.Sharded, cj sql.Expr, sc 
 	case *sql.BoolLit:
 		v = storage.Bool(l.V)
 	default:
-		return false
+		return 0, false
 	}
 	if v.Null {
-		ts.Shard = 1
-		return true
+		return 0, true
 	}
 	kt := sh.Schema().Cols[sh.ShardKey()].Type
 	if v.Type != kt && !(v.Type == storage.TypeInt64 && kt == storage.TypeFloat64) {
-		return false
+		return 0, false
 	}
 	cv, err := storage.Coerce(v, kt)
 	if err != nil {
-		return false
+		return 0, false
 	}
-	ts.Shard = int(storage.HashValue(cv)%uint64(sh.NumShards())) + 1
-	return true
+	return int(storage.HashValue(cv) % uint64(sh.NumShards())), true
 }
 
 // planProjection binds the select items over the (possibly post-

@@ -61,6 +61,19 @@ func FuzzShardedTable(f *testing.F) {
 			return idx
 		}
 
+		// matchShard is matchIdx over one shard's rows: the indexes are
+		// shard-local.
+		matchShard := func(tb *ShardedTable, s int, m, r int64) []int {
+			col := tb.ShardBatch(s).Cols[0]
+			var idx []int
+			for i := 0; i < col.Len(); i++ {
+				if ((col.Value(i).I%m)+m)%m == r {
+					idx = append(idx, i)
+				}
+			}
+			return idx
+		}
+
 		var snaps [2]*Snapshot
 		ops := 0
 		for pos < len(data) && ops < 200 {
@@ -93,11 +106,13 @@ func FuzzShardedTable(f *testing.F) {
 						t.Fatalf("update: %v", err)
 					}
 				}
-			case 3: // predicate delete
+			case 3: // predicate delete, shard by shard like the engine's DELETE
 				m := 1 + int64(next()%5)
 				r := int64(next()) % m
 				for _, tb := range tables {
-					tb.DeleteWhere(matchIdx(tb, m, r))
+					for s := 0; s < tb.NumShards(); s++ {
+						tb.DeleteShardWhere(s, matchShard(tb, s, m, r))
+					}
 				}
 			case 4: // truncate
 				for _, tb := range tables {

@@ -19,8 +19,9 @@ import (
 // column (see HashValue), the same hash the vertex runtime's batching
 // uses, so table shards and superstep partitions can align. The
 // logical row order of a sharded table is shard-major: shard 0's rows
-// first, then shard 1's, each in insertion order. Global row indexes
-// (UpdateInPlace, DeleteWhere) address that concatenated order.
+// first, then shard 1's, each in insertion order. UpdateInPlace's
+// global row indexes address that concatenated order; the shard-local
+// mutators (UpdateShardInPlace, DeleteShardWhere) address one shard.
 //
 // The Update-vs-Replace optimization from the paper is exposed as
 // UpdateInPlace (cheap for few rows) and Replace (swap in a rebuilt
@@ -632,97 +633,41 @@ func locateRow(offs []int, g int) (int, int) {
 
 // UpdateInPlace sets cols[colIdx] = vals[k] for each global row index
 // in rowIdx. This is the "update" arm of Update-vs-Replace, used when
-// the number of changed tuples is below the threshold. Only the
-// touched column of each touched shard is detached (copied) when a
-// snapshot still shares it — column-granular copy-on-write.
+// the number of changed tuples is below the threshold. Each touched
+// shard takes its rows through UpdateShardInPlace.
 func (t *ShardedTable) UpdateInPlace(rowIdx []int, colIdx int, vals []Value) error {
 	if len(rowIdx) != len(vals) {
 		return fmt.Errorf("storage: update arity mismatch on %s", t.name)
 	}
-	if len(rowIdx) == 0 {
-		return nil
+	if len(t.shards) == 1 {
+		return t.UpdateShardInPlace(0, rowIdx, colIdx, vals)
 	}
 	offs, total := t.shardOffsets()
-	perShard := make([][]int, len(t.shards))    // local row indexes
-	perShardVal := make([][]int, len(t.shards)) // positions into vals
+	perShard := make([][]int, len(t.shards)) // local row indexes
+	perShardVal := make([][]Value, len(t.shards))
 	for k, g := range rowIdx {
 		if g < 0 || g >= total {
 			return fmt.Errorf("storage: set index %d out of range (%d rows)", g, total)
 		}
 		s, local := locateRow(offs, g)
 		perShard[s] = append(perShard[s], local)
-		perShardVal[s] = append(perShardVal[s], k)
+		perShardVal[s] = append(perShardVal[s], vals[k])
 	}
 	for s, locals := range perShard {
-		if len(locals) == 0 {
-			continue
+		if err := t.UpdateShardInPlace(s, locals, colIdx, perShardVal[s]); err != nil {
+			return err
 		}
-		sh := t.shards[s]
-		sh.mu.Lock()
-		if sh.shared[colIdx] {
-			c := sh.cols[colIdx]
-			sh.cols[colIdx] = c.Slice(0, c.Len())
-			sh.shared[colIdx] = false
-		}
-		sh.version++
-		sh.frozen = nil
-		for k, local := range locals {
-			if err := SetValue(sh.cols[colIdx], local, vals[perShardVal[s][k]]); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-		}
-		sh.mu.Unlock()
 	}
 	return nil
 }
 
-// DeleteWhere removes the rows at the given global indexes by
-// rebuilding each touched shard's columns without them.
-func (t *ShardedTable) DeleteWhere(del []int) {
-	if len(del) == 0 {
-		return
-	}
-	offs, total := t.shardOffsets()
-	perShard := make([]map[int]bool, len(t.shards))
-	for _, g := range del {
-		if g < 0 || g >= total {
-			continue
-		}
-		s, local := locateRow(offs, g)
-		if perShard[s] == nil {
-			perShard[s] = make(map[int]bool)
-		}
-		perShard[s][local] = true
-	}
-	for s, deadRows := range perShard {
-		if len(deadRows) == 0 {
-			continue
-		}
-		sh := t.shards[s]
-		sh.mu.Lock()
-		n := sh.rows()
-		keep := make([]int, 0, n-len(deadRows))
-		for i := 0; i < n; i++ {
-			if !deadRows[i] {
-				keep = append(keep, i)
-			}
-		}
-		for j, c := range sh.cols {
-			sh.cols[j] = c.Gather(keep)
-			sh.shared[j] = false // Gather built fresh columns
-		}
-		sh.version++
-		sh.frozen = nil
-		sh.mu.Unlock()
-	}
-}
-
-// UpdateShardInPlace is UpdateInPlace restricted to one shard: it sets
-// cols[colIdx] = vals[k] for each shard-local row index in localIdx.
-// The engine's shard-pruned fast path uses it so a point UPDATE whose
-// WHERE pins the partition key touches (and locks) only the owning
-// shard while the others stay open to concurrent writers.
+// UpdateShardInPlace sets cols[colIdx] = vals[k] for each shard-local
+// row index in localIdx of shard s. Only the touched column is detached
+// (copied) when a snapshot still shares it — column-granular
+// copy-on-write. The engine's UPDATE calls it per matched shard, under
+// that shard's statement lock, so a point UPDATE whose WHERE pins the
+// partition key touches (and locks) only the owning shard while the
+// others stay open to concurrent writers.
 func (t *ShardedTable) UpdateShardInPlace(s int, localIdx []int, colIdx int, vals []Value) error {
 	if len(localIdx) != len(vals) {
 		return fmt.Errorf("storage: update arity mismatch on %s", t.name)
@@ -754,9 +699,8 @@ func (t *ShardedTable) UpdateShardInPlace(s int, localIdx []int, colIdx int, val
 	return nil
 }
 
-// DeleteShardWhere is DeleteWhere restricted to one shard: it removes
-// the rows at the given shard-local indexes by rebuilding the shard's
-// columns without them.
+// DeleteShardWhere removes the rows at the given shard-local indexes of
+// shard s by rebuilding the shard's columns without them.
 func (t *ShardedTable) DeleteShardWhere(s int, localIdx []int) {
 	if len(localIdx) == 0 {
 		return

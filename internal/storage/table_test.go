@@ -87,7 +87,7 @@ func TestTableDeleteWhere(t *testing.T) {
 	for i := int64(0); i < 6; i++ {
 		_ = tb.AppendRow(Int64(i), Str("v"), Bool(false))
 	}
-	tb.DeleteWhere([]int{0, 2, 4})
+	tb.DeleteShardWhere(0, []int{0, 2, 4})
 	if tb.NumRows() != 3 {
 		t.Fatalf("rows = %d, want 3", tb.NumRows())
 	}
@@ -96,6 +96,27 @@ func TestTableDeleteWhere(t *testing.T) {
 	for i, w := range want {
 		if d.Row(i)[0].I != w {
 			t.Errorf("row %d id = %d, want %d", i, d.Row(i)[0].I, w)
+		}
+	}
+
+	// On a sharded table each shard drops only its own local rows, and
+	// the survivors keep their order within the shard.
+	st := NewShardedTable("vertex", vertexSchema(), 0, 4)
+	for i := int64(0); i < 40; i++ {
+		_ = st.AppendRow(Int64(i), Str("v"), Bool(false))
+	}
+	for s := 0; s < st.NumShards(); s++ {
+		st.DeleteShardWhere(s, []int{0})
+	}
+	if st.NumRows() != 36 {
+		t.Fatalf("sharded rows = %d, want 36", st.NumRows())
+	}
+	for s := 0; s < st.NumShards(); s++ {
+		ids := st.ShardBatch(s).Cols[0]
+		for i := 1; i < ids.Len(); i++ {
+			if ids.Value(i).I <= ids.Value(i-1).I {
+				t.Fatalf("shard %d out of insertion order after delete", s)
+			}
 		}
 	}
 }
